@@ -25,6 +25,9 @@ VALUE_ATOL = 1e-9
 PRIOR_RTOL = 1e-7
 # A single-unit flip may not raise f_beta by more than rounding.
 FLIP_ATOL = 1e-12
+# A Metropolis sampler accepts a move that lowers the log posterior by more
+# than this with probability below e^-40 per proposal.
+ACCEPTED_DROP_LIMIT = 40.0
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +230,31 @@ def check_log_posterior(pair, program_values, z, unit_names, strands, priors):
     return []
 
 
+def check_accepted_moves(draws, log_posteriors, acceptance_rate, post_steps):
+    """A chain stored at every post-burn-in step obeys the Metropolis rule.
+
+    ``log_posteriors[t]`` is the log posterior of ``draws[t]`` (any additive
+    constant).  A changed row is an accepted move; the move before the first
+    row is not stored, so the accepted count is the changed rows or one more.
+    The chain must move, and no accepted move may lower the log posterior by
+    more than ``ACCEPTED_DROP_LIMIT``.
+    """
+    problems = []
+    moved = np.any(draws[1:] != draws[:-1], axis=1)
+    changes = int(moved.sum())
+    if changes == 0:
+        return ["chain: no stored move was accepted"]
+    accepted = acceptance_rate * post_steps
+    if not (changes - 1e-6 <= accepted <= changes + 1 + 1e-6):
+        problems.append(f"chain: acceptance_rate {acceptance_rate!r} over {post_steps} steps, "
+                        f"but {changes} stored rows changed")
+    drops = np.asarray(log_posteriors[:-1]) - np.asarray(log_posteriors[1:])
+    worst = float(np.max(drops[moved]))
+    if not worst <= ACCEPTED_DROP_LIMIT:
+        problems.append(f"chain: an accepted move lowers the log posterior by {worst:.4g}")
+    return problems
+
+
 # ---------------------------------------------------------------------------
 # test / lrbh / report
 # ---------------------------------------------------------------------------
@@ -248,7 +276,11 @@ def f_beta(d, indicators, groups, beta):
 
 
 def check_decisions(rows, summary, psi, target_fdr, tol):
-    """decisions.csv and decisions_summary.json against the stored chain."""
+    """decisions.csv and decisions_summary.json against the stored chain.
+
+    The workload plants effects, so the calibration must find an admissible
+    decision with at least one discovery: an infeasible or empty result fails.
+    """
     problems = []
     names = [r["mirna"] for r in rows]
     m = len(names)
@@ -267,8 +299,11 @@ def check_decisions(rows, summary, psi, target_fdr, tol):
         problems.append("decisions: n_discoveries disagrees with the decision column")
     if not math.isclose(fdr, summary["posterior_fdr"], rel_tol=0.0, abs_tol=VALUE_ATOL):
         problems.append(f"decisions: posterior FDR {summary['posterior_fdr']} but the chain gives {fdr}")
-    if summary["feasible"] and fdr > target_fdr + tol + VALUE_ATOL:
-        problems.append(f"decisions: feasible, yet posterior FDR {fdr} exceeds the target")
+    if not summary["feasible"] or summary["n_discoveries"] < 1:
+        problems.append(f"decisions: feasible={summary['feasible']} with "
+                        f"{summary['n_discoveries']} discoveries on planted effects")
+    if fdr > target_fdr + tol + VALUE_ATOL:
+        problems.append(f"decisions: posterior FDR {fdr} exceeds the target")
 
     for i, r in enumerate(rows):
         expected = ("up" if psi_hat[i] < 0 else "down") if d[i] else ""
@@ -280,7 +315,7 @@ def check_decisions(rows, summary, psi, target_fdr, tol):
     groups = [np.array(sorted(index[g] for g in r["group_members"].split(";"))) for r in rows]
     if any(i not in g for i, g in enumerate(groups)):
         problems.append("decisions: a group does not contain its own unit")
-    elif summary["feasible"]:
+    elif summary["feasible"]:  # beta is NaN otherwise, and that already failed above
         beta = summary["beta"]
         base = f_beta(d, indicators, groups, beta)
         for u in range(m):

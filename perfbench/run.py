@@ -27,6 +27,7 @@ import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import shutil  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
@@ -37,7 +38,13 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 WORK = os.path.join(ROOT, ".perfbench_work")
-SETUP_REPEATS = 9
+# Set-up takes 10-100 ms, and on a shared host a core's speed can switch
+# within seconds, so set-up is timed many times across the whole run: at the
+# start (at least SETUP_MIN_REPEATS times, SETUP_START_S in all) and again
+# after every round (SETUP_SLICE_S).  setup_s is the median of all of them.
+SETUP_START_S = 1.0
+SETUP_SLICE_S = 0.5
+SETUP_MIN_REPEATS = 5
 IMPORT_REPEATS = 3
 
 
@@ -78,31 +85,33 @@ class Runner:
         self.attempted = 0
         self.failed = 0
         self.peak_rss_mb = 0.0
+        self.setup_times = []
+        self.simulate_times = []
         if traced:
             from tracing import Tracer
 
             self.tracer = Tracer()
 
-    def setup(self):
-        """Write the inputs SETUP_REPEATS times into fresh directories; the
-        last one is kept.  Returns the per-set-up wall times."""
-        times, layer = [], []
-        for _ in range(SETUP_REPEATS):
-            shutil.rmtree(self.workdir, ignore_errors=True)
-            os.makedirs(self.workdir)
+    def setup(self, directory, budget, min_repeats=1):
+        """Write the inputs into a fresh ``directory`` until ``budget``
+        seconds have been spent in set-up; the last copy is kept.  Each
+        set-up's wall time goes to ``setup_times``."""
+        times = []
+        while len(times) < min_repeats or math.fsum(times) < budget:
+            shutil.rmtree(directory, ignore_errors=True)
+            os.makedirs(directory)
             if self.traced:
                 self.tracer.reset()
                 with self.tracer.installed():
                     start = time.perf_counter()
-                    self.workload.setup(self.workdir)
+                    self.workload.setup(directory)
                     times.append(time.perf_counter() - start)
-                layer.append(self.tracer.total("simulate.simulate_dataset"))
+                self.simulate_times.append(self.tracer.total("simulate.simulate_dataset"))
             else:
                 start = time.perf_counter()
-                self.workload.setup(self.workdir)
+                self.workload.setup(directory)
                 times.append(time.perf_counter() - start)
-        self.simulate_s = statistics.median(layer) if layer else 0.0
-        return times
+        self.setup_times += times
 
     def round(self):
         """Run the round's commands in order; returns (wall s, per-layer dict)."""
@@ -179,7 +188,7 @@ def main(argv=None):
     workdir = os.path.join(WORK, f"{args.workload}-{args.seed}-{os.getpid()}")
     runner = Runner(workload, workdir, traced=bool(args.trace))
     try:
-        setup_times = runner.setup()
+        runner.setup(workdir, SETUP_START_S, SETUP_MIN_REPEATS)
         # Also warms the bytecode cache before the first timed command.
         cli_import_s = import_seconds(IMPORT_REPEATS if args.trace else 1)
         walls, layers = [], []
@@ -189,27 +198,30 @@ def main(argv=None):
             walls.append(wall)
             if layer is not None:
                 layers.append(layer)
+            runner.setup(workdir + "-setup", SETUP_SLICE_S)
             elapsed = time.perf_counter() - start
             if elapsed + elapsed / len(walls) > args.seconds:
                 break
         problems = ["a command failed"] if runner.failed else check(workload, workdir)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
+        shutil.rmtree(workdir + "-setup", ignore_errors=True)
         with contextlib.suppress(OSError):
             os.rmdir(WORK)
 
     print(f"workload={args.workload} seed={args.seed} trace={args.trace} "
           f"blas_threads={BLAS_THREADS} nproc={os.cpu_count()} rounds={len(walls)} "
-          f"round_s={[round(w, 3) for w in walls]} setup_s={[round(t, 4) for t in setup_times]}")
+          f"round_s={[round(w, 3) for w in walls]} setups={len(runner.setup_times)} "
+          f"setup_s_median={statistics.median(runner.setup_times):.4f}")
     for problem in problems:
         print(f"check failed: {problem}", file=sys.stderr)
     if args.trace:
         values = median_metrics(layers)
-        values["simulate.simulate_dataset_s"] = runner.simulate_s
+        values["simulate.simulate_dataset_s"] = statistics.median(runner.simulate_times)
         values["cli.import_s"] = cli_import_s
     else:
         values = {"round_s": statistics.median(walls),
-                  "setup_s": statistics.median(setup_times),
+                  "setup_s": statistics.median(runner.setup_times),
                   "peak_rss_mb": runner.peak_rss_mb}
     units = metric_units(args.trace)
     if set(values) != set(units):

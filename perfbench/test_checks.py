@@ -38,7 +38,7 @@ def _run(workload, workdir):
 @pytest.fixture(scope="module")
 def fit_run(tmp_path_factory, monkeypatch_module):
     monkeypatch_module.setattr(workloads, "FIT_SHAPE", dict(m=24, n=10, k=3))
-    monkeypatch_module.setattr(workloads, "FIT_CHAIN", dict(iterations=80, burn_in=20, thin=6))
+    monkeypatch_module.setattr(workloads, "FIT_CHAIN", dict(iterations=80, burn_in=20, thin=1))
     workdir = tmp_path_factory.mktemp("fit")
     return _run(workloads.FitStudy(3), workdir), workdir
 
@@ -98,6 +98,59 @@ def test_chain_check_rejects_a_truncated_chain(fit_run):
     _, names, _, strands = workload.inputs(str(workdir))
     draws, meta = checks.read_samples_file(os.path.join(workdir, "out", "samples.bin"))
     assert checks.check_chain(draws[:-1], meta, names, strands, **workloads.FIT_CHAIN)
+
+
+def _chain_and_log_posteriors(workload, workdir):
+    _, names, z, strands = workload.inputs(str(workdir))
+    draws, _ = checks.read_samples_file(os.path.join(workdir, "out", "samples.bin"))
+    with open(os.path.join(workdir, "out", "manifest.json"), encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    post = workloads.FIT_CHAIN["iterations"] - workloads.FIT_CHAIN["burn_in"]
+    return draws.copy(), (z, names, strands, manifest["priors"]), manifest["acceptance_rate"], post
+
+
+def test_move_check_rejects_a_move_no_sampler_accepts(fit_run):
+    workload, workdir = fit_run
+    draws, model, rate, post = _chain_and_log_posteriors(workload, workdir)
+    lp = workload._chain_log_posteriors(draws, *model)
+    assert checks.check_accepted_moves(draws, lp, rate, post) == []
+    # Inside a run of three equal rows, move the middle one far into the
+    # tails: the chain now "accepts" a move down by far more than 40.
+    t = next(t for t in range(1, len(draws) - 1)
+             if np.array_equal(draws[t - 1], draws[t]) and np.array_equal(draws[t], draws[t + 1]))
+    draws[t, :len(model[1])] += 5.0
+    lp = workload._chain_log_posteriors(draws, *model)
+    problems = checks.check_accepted_moves(draws, lp, rate, post)
+    assert any("lowers the log posterior" in p for p in problems), problems
+
+
+def test_move_check_rejects_a_chain_that_never_moves(fit_run):
+    workload, workdir = fit_run
+    draws, model, rate, post = _chain_and_log_posteriors(workload, workdir)
+    frozen = np.repeat(draws[:1], len(draws), axis=0)
+    lp = workload._chain_log_posteriors(frozen, *model)
+    assert checks.check_accepted_moves(frozen, lp, 0.0, post)
+    lp = workload._chain_log_posteriors(draws, *model)
+    assert checks.check_accepted_moves(draws, lp, rate + 3.0 / post, post)
+
+
+def test_decision_check_rejects_an_infeasible_empty_result(decide_run, tmp_path):
+    workload, workdir = decide_run
+    copy = tmp_path / "copy"
+    shutil.copytree(workdir, copy)
+    path = os.path.join(copy, "out", "decisions.csv")
+    for i, r in enumerate(checks.read_dict_rows(path)):
+        if r["decision"] == "1":
+            _corrupt_csv(path, i, "decision", "0")
+            _corrupt_csv(path, i, "direction", "")
+    summary_path = os.path.join(copy, "out", "decisions_summary.json")
+    with open(summary_path, encoding="utf-8") as fh:
+        summary = json.load(fh)
+    summary.update(feasible=False, n_discoveries=0, posterior_fdr=0.0, beta=float("nan"))
+    with open(summary_path, "w", encoding="utf-8") as fh:
+        json.dump(summary, fh)
+    problems = workload.check(str(copy))
+    assert any(p.startswith("decisions: feasible=False") for p in problems), problems
 
 
 def test_decision_check_rejects_one_flipped_decision(decide_run, tmp_path):

@@ -20,9 +20,10 @@ import checks
 PROGRAM_SEED = 1
 
 # fit-study: the paper's shape (522 units, 18 patients, 46 strands, 10%
-# multi-locus units -> 574 loci) and a short chain.
+# multi-locus units -> 574 loci) and a short chain, every post-burn-in state
+# stored so that each accepted move can be checked.
 FIT_SHAPE = dict(m=522, n=18, k=46)
-FIT_CHAIN = dict(iterations=150, burn_in=50, thin=10)
+FIT_CHAIN = dict(iterations=150, burn_in=50, thin=1)
 
 # decide-study: the study's loci density (574 loci on 46 strands; here 127
 # on 10, with 10% multi-locus units) at 116 units, with planted effects near the |psi| = 1
@@ -36,15 +37,20 @@ DECIDE_TESTING = dict(prior_correlation_draws=1000, prior_psi_draws=1000)
 DECIDE_NU_VARIANCE = 4.0
 TARGET_FDR, FDR_TOLERANCE, LRBH_Q = 0.10, 0.005, 0.10
 
-# loo-mid: criterion 8's generator settings at m = 150, k = 13.
+# loo-mid: criterion 8's generator settings at m = 150, k = 13.  The chain
+# keeps the [cv] defaults' ratio of about one predictive draw per 15
+# iterations (thin 10, one draw per stored state, burn-in about a third), so
+# the predictive composition weighs in each fold as it does in the program's
+# own use.
 LOO_SHAPE = dict(m=150, n=18, k=13)
 LOO_GENERATOR = dict(psi_mode="gp", varrho2=2.0, nu=1.5, rho_fraction=0.3, delta2=1.0)
-LOO_CHAIN = dict(iterations=300, burn_in=100, thin=2, per_state=3)
-LOO_FOLDS = (0, 2, 4, 6, 8, 10, 12, 14, 16)
+LOO_CHAIN = dict(iterations=1000, burn_in=300, thin=10, per_state=1)
+LOO_FOLDS = (0, 6, 12)
 LOO_LEVEL = 0.75
 # Fold-to-fold variance of coverage over the binomial variance of one fold's
-# m flags, measured on 180 folds of the datasets of seeds 1-20 (README,
-# "Coverage band").
+# m flags: 22 on 180 folds of the datasets of seeds 1-20 (300-iteration
+# chains) and 20 on 90 folds of seeds 1-10 (these chains); README,
+# "Coverage band".
 LOO_DESIGN_EFFECT = 22.0
 
 
@@ -123,7 +129,24 @@ class FitStudy(Workload):
             return problems
         pair = self._distant_pair(draws)
         values = self._program_log_target(workdir, pair)
-        return checks.check_log_posterior(pair, values, z, names, strands, manifest["priors"])
+        problems = checks.check_log_posterior(pair, values, z, names, strands, manifest["priors"])
+        if problems:
+            return problems
+        return checks.check_accepted_moves(
+            draws, self._chain_log_posteriors(draws, z, names, strands, manifest["priors"]),
+            manifest["acceptance_rate"], FIT_CHAIN["iterations"] - FIT_CHAIN["burn_in"])
+
+    @staticmethod
+    def _chain_log_posteriors(draws, z, names, strands, priors):
+        """The benchmark's own log posterior at every row, evaluated once per
+        run of equal rows."""
+        values = np.empty(draws.shape[0])
+        for t in range(draws.shape[0]):
+            if t and np.array_equal(draws[t], draws[t - 1]):
+                values[t] = values[t - 1]
+            else:
+                values[t] = checks.log_posterior(draws[t], z, names, strands, priors)
+        return values
 
     @staticmethod
     def _distant_pair(draws):
