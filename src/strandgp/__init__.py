@@ -48,7 +48,6 @@ from .kernels import (
     matern_cov,
     prior_cov_psi,
     sample_psi_prior,
-    strand_cov,
 )
 from .lrbh import BaselineReport, LrResult, bh_adjust, bootstrap_pvalue, lr_stat, run_baseline
 from .priors import (
@@ -73,5 +72,4 @@ from .tmcmc import (
     run_chain,
     run_chains,
     tmcmc_step,
-    tune_scales,
 )

@@ -166,13 +166,18 @@ class RunConfig:
             self.sampler_config()
             self.sampler_config("cv")
             self.prior_kwargs()
-            float(self.values["testing"]["target_fdr"])
-            float(self.values["lrbh"]["q"])
-            int(self.values["lrbh"]["bootstrap"])
+            target_fdr = float(self.values["testing"]["target_fdr"])
+            q = float(self.values["lrbh"]["q"])
+            bootstrap = int(self.values["lrbh"]["bootstrap"])
             _as_bool(self.values["data"]["drop_incomplete_patients"])
             _as_bool(self.values["testing"]["group_cap_includes_self"])
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"invalid configuration: {exc}") from exc
+        for key, value in (("testing.target_fdr", target_fdr), ("lrbh.q", q)):
+            if not 0.0 < value < 1.0:
+                raise ConfigError(f"{key} must lie in (0, 1), got {value}")
+        if bootstrap < 1:
+            raise ConfigError(f"lrbh.bootstrap must be at least 1, got {bootstrap}")
         method = self.values["lrbh"]["method"]
         if method not in ("lrbh", "median-sign"):
             raise ConfigError(f"lrbh.method must be 'lrbh' or 'median-sign', got {method!r}")
@@ -289,8 +294,11 @@ def cmd_fit(args) -> int:
         "acceptance_rate": samples.acceptance_rate,
         "priors": priors.to_dict(),
     })
+    index = design.covariance_index
     with open(os.path.join(outdir, "fit.log"), "w", encoding="utf-8") as fh:
-        fh.write(f"wall_time_seconds={elapsed:.3f}\n")
+        fh.write(f"wall_time_seconds={elapsed:.3f}\n"
+                 f"covariance_components={len(index.components)}\n"
+                 f"largest_component={index.largest_component}\n")
     print(f"fit: {samples.n_draws} stored draws, acceptance {samples.acceptance_rate:.3f}, "
           f"{elapsed:.1f} s")
     return 0
@@ -424,6 +432,9 @@ def cmd_report(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.strands < 1 or args.m < args.strands:
+        raise ConfigError(f"simulate needs --strands >= 1 and --m >= --strands "
+                          f"(got --m {args.m}, --strands {args.strands})")
     sim = simulate_dataset(m=args.m, n=args.n, k=args.strands, seed=args.seed,
                            psi_mode="planted" if args.planted else "gp",
                            planted=args.planted, signal=args.signal)

@@ -15,7 +15,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .data import DesignMatrix, ExpressionDataset
 from .errors import DataError, NumericalError
@@ -35,6 +34,8 @@ def sample_predictive(psi: np.ndarray, delta2: float, z_train: np.ndarray,
     Returns:
         (n_draws x m) matrix of predictive draws.
     """
+    from scipy import stats  # deferred: importing it costs every command about 0.6 s
+
     psi = np.asarray(psi, dtype=float)
     z_train = np.asarray(z_train, dtype=float)
     n_train, m = z_train.shape

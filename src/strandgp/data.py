@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -180,6 +181,146 @@ class DesignMatrix:
     def row_multiplicity(self) -> np.ndarray:
         """Number of annotated loci per unit (row sums of ``p``)."""
         return self.p.sum(axis=1)
+
+    @cached_property
+    def covariance_index(self) -> "CovarianceIndex":
+        """Index of the effect covariance ``P W P^T``, built on first use."""
+        return CovarianceIndex.from_design(self)
+
+
+@dataclass(frozen=True)
+class CovarianceIndex:
+    """Where every entry of the effect covariance ``P W P^T`` comes from.
+
+    Strands are independent a priori, so an entry (i, j) is a sum of Matern
+    covariances between the loci of unit i and the loci of unit j that share
+    a strand.  Strands linked by a multi-locus unit form a component; units
+    of different components are uncorrelated, so the covariance is block
+    diagonal up to a permutation of the units, one block per component.
+
+    The blocks are stored packed: component c occupies
+    ``[offset_c, offset_c + size_c**2)`` of a flat buffer, row-major over
+    its units in ascending order.  One covariance evaluation is a weighted
+    ``np.bincount`` of ``targets``: the weights are the locus variances
+    (one per locus) followed by the pair covariances twice (upper, then
+    lower triangle).  Each of the three groups runs strand by strand, and
+    an entry draws on one group only (bar the variance of a unit with two
+    loci on one strand), so ``bincount`` adds an entry's terms in the order
+    of the dense congruence ``sum_s P_s W_s P_s^T`` and both give the same
+    floating-point sums.
+
+    Attributes:
+        n_units: m.
+        n_strands: k.
+        locus_strand: strand of each locus (design column order).
+        pair_strand, pair_dist: strand and distance of every locus pair
+            sharing a strand (upper triangle, strand by strand).
+        pair_units: (P, 2) units of each pair, smaller index first.
+        components: ascending unit indices of each component, ordered by
+            their first strand.
+        unit_order: the components' units concatenated.
+        spans: (start in ``unit_order``, size, packed offset) per component.
+        targets: packed position of every contribution (see above).
+        unit_diag: packed position of each unit's variance, in unit order.
+        packed_size: length of the packed buffer.
+    """
+
+    n_units: int
+    n_strands: int
+    locus_strand: np.ndarray
+    pair_strand: np.ndarray
+    pair_dist: np.ndarray
+    pair_units: np.ndarray
+    components: tuple
+    unit_order: np.ndarray
+    spans: tuple
+    targets: np.ndarray
+    unit_diag: np.ndarray
+    packed_size: int
+
+    @classmethod
+    def from_design(cls, design: "DesignMatrix") -> "CovarianceIndex":
+        """Raises ValueError when a coordinate is not finite or two loci of a
+        strand share one."""
+        m, k = design.n_mirnas, design.n_strands
+        locus_unit = np.argmax(design.p, axis=0)  # one 1 per column
+        sizes = [len(s.loci) for s in design.annotation.strands]
+        locus_strand = np.repeat(np.arange(k), sizes)
+
+        # Union-find over strands: a unit's loci tie their strands together.
+        parent = list(range(k))
+
+        def find(s):
+            while parent[s] != s:
+                parent[s] = parent[parent[s]]
+                s = parent[s]
+            return s
+
+        home = {}
+        for u, s in zip(locus_unit.tolist(), locus_strand.tolist()):
+            if u in home:
+                parent[find(s)] = find(home[u])
+            else:
+                home[u] = s
+        label = {}
+        for s in range(k):
+            label.setdefault(find(s), len(label))
+        unit_comp = np.array([label[find(home[u])] for u in range(m)])
+        components = tuple(np.flatnonzero(unit_comp == c) for c in range(len(label)))
+
+        local = np.empty(m, dtype=np.intp)
+        offset = np.empty(m, dtype=np.intp)
+        width = np.empty(m, dtype=np.intp)
+        spans, start, packed = [], 0, 0
+        for units in components:
+            n = units.size
+            local[units] = np.arange(n)
+            offset[units] = packed
+            width[units] = n
+            spans.append((start, n, packed))
+            start += n
+            packed += n * n
+
+        pair_strand, pair_dist, pair_units = [], [], []
+        for s, (strand, cols) in enumerate(zip(design.annotation.strands, design.strand_slices)):
+            coords = strand.coordinates
+            if not np.isfinite(coords).all():
+                raise ValueError(f"coordinates on strand {strand.strand_id} must be finite")
+            a, b = np.triu_indices(coords.size, 1)
+            dist = np.abs(coords[:, None] - coords[None, :])[a, b]
+            if not (dist > 0.0).all():
+                raise ValueError(f"coordinates on strand {strand.strand_id} must be distinct")
+            units = locus_unit[cols]
+            pair_strand.append(np.full(a.size, s))
+            pair_dist.append(dist)
+            pair_units.append(np.sort(np.column_stack([units[a], units[b]]), axis=1))
+        pair_strand = np.concatenate(pair_strand)
+        pair_dist = np.concatenate(pair_dist)
+        pair_units = np.concatenate(pair_units).reshape(-1, 2)
+
+        ui, uj = pair_units[:, 0], pair_units[:, 1]
+        unit_diag = offset + local * (width + 1)
+        targets = np.concatenate([
+            unit_diag[locus_unit],
+            offset[ui] + local[ui] * width[ui] + local[uj],
+            offset[ui] + local[uj] * width[ui] + local[ui],
+        ])
+        index = cls(
+            n_units=m, n_strands=k, locus_strand=locus_strand,
+            pair_strand=pair_strand, pair_dist=pair_dist, pair_units=pair_units,
+            components=components, unit_order=np.concatenate(components),
+            spans=tuple(spans), targets=targets, unit_diag=unit_diag, packed_size=packed,
+        )
+        for value in vars(index).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        for units in components:
+            units.setflags(write=False)
+        return index
+
+    @property
+    def largest_component(self) -> int:
+        return max(size for _, size, _ in self.spans)
 
 
 def _read_rows(path) -> list[list[str]]:

@@ -1,10 +1,12 @@
-"""Stationary Matern covariance, per-strand Gram matrices, and the prior
-covariance of the differential-effect vector.
+"""Stationary Matern covariance and the prior covariance of the
+differential-effect vector.
 
 Each strand carries its own hyperparameters (process variance, smoothness,
 correlation length).  Strands are independent a priori, so the latent-effect
 covariance over all loci is block diagonal; the covariance of the m-vector
 of unit effects is the congruence ``P W P^T`` with the incidence matrix P.
+It is assembled by index from the Matern covariances of the locus pairs
+(``data.CovarianceIndex``) and factored one component at a time.
 """
 
 from __future__ import annotations
@@ -12,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 from scipy.special import gammaln, kv
 
-from .data import DesignMatrix
+from .data import CovarianceIndex, DesignMatrix
 from .errors import NumericalError
 from .util import spawn_rngs, worker_count
 
@@ -44,8 +47,14 @@ class StrandHyperParams:
 class JitterPolicy:
     """Escalating diagonal jitter for Cholesky certification.
 
-    Amounts are relative to the process variance: start at ``initial``,
-    multiply by ``growth`` on failure, give up beyond ``maximum``.
+    Amounts are relative to a reference scale: start at ``initial``,
+    multiply by ``growth`` on failure, give up beyond ``maximum``.  For the
+    effect covariance the reference is its largest diagonal entry over all
+    units, and each component (strands linked by multi-locus units) escalates
+    on its own: a component that factors without jitter gets none, and the
+    jitter lands on the component's unit variances.  Because every
+    component shares the global reference, a covariance is rejected exactly
+    when the whole matrix would be (in exact arithmetic).
     """
 
     initial: float = 1e-10
@@ -54,6 +63,27 @@ class JitterPolicy:
 
 
 DEFAULT_JITTER = JitterPolicy()
+_LOG2 = np.log(2.0)
+
+
+def _matern_at(x, nu, lead) -> np.ndarray:
+    """Matern correlation at scaled distances ``x = sqrt(2 nu) d``, with
+    ``lead = (1 - nu) log 2 - log Gamma(nu)``; ``nu`` and ``lead`` are
+    scalars or arrays shaped like ``x``."""
+    out = np.ones(x.shape)
+    pos = x > 0
+    xp = x[pos]
+    if np.ndim(nu):
+        nu, lead = nu[pos], lead[pos]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        bessel = kv(nu, xp)
+        val = np.exp(lead + nu * np.log(xp) + np.log(bessel))
+    val[bessel == np.inf] = 1.0  # x -> 0 limit
+    val[bessel == 0.0] = 0.0     # far-tail underflow
+    if not np.isfinite(val).all():
+        raise NumericalError(f"Matern evaluation left its numerical domain (nu={np.max(nu)})")
+    out[pos] = np.minimum(val, 1.0)
+    return out
 
 
 def matern_correlation(d, nu: float) -> np.ndarray:
@@ -67,21 +97,7 @@ def matern_correlation(d, nu: float) -> np.ndarray:
     d = np.asarray(d, dtype=float)
     if np.any(d < 0) or not np.all(np.isfinite(d)):
         raise ValueError("distances must be finite and nonnegative")
-    x = np.sqrt(2.0 * nu) * d
-    out = np.ones_like(x)
-    pos = x > 0
-    if np.any(pos):
-        xp = x[pos]
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            bessel = kv(nu, xp)
-            logc = (1.0 - nu) * np.log(2.0) - gammaln(nu) + nu * np.log(xp) + np.log(bessel)
-            val = np.exp(logc)
-        val = np.where(np.isposinf(bessel), 1.0, val)  # x -> 0 limit
-        val = np.where(bessel == 0.0, 0.0, val)        # far-tail underflow
-        if not np.all(np.isfinite(val)):
-            raise NumericalError(f"Matern evaluation left its numerical domain (nu={nu})")
-        out[pos] = np.minimum(val, 1.0)
-    return out
+    return _matern_at(np.sqrt(2.0 * nu) * d, nu, (1.0 - nu) * _LOG2 - gammaln(nu))
 
 
 def matern_cov(d, h: StrandHyperParams):
@@ -131,69 +147,88 @@ def cholesky_with_jitter(matrix: np.ndarray, scale: float,
     )
 
 
-def strand_cov(coords, h: StrandHyperParams,
-               policy: JitterPolicy = DEFAULT_JITTER) -> tuple[np.ndarray, float]:
-    """Matern Gram matrix over one strand's coordinates, certified PD.
+def assemble_blocks(index: CovarianceIndex, varrho2s, nus, rhos) -> np.ndarray:
+    """The component blocks of ``P W P^T``, packed as ``index`` lays them out.
 
-    Args:
-        coords: nonempty, distinct 1-D coordinates.
-        h: strand hyperparameters.
-        policy: jitter escalation schedule (relative to ``h.varrho2``).
-
-    Returns:
-        (covariance matrix with any jitter already on its diagonal, jitter used).
+    The Matern covariance is evaluated once over every locus pair of every
+    strand (per-pair smoothness) and scattered by index; the result is
+    bit-identical to the dense congruence when no unit has two loci on one
+    strand.  Arguments are per-strand arrays in the design's strand order.
 
     Raises:
-        NumericalError: PD not attainable within the jitter budget.
-        ValueError: empty or duplicated coordinates.
+        NumericalError: the Matern evaluation left its numerical domain.
     """
-    coords = np.asarray(coords, dtype=float).ravel()
-    if coords.size == 0:
-        raise ValueError("coords must be nonempty")
-    if np.unique(coords).size != coords.size:
-        raise ValueError("coords must be distinct")
-    dist = np.abs(coords[:, None] - coords[None, :])
-    cov = h.varrho2 * matern_correlation(dist / h.rho, h.nu)
-    cov = 0.5 * (cov + cov.T)
-    _, jitter = cholesky_with_jitter(cov, h.varrho2, policy)
-    if jitter > 0.0:
-        cov = cov + jitter * np.eye(cov.shape[0])
-    return cov, jitter
+    s = index.pair_strand
+    lead = (1.0 - nus) * _LOG2 - gammaln(nus)
+    x = np.sqrt(2.0 * nus)[s] * (index.pair_dist / rhos[s])
+    pairs = varrho2s[s] * _matern_at(x, nus[s], lead[s])
+    weights = np.concatenate((varrho2s[index.locus_strand], pairs, pairs))
+    return np.bincount(index.targets, weights, minlength=index.packed_size)
+
+
+def factor_blocks(index: CovarianceIndex, packed: np.ndarray,
+                  policy: JitterPolicy = DEFAULT_JITTER) -> list:
+    """Lower Cholesky factor and jitter of every component block.
+
+    Jitter escalates per component against the largest unit variance over
+    all components (see ``JitterPolicy``).
+
+    Raises:
+        NumericalError: some block is not positive definite within budget.
+    """
+    scale = float(packed[index.unit_diag].max())
+    out = []
+    for _, size, offset in index.spans:
+        block = packed[offset:offset + size * size].reshape(size, size)
+        chol, info = dpotrf(block, lower=1, clean=1)
+        jitter = 0.0
+        if info:
+            chol, jitter = cholesky_with_jitter(block, scale, policy)
+        out.append((chol, jitter))
+    return out
+
+
+def hyper_arrays(hypers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-strand (varrho2, nu, rho) arrays from StrandHyperParams."""
+    return (np.array([h.varrho2 for h in hypers]), np.array([h.nu for h in hypers]),
+            np.array([h.rho for h in hypers]))
 
 
 @dataclass(frozen=True)
 class PriorCovariance:
-    """Per-strand blocks W and the induced unit-effect covariance P W P^T."""
+    """The induced unit-effect covariance P W P^T, certified positive
+    definite component by component (any jitter is on its diagonal)."""
 
-    w_blocks: tuple[np.ndarray, ...]
     psi_cov: np.ndarray
     jitter_used: float
 
 
 def prior_cov_psi(design: DesignMatrix, hypers,
                   policy: JitterPolicy = DEFAULT_JITTER) -> PriorCovariance:
-    """Assemble the blocks W and the m x m prior covariance of the effects.
+    """The m x m prior covariance of the effects, certified positive definite.
 
     ``hypers`` supplies one StrandHyperParams per strand, in the design's
-    strand order.  Cross-strand covariance is zero, so the congruence is
-    accumulated strand by strand through the design's column slices.
+    strand order.  The covariance is assembled through the design's
+    ``covariance_index`` and certified by factoring each component block;
+    a block that needs jitter carries it on its diagonal.
+
+    Raises:
+        NumericalError: PD not attainable within the jitter budget.
     """
-    strands = design.annotation.strands
-    if len(hypers) != len(strands):
-        raise ValueError(f"expected {len(strands)} strand hyperparameters, got {len(hypers)}")
-    m = design.n_mirnas
-    psi_cov = np.zeros((m, m))
-    blocks = []
+    index = design.covariance_index
+    if len(hypers) != index.n_strands:
+        raise ValueError(f"expected {index.n_strands} strand hyperparameters, got {len(hypers)}")
+    packed = assemble_blocks(index, *hyper_arrays(hypers))
+    psi_cov = np.zeros((index.n_units, index.n_units))
     worst_jitter = 0.0
-    p = design.p.astype(float)
-    for strand, h, cols in zip(strands, hypers, design.strand_slices):
-        block, jitter = strand_cov(strand.coordinates, h, policy)
-        blocks.append(block)
-        worst_jitter = max(worst_jitter, jitter)
-        p_block = p[:, cols]
-        psi_cov += p_block @ block @ p_block.T
-    psi_cov = 0.5 * (psi_cov + psi_cov.T)
-    return PriorCovariance(w_blocks=tuple(blocks), psi_cov=psi_cov, jitter_used=worst_jitter)
+    for units, (_, size, offset), (_, jitter) in zip(index.components, index.spans,
+                                                     factor_blocks(index, packed, policy)):
+        block = packed[offset:offset + size * size].reshape(size, size)
+        if jitter > 0.0:
+            block[np.diag_indices(size)] += jitter
+            worst_jitter = max(worst_jitter, jitter)
+        psi_cov[np.ix_(units, units)] = block
+    return PriorCovariance(psi_cov=psi_cov, jitter_used=worst_jitter)
 
 
 def sample_psi_prior(prior_cov: PriorCovariance, n_draws: int, rng,

@@ -18,7 +18,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import DataError
 from .util import spawn_rngs
@@ -161,6 +160,8 @@ def median_sign_pvalues(z: np.ndarray) -> np.ndarray:
     sds = z.std(axis=0, ddof=1)
     if np.any(sds <= 0):
         raise DataError("zero sample variance")
+    from scipy import stats  # deferred: importing it costs every command about 0.6 s
+
     medians = np.median(z, axis=0)
     se = sds / np.sqrt(n)
     p = np.empty(m)

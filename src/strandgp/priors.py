@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf, dtrtrs
 from scipy.optimize import brentq
 from scipy.special import gammaln, polygamma
 
@@ -30,8 +30,9 @@ from .kernels import (
     DEFAULT_JITTER,
     JitterPolicy,
     StrandHyperParams,
-    cholesky_with_jitter,
-    matern_correlation,
+    assemble_blocks,
+    factor_blocks,
+    hyper_arrays,
 )
 from .tmcmc import TargetModel
 
@@ -131,7 +132,8 @@ def empirical_bayes_delta2(z: np.ndarray) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Log densities (plain formulas; kept scipy-free for the sampler's hot path)
+# Log densities (plain formulas; the sampling target folds the same terms
+# into precomputed constants, and tests compare the two)
 # ---------------------------------------------------------------------------
 
 def log_invgamma_pdf(x, shape: float, scale: float):
@@ -349,22 +351,15 @@ class ModelState:
 
     @classmethod
     def from_vector(cls, x: np.ndarray, m: int, k: int) -> "ModelState":
-        psi, varrho2, nu, rho, delta2 = split_vector(np.asarray(x, dtype=float), m, k)
-        hypers = tuple(StrandHyperParams(v, n_, r_) for v, n_, r_ in zip(varrho2, nu, rho))
-        return cls(psi=psi, hypers=hypers, delta2=float(delta2))
-
-
-def split_vector(x: np.ndarray, m: int, k: int):
-    """Decode the unconstrained layout into natural-scale arrays."""
-    if x.shape != (m + 3 * k + 1,):
-        raise ValueError(f"expected vector of length {m + 3 * k + 1}, got {x.shape}")
-    psi = x[:m]
-    with np.errstate(over="ignore"):
-        varrho2 = np.exp(x[m:m + k])
-        nu = np.exp(x[m + k:m + 2 * k])
-        rho = np.exp(x[m + 2 * k:m + 3 * k])
-        delta2 = float(np.exp(x[-1]))
-    return psi, varrho2, nu, rho, delta2
+        """Decode [psi, log varrho2 (k), log nu (k), log rho (k), log delta2]."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (m + 3 * k + 1,):
+            raise ValueError(f"expected vector of length {m + 3 * k + 1}, got {x.shape}")
+        with np.errstate(over="ignore"):
+            nat = np.exp(x[m:])
+        hypers = tuple(StrandHyperParams(v, n_, r_)
+                       for v, n_, r_ in zip(nat[:k], nat[k:2 * k], nat[2 * k:3 * k]))
+        return cls(psi=x[:m], hypers=hypers, delta2=float(nat[-1]))
 
 
 def vector_names(mirna_names, strand_ids) -> list[str]:
@@ -388,62 +383,103 @@ def parameter_blocks(m: int, k: int) -> list[np.ndarray]:
 # Log posterior
 # ---------------------------------------------------------------------------
 
-class _Precomputed:
-    """Geometry and data products reused across posterior evaluations."""
+class _PosteriorTarget:
+    """The marginalized log posterior of one dataset under one design.
 
-    def __init__(self, z: np.ndarray, design: DesignMatrix):
+    The design's covariance index, the data products and the hyperprior
+    constants are fixed at construction; every call allocates its own work
+    arrays, so concurrent calls are safe.  Called on an unconstrained vector
+    [psi, log varrho2 (k), log nu (k), log rho (k), log delta2] it returns
+    the log target including the log Jacobian of the exponential map (the
+    sum of the vector's tail), or -inf where the posterior is undefined or
+    its covariance fails PD certification.
+    """
+
+    def __init__(self, z: np.ndarray, design: DesignMatrix, priors: HyperPriorSpec,
+                 include_likelihood: bool, policy: JitterPolicy):
         self.z = np.asarray(z, dtype=float)
         self.n, self.m = self.z.shape
         if self.m != design.n_mirnas:
             raise DataError(f"z has {self.m} columns but design has {design.n_mirnas} units")
-        self.design = design
+        k = self.k = design.n_strands
+        if priors.n_strands != k:
+            raise DataError(f"priors cover {priors.n_strands} strands, design has {k}")
+        self.index = design.covariance_index
+        self.include_likelihood = include_likelihood
+        self.policy = policy
         self.zzt = self.z @ self.z.T
-        self.dists = [np.abs(s.coordinates[:, None] - s.coordinates[None, :])
-                      for s in design.annotation.strands]
-        self.p_slices = [design.p[:, cols].astype(float) for cols in design.strand_slices]
+        self.eye = np.eye(self.n)
+        self.dof = priors.dof
 
+        # Hyperprior log densities (and the likelihood's delta2 power) as
+        # functions of the natural values and their logs: the log terms are
+        # one dot product, every constant is folded into ``const``.
+        a, b = priors.varrho2_prior
+        ad, bd = priors.delta2_prior
+        mu_nu, s_nu = priors.nu_prior
+        sigmas = np.array([s_nu] * k + [s_ for _, s_ in priors.rho_priors])
+        self.root_varrho = priors.varrho_prior_on == "varrho"
+        # On varrho = sqrt(varrho2): IG(varrho) / (2 varrho) in varrho2.
+        varrho2_power = 0.5 * (a + 2.0) if self.root_varrho else a + 1.0
+        delta2_power = ad + 1.0 + (0.5 * self.m * self.n if include_likelihood else 0.0)
+        self.log_coefs = -np.concatenate([np.full(k, varrho2_power), np.ones(2 * k), [delta2_power]])
+        self.varrho2_scale, self.delta2_scale = b, bd
+        self.log_mus = np.array([mu_nu] * k + [mu for mu, _ in priors.rho_priors])
+        self.half_precisions = 1.0 / (2.0 * sigmas**2)
+        self.const = (k * (a * math.log(b) - float(gammaln(a))
+                           - (math.log(2.0) if self.root_varrho else 0.0))
+                      + ad * math.log(bd) - float(gammaln(ad))
+                      - float(np.sum(np.log(sigmas))) - k * LOG2PI)
 
-def _psi_cov_raw(pre: _Precomputed, varrho2s, nus, rhos) -> np.ndarray:
-    cov = np.zeros((pre.m, pre.m))
-    for dist, pb, v, n_, r_ in zip(pre.dists, pre.p_slices, varrho2s, nus, rhos):
-        block = v * matern_correlation(dist / r_, n_)
-        cov += pb @ block @ pb.T
-    return 0.5 * (cov + cov.T)
-
-
-def _log_posterior_raw(pre: _Precomputed, priors: HyperPriorSpec,
-                       psi, varrho2s, nus, rhos, delta2,
-                       include_likelihood: bool = True,
-                       policy: JitterPolicy = DEFAULT_JITTER) -> float:
-    valid = (np.all(np.isfinite(varrho2s)) and np.all(varrho2s > 0)
-             and np.all(np.isfinite(nus)) and np.all(nus > 0)
-             and np.all(np.isfinite(rhos)) and np.all(rhos > 0)
-             and np.isfinite(delta2) and delta2 > 0)
-    if not valid:
-        raise NumericalError("hyperparameters left their numerical domain")
-    cov = _psi_cov_raw(pre, varrho2s, nus, rhos)
-    scale = float(np.max(np.diag(cov)))
-    chol, _ = cholesky_with_jitter(cov, scale, policy)
-    y = solve_triangular(chol, psi, lower=True, check_finite=False)
-    quad = float(y @ y)
-    logdet_cov = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    lp = -0.5 * quad - 0.5 * logdet_cov
-    lp += priors.log_density_hypers(varrho2s, nus, rhos)
-    lp += float(priors.log_density_delta2(delta2))
-
-    if include_likelihood:
-        n, m, ups = pre.n, pre.m, priors.dof
-        u = pre.z @ psi
-        s = float(psi @ psi)
-        gram = pre.zzt - u[:, None] - u[None, :] + s
-        b = np.eye(n) + gram / delta2
+    def __call__(self, x: np.ndarray) -> float:
+        m = self.m
+        if x.shape != (m + 3 * self.k + 1,):
+            raise ValueError(f"expected vector of length {m + 3 * self.k + 1}, got {x.shape}")
+        tail = x[m:]
+        with np.errstate(over="ignore", divide="ignore"):
+            nat = np.exp(tail)
+            lognat = np.log(nat)
         try:
-            bchol = np.linalg.cholesky(b)
-        except np.linalg.LinAlgError:
-            raise NumericalError("likelihood Gram matrix lost positive definiteness")
-        logdet_b = 2.0 * float(np.sum(np.log(np.diag(bchol))))
-        lp += -0.5 * m * n * math.log(delta2) - 0.5 * (ups + n) * logdet_b
-    return lp
+            lp = self.evaluate(x[:m], nat, lognat)
+        except NumericalError:
+            return -math.inf
+        out = lp + float(tail.sum())
+        return out if math.isfinite(out) else -math.inf
+
+    def evaluate(self, psi, nat, lognat) -> float:
+        """Log posterior (no Jacobian) at effects ``psi`` and the natural
+        values ``nat`` = [varrho2 (k), nu (k), rho (k), delta2], with
+        ``lognat = np.log(nat)``.
+
+        Raises:
+            NumericalError: a hyperparameter is zero, negative or not
+                finite, or a covariance fails PD certification.
+        """
+        if not math.isfinite(lognat.sum()):
+            raise NumericalError("hyperparameters left their numerical domain")
+        k, index = self.k, self.index
+        varrho2s, nus, rhos, delta2 = nat[:k], nat[k:2 * k], nat[2 * k:3 * k], nat[-1]
+
+        packed = assemble_blocks(index, varrho2s, nus, rhos)
+        y = psi[index.unit_order]
+        diag = np.empty(self.m)
+        for (start, size, _), (chol, _) in zip(index.spans, factor_blocks(index, packed, self.policy)):
+            seg = slice(start, start + size)
+            y[seg] = dtrtrs(chol, y[seg], lower=1)[0]
+            diag[seg] = chol.diagonal()
+        dev = lognat[k:3 * k] - self.log_mus
+        lp = (self.const - 0.5 * float(y @ y) - np.log(diag).sum() + lognat @ self.log_coefs
+              - self.varrho2_scale * (1.0 / (np.sqrt(varrho2s) if self.root_varrho else varrho2s)).sum()
+              - dev * dev @ self.half_precisions - self.delta2_scale / delta2)
+
+        if self.include_likelihood:
+            u = self.z @ psi
+            gram = self.zzt - u[:, None] - u[None, :] + psi @ psi
+            bchol, info = dpotrf(self.eye + gram / delta2, lower=1, clean=0)
+            if info:
+                raise NumericalError("likelihood Gram matrix lost positive definiteness")
+            lp -= (self.dof + self.n) * np.log(bchol.diagonal()).sum()
+        return float(lp)
 
 
 def log_posterior(state: ModelState, z: np.ndarray, design: DesignMatrix,
@@ -453,21 +489,21 @@ def log_posterior(state: ModelState, z: np.ndarray, design: DesignMatrix,
     integrated out, up to one additive constant fixed per dataset.
 
     Determinants and quadratic forms go through Cholesky factorizations: the
-    prior term on the m x m effect covariance, the likelihood term on the
-    n x n Gram form (n << m).  A positive-definiteness failure beyond the
-    jitter budget or a non-finite result returns -inf, which a sampler
-    treats as certain rejection.
+    prior term on each component block of the m x m effect covariance, the
+    likelihood term on the n x n Gram form (n << m).  A positive-definiteness
+    failure beyond the jitter budget or a non-finite result returns -inf,
+    which a sampler treats as certain rejection.  Evaluated by the same
+    target that ``make_posterior_model`` builds.
     """
-    pre = _Precomputed(z, design)
-    varrho2s = np.array([h.varrho2 for h in state.hypers])
-    nus = np.array([h.nu for h in state.hypers])
-    rhos = np.array([h.rho for h in state.hypers])
+    target = _PosteriorTarget(z, design, priors, include_likelihood=True, policy=policy)
+    nat = np.concatenate([*hyper_arrays(state.hypers), [state.delta2]])
+    with np.errstate(divide="ignore"):
+        lognat = np.log(nat)
     try:
-        lp = _log_posterior_raw(pre, priors, state.psi, varrho2s, nus, rhos, state.delta2,
-                                include_likelihood=True, policy=policy)
+        lp = target.evaluate(state.psi, nat, lognat)
     except NumericalError:
         return -math.inf
-    return lp if np.isfinite(lp) else -math.inf
+    return lp if math.isfinite(lp) else -math.inf
 
 
 def make_posterior_model(z: np.ndarray, design: DesignMatrix, priors: HyperPriorSpec,
@@ -486,36 +522,21 @@ def make_posterior_model(z: np.ndarray, design: DesignMatrix, priors: HyperPrior
     Initial point: psi at the column means of z (zeros without likelihood),
     hyperparameters at their prior modes, delta2 at its prior mean.
     """
-    pre = _Precomputed(z, design)
-    m, k = pre.m, design.n_strands
-    if priors.n_strands != k:
-        raise DataError(f"priors cover {priors.n_strands} strands, design has {k}")
-
-    def log_target(x: np.ndarray) -> float:
-        psi, varrho2s, nus, rhos, delta2 = split_vector(x, m, k)
-        try:
-            lp = _log_posterior_raw(pre, priors, psi, varrho2s, nus, rhos, delta2,
-                                    include_likelihood=include_likelihood, policy=policy)
-        except NumericalError:
-            return -math.inf
-        jac = float(np.sum(x[m:]))
-        out = lp + jac
-        return out if np.isfinite(out) else -math.inf
+    target = _PosteriorTarget(z, design, priors, include_likelihood, policy)
+    m, k, zmat = target.m, target.k, target.z
 
     modal = priors.modal_hypers()
-    psi0 = pre.z.mean(axis=0) if include_likelihood else np.zeros(m)
+    psi0 = zmat.mean(axis=0) if include_likelihood else np.zeros(m)
     x0 = ModelState(psi=psi0, hypers=tuple(modal), delta2=priors.mean_delta2()).to_vector()
 
     sds = priors.log_scale_sds()
-    cov0 = _psi_cov_raw(pre,
-                        np.array([h.varrho2 for h in modal]),
-                        np.array([h.nu for h in modal]),
-                        np.array([h.rho for h in modal]))
-    psi_scale = np.sqrt(np.clip(np.diag(cov0), 1e-12, None))
+    index = target.index
+    modal_var = assemble_blocks(index, *hyper_arrays(modal))[index.unit_diag]
+    psi_scale = np.sqrt(np.clip(modal_var, 1e-12, None))
     if include_likelihood:
         # The posterior concentrates near the column means at rate 1/sqrt(n);
         # starting near the posterior width shortens adaptation.
-        data_scale = pre.z.std(axis=0, ddof=1) / math.sqrt(pre.n)
+        data_scale = zmat.std(axis=0, ddof=1) / math.sqrt(target.n)
         psi_scale = np.minimum(psi_scale, np.clip(data_scale, 1e-6, None))
     base_scales = np.concatenate([
         psi_scale,
@@ -528,12 +549,12 @@ def make_posterior_model(z: np.ndarray, design: DesignMatrix, priors: HyperPrior
 
     strand_ids = [s.strand_id for s in design.annotation.strands]
     return TargetModel(
-        log_target=log_target,
+        log_target=target,
         x0=x0,
         names=vector_names(design.mirna_names, strand_ids),
         blocks=parameter_blocks(m, k),
         base_scales=base_scales,
-        meta={"m": m, "k": k, "n": pre.n,
+        meta={"m": m, "k": k, "n": target.n,
               "mirna_names": list(design.mirna_names),
               "strand_ids": strand_ids,
               "likelihood": include_likelihood},
@@ -566,12 +587,6 @@ def draw_prior_psi(design: DesignMatrix, priors: HyperPriorSpec, n_draws: int, s
     if skipped > max_skip_fraction * n_draws:
         raise NumericalError(f"{skipped}/{n_draws} prior draws failed PD certification")
     return np.array(rows)
-
-
-def states_from_draws(draws: np.ndarray, m: int, k: int):
-    """Decode sampler draws (rows are unconstrained vectors) into ModelStates."""
-    for row in np.asarray(draws):
-        yield ModelState.from_vector(row, m, k)
 
 
 def psi_draws(draws: np.ndarray, m: int) -> np.ndarray:

@@ -13,7 +13,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .data import GenomeAnnotation, StrandRecord, build_design_matrix
 from .kernels import StrandHyperParams, prior_cov_psi, sample_psi_prior
@@ -58,6 +57,8 @@ def simulate_dataset(m: int, n: int, k: int, seed: int = 0,
     """
     if k < 1 or m < k:
         raise ValueError("need at least one strand and m >= k")
+    from scipy import stats  # deferred: importing it costs every command about 0.6 s
+
     rng = np.random.default_rng(seed)
     names = tuple(f"mir-{i:04d}" for i in range(m))
     patients = tuple(f"patient-{j:02d}" for j in range(n))

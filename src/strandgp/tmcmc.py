@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import warnings
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,7 +113,6 @@ class PosteriorSamples:
     config: SamplerConfig
     block_info: list
     meta: dict = field(default_factory=dict)
-    wall_time: float = 0.0
 
     @property
     def n_draws(self) -> int:
@@ -150,13 +148,13 @@ def tmcmc_step(x: np.ndarray, scales: np.ndarray, log_target, rng,
     """
     if lp_x is None:
         lp_x = log_target(x)
-    if not np.isfinite(lp_x):
+    if not math.isfinite(lp_x):
         raise NumericalError("tmcmc_step requires a finite log density at the current point")
     eps = abs(rng.standard_normal())
     signs = rng.integers(0, 2, size=x.size) * 2 - 1
     proposal = x + signs * scales * eps
     lp_prop = log_target(proposal)
-    if not np.isfinite(lp_prop):
+    if not math.isfinite(lp_prop):
         return x, lp_x, False
     if math.log(rng.random()) < lp_prop - lp_x:
         return proposal, lp_prop, True
@@ -227,29 +225,6 @@ class _Adaptation:
         return True
 
 
-def tune_scales(log_target, x0, initial_scales, config: SamplerConfig,
-                blocks=None, rng=None):
-    """Burn-in style adaptation pass returning tuned per-coordinate scales.
-
-    Runs ``config.burn_in`` iterations (or all iterations when burn_in is
-    zero) of the sampler with adaptation enabled and returns the final
-    scales together with the adaptation history.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    model = TargetModel(log_target=log_target, x0=x0,
-                        names=[f"x{i}" for i in range(x0.size)],
-                        blocks=blocks, base_scales=np.asarray(initial_scales, dtype=float))
-    n = config.burn_in if config.burn_in > 0 else config.n_iterations
-    cfg = SamplerConfig(n_iterations=n, burn_in=n, thin=1, seed=config.seed,
-                        target_acceptance=config.target_acceptance,
-                        adaptation_window=config.adaptation_window,
-                        adapt_rate=config.adapt_rate,
-                        initial_factor=config.initial_factor,
-                        scales=config.scales)
-    samples = run_chain(model, cfg, rng=rng)
-    return samples.scales, samples.block_info
-
-
 def run_chain(model: TargetModel, config: SamplerConfig, rng=None) -> PosteriorSamples:
     """Run one chain: adapt during burn-in, then store every ``thin``-th draw.
 
@@ -259,7 +234,6 @@ def run_chain(model: TargetModel, config: SamplerConfig, rng=None) -> PosteriorS
     Raises:
         NumericalError: the starting point has non-finite log density.
     """
-    start = time.perf_counter()
     if rng is None:
         rng = np.random.default_rng(config.seed)
     x = model.x0.copy()
@@ -317,7 +291,6 @@ def run_chain(model: TargetModel, config: SamplerConfig, rng=None) -> PosteriorS
         config=config,
         block_info=adapt.history,
         meta=dict(model.meta),
-        wall_time=time.perf_counter() - start,
     )
 
 

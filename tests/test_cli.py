@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -78,6 +80,23 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig.from_file(path)
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("testing", "target_fdr", "1.5"),
+        ("testing", "target_fdr", "0"),
+        ("lrbh", "q", "1.0"),
+        ("lrbh", "q", "-0.1"),
+        ("lrbh", "bootstrap", "0"),
+    ])
+    def test_out_of_range_value_exits_2_before_any_work(self, tmp_path, capsys, section, key, value):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[data]\ncase = {tmp_path}/absent.csv\n[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=key):
+            RunConfig.from_file(path)
+        # The range check fires while the config is read, before any input
+        # is touched (the data paths here do not exist).
+        assert main(["test", "--config", str(path)]) == 2
+        assert key in capsys.readouterr().err
+
     def test_hash_ignores_output_dir_only(self, tmp_path):
         a = RunConfig.from_defaults({"data": {"output_dir": "x"}})
         b = RunConfig.from_defaults({"data": {"output_dir": "y"}})
@@ -141,7 +160,13 @@ class TestPipeline:
         assert manifest["command"] == "fit"
         assert manifest["config_hash"]
         assert "wall" not in json.dumps(manifest)  # deterministic manifest
-        assert (out / "fit.log").exists()
+        assert "covariance_components" not in json.dumps(manifest)
+        assert "largest_component" not in json.dumps(manifest)
+        log = dict(line.split("=") for line in (out / "fit.log").read_text().split())
+        # 8 units round-robin on 2 strands, none multi-locus (10% of 8
+        # rounds down): each strand is a component of 4 units.
+        assert log["covariance_components"] == "2"
+        assert log["largest_component"] == "4"
 
     def test_fit_reproducible_byte_for_byte(self, pipeline, tmp_path):
         out2 = tmp_path / "out2"
@@ -207,6 +232,15 @@ class TestPipeline:
         assert lines[0] == "iteration,parameter,value"
         assert all(line.split(",")[1] == "log_delta2" for line in lines[1:])
         assert main(["fit", "--config", config2, "--trace", "bogus"]) == 2
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    code = "import sys, strandgp.cli; print('scipy.stats' in sys.modules)"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, check=True, timeout=120)
+    assert result.stdout.strip() == "False"
 
 
 class TestExitCodes:
@@ -279,6 +313,12 @@ seed = 0
 
 
 class TestSimulateCommand:
+    def test_more_strands_than_units_exits_2(self, tmp_path, capsys):
+        assert main(["simulate", "--out", str(tmp_path / "sim"), "--m", "3",
+                     "--strands", "5"]) == 2
+        assert "--strands" in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
+
     def test_planted_truth_recorded(self, tmp_path):
         out = tmp_path / "sim"
         assert main(["simulate", "--out", str(out), "--m", "10", "--n", "4",

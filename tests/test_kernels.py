@@ -12,9 +12,9 @@ from strandgp import (
     matern_cov,
     prior_cov_psi,
     sample_psi_prior,
-    strand_cov,
 )
 from strandgp.data import GenomeAnnotation, StrandRecord
+from strandgp.kernels import matern_correlation
 
 mp.mp.dps = 50
 
@@ -35,6 +35,53 @@ def make_annotation(spec):
         for sid, length, loci in spec
     )
     return GenomeAnnotation(strands=strands)
+
+
+def strand_cov(coords, h, policy=JitterPolicy()):
+    """Covariance of units placed one per coordinate on a single strand,
+    i.e. that strand's Matern Gram matrix, and the jitter it needed."""
+    names = [f"u{i}" for i in range(len(coords))]
+    ann = make_annotation([("Chr1+", 1e6, list(zip(names, coords)))])
+    pc = prior_cov_psi(build_design_matrix(ann, names), [h], policy)
+    return pc.psi_cov, pc.jitter_used
+
+
+def dense_congruence(design, hypers):
+    """Reference P W P^T: each strand's Matern Gram matrix through its column
+    block of P, added strand by strand, then symmetrized."""
+    p = design.p.astype(float)
+    cov = np.zeros((design.n_mirnas, design.n_mirnas))
+    for strand, h, cols in zip(design.annotation.strands, hypers, design.strand_slices):
+        c = strand.coordinates
+        w = h.varrho2 * matern_correlation(np.abs(c[:, None] - c[None, :]) / h.rho, h.nu)
+        cov += p[:, cols] @ w @ p[:, cols].T
+    return 0.5 * (cov + cov.T)
+
+
+def random_design(rng, n_strands, singles, shared):
+    """Strands of 2-6 loci plus ``singles`` one-locus strands; ``shared``
+    units also get a locus on the next strand (one on the next two), so
+    multi-locus units chain strands into components."""
+    spec, names = [], []
+    for s in range(n_strands + singles):
+        count = 1 if s >= n_strands else int(rng.integers(2, 7))
+        loci = []
+        for _ in range(count):
+            loci.append((f"m{len(names)}", float(rng.uniform(1.0, 1e4))))
+            names.append(loci[-1][0])
+        spec.append([f"Chr{s:02d}+", 1e4, loci])
+    for j, s in enumerate(rng.choice(n_strands - 2, size=shared, replace=False)):
+        unit = spec[s][2][0][0]
+        for t in ((s + 1, s + 2) if j == 0 else (s + 1,)):
+            spec[t][2].append((unit, float(rng.uniform(1.0, 1e4))))
+    for entry in spec:
+        entry[2].sort(key=lambda t: t[1])
+    return build_design_matrix(make_annotation(spec), names)
+
+
+def random_hypers(rng, k):
+    return [StrandHyperParams(float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.3, 3.0)),
+                              float(rng.uniform(1e2, 3e3))) for _ in range(k)]
 
 
 class TestMaternCov:
@@ -151,9 +198,13 @@ class TestStrandCov:
     def test_validation(self):
         h = StrandHyperParams(1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            strand_cov([], h)
-        with pytest.raises(ValueError):
             strand_cov([1.0, 1.0], h)
+        with pytest.raises(ValueError):
+            strand_cov([1.0, np.inf], h)
+        # The same coordinate on two strands is two distinct loci.
+        ann = make_annotation([("Chr1+", 10.0, [("a", 1.0)]), ("Chr1-", 10.0, [("b", 1.0)])])
+        pc = prior_cov_psi(build_design_matrix(ann, ["a", "b"]), [h, h])
+        assert pc.psi_cov.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
 class TestPriorCovPsi:
@@ -162,7 +213,8 @@ class TestPriorCovPsi:
         design = build_design_matrix(ann, ["a", "b"])
         h = [StrandHyperParams(2.0, 1.5, 50.0)]
         pc = prior_cov_psi(design, h)
-        np.testing.assert_allclose(pc.psi_cov, pc.w_blocks[0], rtol=1e-14)
+        gram = matern_cov(np.abs(np.array([[0.0, 50.0], [-50.0, 0.0]])), h[0])
+        np.testing.assert_allclose(pc.psi_cov, gram, rtol=1e-14)
 
     def test_cross_strand_unit_sums_block_variances(self):
         ann = make_annotation([
@@ -208,8 +260,9 @@ class TestPriorCovPsi:
                                 float(rng.uniform(1e2, 1e4))) for _ in range(3)]
         pc = prior_cov_psi(design, hs)
         w = np.zeros((design.n_loci, design.n_loci))
-        for block, cols in zip(pc.w_blocks, design.strand_slices):
-            w[cols, cols] = block
+        for strand, h, cols in zip(design.annotation.strands, hs, design.strand_slices):
+            c = strand.coordinates
+            w[cols, cols] = matern_cov(np.abs(c[:, None] - c[None, :]), h)
         dense = design.p.astype(float) @ w @ design.p.T.astype(float)
         np.testing.assert_allclose(pc.psi_cov, dense, atol=1e-12)
 
@@ -218,6 +271,105 @@ class TestPriorCovPsi:
         design = build_design_matrix(ann, ["a"])
         with pytest.raises(ValueError):
             prior_cov_psi(design, [])
+
+
+class TestCovarianceIndex:
+    def test_assembly_bit_identical_to_dense_congruence(self):
+        rng = np.random.default_rng(21)
+        for trial in range(5):
+            design = random_design(rng, n_strands=6, singles=2, shared=3)
+            assert np.any(design.row_multiplicity() > 1)
+            for _ in range(4):
+                hypers = random_hypers(rng, design.n_strands)
+                pc = prior_cov_psi(design, hypers)
+                assert pc.jitter_used == 0.0
+                assert np.array_equal(pc.psi_cov, dense_congruence(design, hypers))
+
+    def test_two_loci_of_one_unit_on_one_strand(self):
+        ann = make_annotation([
+            ("Chr1+", 1e3, [("a", 10.0), ("b", 200.0), ("a", 450.0), ("c", 700.0)]),
+            ("Chr2+", 1e3, [("c", 50.0), ("d", 300.0)]),
+        ])
+        design = build_design_matrix(ann, ["a", "b", "c", "d"])
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            hypers = random_hypers(rng, 2)
+            pc = prior_cov_psi(design, hypers)
+            np.testing.assert_allclose(pc.psi_cov, dense_congruence(design, hypers),
+                                       rtol=1e-15, atol=0.0)
+
+    def test_components_match_graph_search(self):
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            design = random_design(rng, n_strands=8, singles=3, shared=int(rng.integers(0, 5)))
+            on_strand = np.column_stack([design.p[:, cols].any(axis=1)
+                                         for cols in design.strand_slices]).astype(int)
+            linked = on_strand @ on_strand.T > 0  # units sharing a strand
+            seen, expected = set(), set()
+            for start in range(design.n_mirnas):
+                if start in seen:
+                    continue
+                group, frontier = {start}, [start]
+                while frontier:
+                    u = frontier.pop()
+                    for v in np.flatnonzero(linked[u]).tolist():
+                        if v not in group:
+                            group.add(v)
+                            frontier.append(v)
+                seen |= group
+                expected.add(frozenset(group))
+            index = design.covariance_index
+            assert {frozenset(c.tolist()) for c in index.components} == expected
+            assert sorted(np.concatenate(index.components).tolist()) == list(range(design.n_mirnas))
+            assert index.largest_component == max(len(g) for g in expected)
+
+    def test_index_built_once_per_design(self):
+        ann = make_annotation([("Chr1+", 100.0, [("a", 10.0), ("b", 60.0)])])
+        design = build_design_matrix(ann, ["a", "b"])
+        assert design.covariance_index is design.covariance_index
+
+    def test_concurrent_first_use_and_calls(self):
+        # Threads share a design whose index is built on first use; every
+        # call must still return what a serial call on a fresh design does.
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        rng = np.random.default_rng(3)
+        spec_rng = np.random.default_rng(4)
+        hyper_sets = [random_hypers(rng, 8) for _ in range(64)]
+        expected = [prior_cov_psi(random_design(np.random.default_rng(4), 6, 2, 3), h).psi_cov
+                    for h in hyper_sets]
+        shared = random_design(spec_rng, 6, 2, 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(lambda h: prior_cov_psi(shared, h).psi_cov, hyper_sets,
+                                    timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b)
+
+    def test_jitter_only_where_a_component_needs_it(self):
+        ann = make_annotation([
+            ("Chr1+", 2e3, [("a0", 1000.0), ("a1", 1000.0 + 1e-9), ("a2", 1000.0 + 2e-9)]),
+            ("Chr2+", 2e3, [("b0", 100.0), ("b1", 900.0)]),
+        ])
+        names = ["a0", "a1", "a2", "b0", "b1"]
+        design = build_design_matrix(ann, names)
+        hypers = [StrandHyperParams(1.0, 1.5, 1e6), StrandHyperParams(2.0, 1.0, 500.0)]
+        pc = prior_cov_psi(design, hypers)
+        raw = dense_congruence(design, hypers)
+        assert pc.jitter_used > 0.0
+        a, b = np.arange(3), np.arange(3, 5)
+        np.testing.assert_array_equal(np.diag(pc.psi_cov)[a], 1.0 + pc.jitter_used)
+        np.testing.assert_array_equal(pc.psi_cov[np.ix_(b, b)], raw[np.ix_(b, b)])
+        off = ~np.eye(5, dtype=bool)
+        np.testing.assert_array_equal(pc.psi_cov[off], raw[off])
+        # The jitter is measured against the largest unit variance (2.0).
+        assert 2.0 * JitterPolicy().initial <= pc.jitter_used <= 2.0 * JitterPolicy().maximum
+        np.linalg.cholesky(pc.psi_cov)
 
 
 class TestPriorDraws:

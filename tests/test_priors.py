@@ -13,7 +13,9 @@ from strandgp import (
     empirical_bayes_delta2,
     log_posterior,
     make_posterior_model,
+    matern_cov,
     prior_cov_psi,
+    simulate_dataset,
     solve_ig,
     solve_lognormal,
 )
@@ -332,6 +334,42 @@ class TestLogPosterior:
         state = ModelState.from_vector(x, 2, 1)
         via_state = log_posterior(state, z, design, priors) + float(np.sum(x[2:]))
         assert via_state == first
+
+    @pytest.mark.parametrize("varrho_prior_on", ["varrho2", "varrho"])
+    def test_matches_dense_full_matrix_factorization(self, varrho_prior_on):
+        # Multi-locus units chain strands into components; the per-component
+        # factorization must agree with one dense factorization of P W P^T.
+        sim = simulate_dataset(m=40, n=6, k=8, seed=3, multi_locus_fraction=0.05)
+        design = build_design_matrix(sim.annotation, sim.mirna_names)
+        assert 1 < len(design.covariance_index.components) < design.n_strands
+        z = sim.z
+        priors = make_priors(design, z, varrho_prior_on=varrho_prior_on)
+        model = make_posterior_model(z, design, priors)
+        n, m = z.shape
+        p = design.p.astype(float)
+        rng = np.random.default_rng(12)
+        for _ in range(6):
+            hypers = tuple(StrandHyperParams(float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.5, 2.0)),
+                                             float(rng.uniform(200.0, 2000.0))) for _ in range(8))
+            state = ModelState(psi=0.5 * rng.normal(size=m), hypers=hypers,
+                               delta2=float(rng.uniform(0.5, 2.0)))
+            w = np.zeros((design.n_loci, design.n_loci))
+            for strand, h, cols in zip(design.annotation.strands, hypers, design.strand_slices):
+                c = strand.coordinates
+                w[cols, cols] = matern_cov(np.abs(c[:, None] - c[None, :]), h)
+            cov = p @ w @ p.T
+            sign, logdet = np.linalg.slogdet(cov)
+            assert sign > 0
+            resid = z - state.psi[None, :]
+            _, logdet_b = np.linalg.slogdet(np.eye(n) + resid @ resid.T / state.delta2)
+            nat = [np.array([getattr(h, a) for h in hypers]) for a in ("varrho2", "nu", "rho")]
+            expected = (-0.5 * state.psi @ np.linalg.solve(cov, state.psi) - 0.5 * logdet
+                        - 0.5 * m * n * math.log(state.delta2) - 0.5 * (priors.dof + n) * logdet_b
+                        + priors.log_density_hypers(*nat) + float(priors.log_density_delta2(state.delta2)))
+            assert log_posterior(state, z, design, priors) == pytest.approx(expected, rel=1e-9)
+            x = state.to_vector()
+            via_target = model.log_target(x) - float(np.sum(x[m:]))
+            assert via_target == pytest.approx(expected, rel=1e-9)
 
     def test_invalid_region_returns_neg_inf(self):
         design = two_locus_design()

@@ -13,7 +13,6 @@ from strandgp import (
     run_chain,
     run_chains,
     tmcmc_step,
-    tune_scales,
 )
 from strandgp.tmcmc import PosteriorSamples
 
@@ -107,13 +106,20 @@ class TestTmcmcStep:
         assert seen_accepts > 10
 
 
+def burn_in_scales(log_target, config):
+    """Scales and adaptation history after an all-burn-in chain from the origin of R^2."""
+    model = TargetModel(log_target=log_target, x0=np.zeros(2), names=["x0", "x1"])
+    samples = run_chain(model, config)
+    return samples.scales, samples.block_info
+
+
 class TestAdaptation:
     def test_all_rejections_shrink_scales(self):
         def target(x):
             return 0.0 if np.all(np.abs(x) < 1e-9) else -math.inf
 
         cfg = SamplerConfig(n_iterations=400, burn_in=400, adaptation_window=50, seed=1)
-        scales, history = tune_scales(target, np.zeros(2), np.ones(2), cfg)
+        scales, history = burn_in_scales(target, cfg)
         assert len(history) == 8
         factors = [h["factor"] for h in history]
         assert factors[-1] < factors[0]
@@ -121,7 +127,7 @@ class TestAdaptation:
 
     def test_all_acceptances_grow_scales(self):
         cfg = SamplerConfig(n_iterations=400, burn_in=400, adaptation_window=50, seed=1)
-        scales, history = tune_scales(lambda x: 0.0, np.zeros(2), np.ones(2), cfg)
+        scales, history = burn_in_scales(lambda x: 0.0, cfg)
         factors = [h["factor"] for h in history]
         assert factors[-1] > factors[0]
         assert np.all(scales > 2.4 / math.sqrt(2))
