@@ -161,23 +161,39 @@ class RunConfig:
             "varrho_prior_on": sec["varrho_prior_on"],
         }
 
+    def _number(self, section: str, key: str, kind=float):
+        raw = self.values[section][key]
+        try:
+            return kind(raw)
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{section}.{key} must be {what}, got {raw!r}") from None
+
     def validate(self) -> None:
         try:
             self.sampler_config()
             self.sampler_config("cv")
             self.prior_kwargs()
-            target_fdr = float(self.values["testing"]["target_fdr"])
-            q = float(self.values["lrbh"]["q"])
-            bootstrap = int(self.values["lrbh"]["bootstrap"])
             _as_bool(self.values["data"]["drop_incomplete_patients"])
             _as_bool(self.values["testing"]["group_cap_includes_self"])
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"invalid configuration: {exc}") from exc
-        for key, value in (("testing.target_fdr", target_fdr), ("lrbh.q", q)):
+        for section, key in (("testing", "target_fdr"), ("lrbh", "q")):
+            value = self._number(section, key)
             if not 0.0 < value < 1.0:
-                raise ConfigError(f"{key} must lie in (0, 1), got {value}")
-        if bootstrap < 1:
-            raise ConfigError(f"lrbh.bootstrap must be at least 1, got {bootstrap}")
+                raise ConfigError(f"{section}.{key} must lie in (0, 1), got {value}")
+        percentile = self._number("testing", "percentile")
+        if not 0.0 <= percentile <= 100.0:
+            raise ConfigError(f"testing.percentile must lie in [0, 100], got {percentile}")
+        tolerance = self._number("testing", "tolerance")
+        if not tolerance >= 0.0:
+            raise ConfigError(f"testing.tolerance must be at least 0, got {tolerance}")
+        for section, key in (("testing", "cap"), ("testing", "component_enum_limit"),
+                             ("testing", "prior_correlation_draws"),
+                             ("testing", "prior_psi_draws"), ("lrbh", "bootstrap")):
+            value = self._number(section, key, int)
+            if value < 1:
+                raise ConfigError(f"{section}.{key} must be at least 1, got {value}")
         method = self.values["lrbh"]["method"]
         if method not in ("lrbh", "median-sign"):
             raise ConfigError(f"lrbh.method must be 'lrbh' or 'median-sign', got {method!r}")

@@ -7,11 +7,13 @@ group G_i of a-priori-correlated units, and the decision vector d maximizes
     f_beta(d) = sum_i d_i (w_i(d) - beta),
 
 where w_i(d) is the posterior probability that unit i is deregulated AND
-every other group member j's hypothesis agrees with its decision d_j.  The
-maximization is exact per connected component of the decision-dependence
-graph (exhaustive enumeration up to a size limit, multi-start coordinate
-ascent beyond it), and beta is calibrated so the posterior false discovery
-rate lands on a target.
+every other group member j's hypothesis agrees with its decision d_j.  Each
+connected component of the decision-dependence graph is solved once for
+every rejection count (exhaustive enumeration up to a size limit,
+coordinate ascent under a parametric search beyond it); the optimum at any
+beta follows from the upper concave hull of those solutions, and beta is
+calibrated on the exact path of optimal decisions so that the posterior
+false discovery rate meets a target.
 """
 
 from __future__ import annotations
@@ -134,18 +136,29 @@ def posterior_fnr(d: np.ndarray, v: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # Decision optimization
 # ---------------------------------------------------------------------------
+#
+# f_beta(d) = A(d) - beta |d| with A(d) = sum_i d_i w_i(d), and A does not
+# depend on beta.  So each component is solved once, for every rejection
+# count k: the best A_k and its lexicographically smallest argmax.  The
+# optimum at any beta lies on the upper concave hull of the points (k, A_k).
+# Scores are kept as integer draw counts (t A), which makes every comparison
+# within a component exact.
 
 def _w_tables(indicators: np.ndarray, groups: GroupStructure):
-    """Per unit: (neighbor indices, w values for all 2^|neighbors| patterns)."""
+    """Per unit: (neighbor indices, draw counts for all 2^|neighbors| patterns).
+
+    ``counts[code]`` is the number of draws in which the unit is deregulated
+    and neighbor b's indicator is bit b of ``code``; w = counts / t.
+    """
+    columns = np.ascontiguousarray(indicators.T)
     t = indicators.shape[0]
     tables = []
     for i in range(groups.n_units):
         nb = groups.neighbors(i)
         codes = np.zeros(t, dtype=np.int64)
         for bit, j in enumerate(nb):
-            codes |= indicators[:, j].astype(np.int64) << bit
-        counts = np.bincount(codes[indicators[:, i]], minlength=1 << nb.size)
-        tables.append((nb, counts / t))
+            codes |= columns[j].astype(np.int64) << bit
+        tables.append((nb, np.bincount(codes[columns[i]], minlength=1 << nb.size)))
     return tables
 
 
@@ -174,86 +187,207 @@ def _components(groups: GroupStructure) -> list:
     return comps
 
 
-def _component_f(comp, d_local, tables, pos_of, beta) -> float:
-    f = 0.0
-    for p, i in enumerate(comp):
-        if not d_local[p]:
-            continue
-        nb, table = tables[i]
-        code = 0
-        for bit, j in enumerate(nb):
-            code |= int(d_local[pos_of[int(j)]]) << bit
-        f += table[code] - beta
-    return f
+class _LocalTables:
+    """One component's w tables in local positions (0..c-1)."""
 
+    def __init__(self, comp, tables):
+        pos_of = {int(j): p for p, j in enumerate(comp)}
+        self.c = comp.size
+        self.counts = [tables[i][1].tolist() for i in comp]
+        self.neighbors = [[pos_of[int(j)] for j in tables[i][0]] for i in comp]
+        # dependents[q]: (p, bit) for every unit p that has q as neighbor ``bit``
+        self.dependents = [[] for _ in range(self.c)]
+        for p, nb in enumerate(self.neighbors):
+            for bit, q in enumerate(nb):
+                self.dependents[q].append((p, 1 << bit))
 
-def _enumerate_component(comp, tables, beta):
-    """Exact maximizer over all configurations of one component.
+    def codes(self, d) -> list:
+        return [sum(int(d[q]) << bit for bit, q in enumerate(nb)) for nb in self.neighbors]
 
-    Configurations are scanned in lexicographic order of the decision tuple
-    (component indices ascending, 0 before 1), and the first maximum is
-    kept, so the returned vector is the lexicographically smallest argmax.
-    """
-    c = comp.size
-    masks = np.arange(1 << c, dtype=np.int64)
-    bit_positions = c - 1 - np.arange(c)
-    bits = ((masks[:, None] >> bit_positions[None, :]) & 1).astype(bool)
-    pos_of = {int(j): p for p, j in enumerate(comp)}
-    f = np.zeros(masks.size)
-    for p, i in enumerate(comp):
-        nb, table = tables[i]
-        if nb.size:
-            nbpos = np.array([pos_of[int(j)] for j in nb])
-            codes = bits[:, nbpos] @ (1 << np.arange(nb.size, dtype=np.int64))
-            w = table[codes]
-        else:
-            w = table[0]
-        f += bits[:, p] * (w - beta)
-    best = int(np.argmax(f))
-    return bits[best].astype(np.int8), float(f[best])
+    def selected_counts(self, d) -> np.ndarray:
+        """Draw counts t w_p(d) of the rejected units, in component order."""
+        codes = self.codes(d)
+        return np.array([self.counts[p][codes[p]] for p in range(self.c) if d[p]], dtype=float)
 
+    def climb(self, d, beta_t: float) -> list:
+        """Coordinate ascent on f from ``d``; ties prefer 0.
 
-def _ascent_component(comp, tables, beta, v, rng, restarts: int):
-    """Multi-start coordinate ascent for components beyond the enumeration limit."""
-    c = comp.size
-    pos_of = {int(j): p for p, j in enumerate(comp)}
-
-    def local_f(d_local):
-        return _component_f(comp, d_local, tables, pos_of, beta)
-
-    def climb(d_local):
+        Keeping unit p rejected is worth ``value`` draw counts (its own plus
+        what it changes in its dependents) against a penalty of beta t, so
+        each comparison is an exact int-to-float one and every strict
+        improvement raises f: the climb cannot cycle.
+        """
+        counts = self.counts
+        codes = self.codes(d)
+        d = [int(x) for x in d]
         improved = True
         while improved:
             improved = False
-            for p in range(c):
-                current = local_f(d_local)
-                d_local[p] ^= 1
-                flipped = local_f(d_local)
-                # prefer 0 on exact ties
-                keep_flip = flipped > current or (flipped == current and d_local[p] == 0)
-                if not keep_flip:
-                    d_local[p] ^= 1
-                elif flipped > current:
-                    improved = True
-        return d_local
-
-    starts = [(v[comp] > beta).astype(np.int8)]
-    for _ in range(restarts):
-        starts.append(rng.integers(0, 2, size=c).astype(np.int8))
-    best_d, best_f = None, -math.inf
-    for s in starts:
-        d_local = climb(s.copy())
-        f = local_f(d_local)
-        if f > best_f or (f == best_f and best_d is not None
-                          and tuple(d_local) < tuple(best_d)):
-            best_d, best_f = d_local.copy(), f
-    return best_d, best_f
+            for p in range(self.c):
+                value = counts[p][codes[p]]
+                for i, bit in self.dependents[p]:
+                    if d[i]:
+                        change = counts[i][codes[i] ^ bit] - counts[i][codes[i]]
+                        value += -change if d[p] else change
+                if d[p] and value <= beta_t or not d[p] and value > beta_t:
+                    improved = improved or value != beta_t
+                    d[p] ^= 1
+                    for i, bit in self.dependents[p]:
+                        codes[i] ^= bit
+        return d
 
 
 @dataclass(frozen=True)
 class ComponentReport:
     indices: np.ndarray
     exact: bool
+    ascent_runs: int  # coordinate-ascent queries spent on this component (0 when enumerated)
+
+
+@dataclass(frozen=True)
+class _ComponentSolution:
+    """Best decision of one component for every rejection count it reached."""
+
+    report: ComponentReport
+    rejections: tuple      # ascending k
+    scores: tuple          # t A_k, integers
+    decisions: np.ndarray  # (entries, c) lexicographically smallest argmax per k
+    weights: tuple         # per entry: w of the rejected units, in component order
+
+    def pick(self, beta: float):
+        """Entry maximizing f_beta, summed unit by unit in component order;
+        exact ties go to the smallest decision tuple."""
+        best, best_f = 0, -math.inf
+        for e, w in enumerate(self.weights):
+            f = float(np.cumsum(w - beta)[-1]) if w.size else 0.0
+            if f > best_f or (f == best_f and tuple(self.decisions[e]) < tuple(self.decisions[best])):
+                best, best_f = e, f
+        return best, best_f
+
+    def hull(self, t: int):
+        """Upper concave hull of (k, A_k): entry indices and the betas between them.
+
+        Vertex j is the optimum for beta between ``breaks[j]`` and
+        ``breaks[j - 1]``; breaks decrease.
+        """
+        k, a = self.rejections, self.scores
+        vertices = []
+        for e in range(len(k)):
+            while len(vertices) >= 2:
+                p, q = vertices[-2:]
+                if (k[q] - k[p]) * (a[e] - a[p]) < (a[q] - a[p]) * (k[e] - k[p]):
+                    break
+                vertices.pop()
+            vertices.append(e)
+        breaks = [(a[q] - a[p]) / (t * (k[q] - k[p])) for p, q in zip(vertices, vertices[1:])]
+        return vertices, breaks
+
+
+def _solution(comp, local, t, best: dict, exact: bool, runs: int) -> _ComponentSolution:
+    """Package ``best`` (k -> (t A_k, decision tuple)) for one component."""
+    ks = tuple(sorted(best))
+    decisions = np.array([best[k][1] for k in ks], dtype=np.int8).reshape(len(ks), comp.size)
+    return _ComponentSolution(
+        report=ComponentReport(indices=comp, exact=exact, ascent_runs=runs),
+        rejections=ks,
+        scores=tuple(best[k][0] for k in ks),
+        decisions=decisions,
+        weights=tuple(local.selected_counts(d) / t for d in decisions),
+    )
+
+
+def _enumerate_component(comp, tables, t) -> _ComponentSolution:
+    """Exact per-popcount maxima over all 2^c configurations of one component.
+
+    Configurations are numbered so that ascending numbers are ascending
+    decision tuples (component indices ascending, 0 before 1); the first
+    maximum within each popcount is its lexicographically smallest argmax.
+    """
+    c = comp.size
+    local = _LocalTables(comp, tables)
+    masks = np.arange(1 << c, dtype=np.int64)
+
+    def bit(p):
+        return (masks >> (c - 1 - p)) & 1
+
+    score = np.zeros(masks.size, dtype=np.int64)
+    popcount = np.zeros(masks.size, dtype=np.int8)
+    for p in range(c):
+        code = np.zeros(masks.size, dtype=np.int64)
+        for b, q in enumerate(local.neighbors[p]):
+            code |= bit(q) << b
+        own = bit(p)
+        score += own * np.asarray(local.counts[p])[code]
+        popcount += own.astype(np.int8)
+    best = {}
+    for k in range(c + 1):
+        idx = np.flatnonzero(popcount == k)
+        e = idx[int(np.argmax(score[idx]))]
+        best[k] = (int(score[e]), tuple(int(x) for x in (e >> (c - 1 - np.arange(c))) & 1))
+    return _solution(comp, local, t, best, exact=True, runs=0)
+
+
+def _search_component(comp, tables, t, v, rng, restarts: int) -> _ComponentSolution:
+    """Hull of one component too large to enumerate, by parametric search.
+
+    Each query runs multi-start coordinate ascent at one beta (the
+    thresholded marginals plus ``restarts`` random starts) and records every
+    local optimum as a candidate for its rejection count.  Queries follow
+    Eisner & Severance (1976): between two hull lines, query where they
+    cross; a line above both there, with a rejection count between theirs,
+    splits the interval.  The empty decision is the exact optimum at beta = 1,
+    so the search starts from one query at beta = 0 and makes at most 2c.
+    """
+    c = comp.size
+    local = _LocalTables(comp, tables)
+    best = {0: (0, (0,) * c)}
+    runs = 0
+
+    def record(d):
+        key = tuple(int(x) for x in d)
+        k = sum(key)
+        score = int(local.selected_counts(key).sum())
+        if k not in best or score > best[k][0] or (score == best[k][0] and key < best[k][1]):
+            best[k] = (score, key)
+
+    def query(num: int, den: int):
+        """Ascent at beta = num / (t den); returns the best count there."""
+        nonlocal runs
+        runs += 1
+        beta = num / (t * den)
+        starts = [(v[comp] > beta).astype(np.int8)]
+        starts += [rng.integers(0, 2, size=c).astype(np.int8) for _ in range(restarts)]
+        for s in starts:
+            record(local.climb(s, num / den))
+        # best f at beta, scaled by t den: exact integer comparison
+        return max(best, key=lambda k: (best[k][0] * den - num * k, -k))
+
+    def search(k_lo: int, k_hi: int):
+        """Hull between the lines of counts k_lo < k_hi."""
+        num = best[k_hi][0] - best[k_lo][0]
+        den = k_hi - k_lo
+        k = query(num, den)
+        if k_lo < k < k_hi and best[k][0] * den - num * k > best[k_lo][0] * den - num * k_lo:
+            search(k_lo, k)
+            search(k, k_hi)
+
+    k_top = query(0, 1)
+    if k_top > 0:
+        search(0, k_top)
+    return _solution(comp, local, t, best, exact=False, runs=runs)
+
+
+def _solve_components(indicators: np.ndarray, groups: GroupStructure, enum_limit: int,
+                      restarts: int, seed: int) -> list:
+    if groups.n_units != indicators.shape[1]:
+        raise ValueError("groups and indicator matrix disagree on unit count")
+    t = indicators.shape[0]
+    tables = _w_tables(indicators, groups)
+    v = marginal_probs(indicators)
+    rng = np.random.default_rng(seed)
+    return [_enumerate_component(comp, tables, t) if comp.size <= enum_limit
+            else _search_component(comp, tables, t, v, rng, restarts)
+            for comp in _components(groups)]
 
 
 @dataclass(frozen=True)
@@ -270,9 +404,11 @@ def optimize_decisions(indicators: np.ndarray, groups: GroupStructure, beta: flo
 
     The dependence graph (i adjacent to j when either's group contains the
     other) splits the objective into independent connected components.
-    Components up to ``enum_limit`` units are enumerated exhaustively with a
-    lexicographic tie-break; larger ones fall back to multi-start coordinate
-    ascent and are flagged as not exact.
+    Components up to ``enum_limit`` units are enumerated exhaustively; the
+    optimum is read from the best decision per rejection count, and ties
+    go to the lexicographically smallest vector.  Larger components are
+    searched by coordinate ascent over the same per-count tables and are
+    flagged as not exact.
 
     Args:
         indicators: (draws x units) deregulation indicator matrix.
@@ -286,26 +422,15 @@ def optimize_decisions(indicators: np.ndarray, groups: GroupStructure, beta: flo
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
     indicators = np.asarray(indicators, dtype=bool)
-    m = indicators.shape[1]
-    if groups.n_units != m:
-        raise ValueError("groups and indicator matrix disagree on unit count")
-    tables = _w_tables(indicators, groups)
-    v = marginal_probs(indicators)
-    rng = np.random.default_rng(seed)
-    d = np.zeros(m, dtype=np.int8)
+    solutions = _solve_components(indicators, groups, enum_limit, restarts, seed)
+    d = np.zeros(indicators.shape[1], dtype=np.int8)
     total = 0.0
-    reports = []
-    for comp in _components(groups):
-        if comp.size <= enum_limit:
-            d_local, f = _enumerate_component(comp, tables, beta)
-            exact = True
-        else:
-            d_local, f = _ascent_component(comp, tables, beta, v, rng, restarts)
-            exact = False
-        d[comp] = d_local
+    for sol in solutions:
+        e, f = sol.pick(beta)
+        d[sol.report.indices] = sol.decisions[e]
         total += f
-        reports.append(ComponentReport(indices=comp, exact=exact))
-    return OptimizeResult(d=d, f_value=total, components=tuple(reports),
+    reports = tuple(sol.report for sol in solutions)
+    return OptimizeResult(d=d, f_value=total, components=reports,
                           exact=all(r.exact for r in reports))
 
 
@@ -320,63 +445,69 @@ class CalibrationResult:
     fdr: float
     fnr: float
     feasible: bool
-    evaluations: tuple  # (beta, n_rejections, fdr) for every candidate tried
+    evaluations: tuple  # (beta, n_rejections, fdr) per interval of the beta path, beta ascending
+    components: tuple   # ComponentReport per component
 
 
 def calibrate_beta(indicators: np.ndarray, groups: GroupStructure,
-                   target_fdr: float = 0.10, tol: float = 0.005,
-                   n_bisect: int = 30, enum_limit: int = 20,
+                   target_fdr: float = 0.10, tol: float = 0.005, enum_limit: int = 20,
                    restarts: int = 8, seed: int = 0) -> CalibrationResult:
     """Pick beta so the posterior FDR of the optimal decisions meets a target.
 
-    Candidate betas come from a coarse grid plus bisection (decisions are
-    discrete, so FDR need not be monotone in beta; every evaluated pair is
-    recorded and the final choice scans all of them).  Among candidates
-    with posterior FDR at most ``target_fdr + tol`` and at least one
-    rejection, the one with the most rejections wins (ties: FDR closest
-    below the cap, then smaller beta).  With no admissible candidate the
-    all-zero decision is returned with ``feasible=False``.
+    The optimal decision is piecewise constant in beta: the breakpoints of
+    every component's hull split (0, 1) into open intervals, each with one
+    decision vector, and rejections strictly grow as beta falls.  Every
+    interval is scanned (posterior FDR need not be monotone in beta), and
+    among decisions with posterior FDR at most ``target_fdr + tol`` and at
+    least one rejection the one with the most rejections wins.  The reported
+    beta is the midpoint of its interval, where ``optimize_decisions``
+    returns the same vector.  With no admissible decision the all-zero
+    vector is returned with ``feasible=False``.
     """
     if not 0.0 < target_fdr < 1.0:
         raise ValueError("target_fdr must lie in (0, 1)")
     indicators = np.asarray(indicators, dtype=bool)
+    t, m = indicators.shape
     v = marginal_probs(indicators)
-    cache = {}
+    solutions = _solve_components(indicators, groups, enum_limit, restarts, seed)
 
-    def evaluate(beta: float):
-        if beta not in cache:
-            res = optimize_decisions(indicators, groups, beta,
-                                     enum_limit=enum_limit, restarts=restarts, seed=seed)
-            cache[beta] = (res.d, posterior_fdr(res.d, v))
-        return cache[beta]
+    # Walk beta down from 1 to 0: each component starts at the hull vertex
+    # optimal just below 1 and steps one vertex on at each of its breaks.
+    d = np.zeros(m, dtype=np.int8)
+    events = {}
+    walks = []
+    for s, sol in enumerate(solutions):
+        vertices, breaks = sol.hull(t)
+        skip = sum(b >= 1.0 for b in breaks)
+        walks.append(iter(vertices[skip:]))
+        d[sol.report.indices] = sol.decisions[next(walks[s])]
+        for b in breaks[skip:]:
+            if b <= 0.0:
+                break
+            events.setdefault(b, []).append(s)
+    edges = [1.0, *sorted(events, reverse=True), 0.0]
+    path = [d.copy()]
+    for b in edges[1:-1]:
+        for s in events[b]:
+            d[solutions[s].report.indices] = solutions[s].decisions[next(walks[s])]
+        path.append(d.copy())
 
-    for beta in np.linspace(0.05, 0.95, 10):
-        evaluate(float(beta))
-    lo, hi = 1e-6, 1.0 - 1e-6
-    evaluate(lo)
-    evaluate(hi)
-    for _ in range(n_bisect):
-        mid = 0.5 * (lo + hi)
-        _, fdr = evaluate(mid)
-        if fdr > target_fdr + tol:
-            lo = mid
-        else:
-            hi = mid
-
-    evaluations = tuple(sorted((b, int(d.sum()), fdr) for b, (d, fdr) in cache.items()))
-    admissible = [(b, d, fdr) for b, (d, fdr) in cache.items()
-                  if fdr <= target_fdr + tol and d.sum() >= 1]
+    fdrs = [posterior_fdr(x, v) for x in path]
+    evaluations = tuple(
+        (0.5 * (edges[n] + edges[n + 1]), int(x.sum()), fdr)
+        for n, (x, fdr) in enumerate(zip(path, fdrs)))[::-1]
+    reports = tuple(sol.report for sol in solutions)
+    admissible = [n for n, (x, fdr) in enumerate(zip(path, fdrs))
+                  if fdr <= target_fdr + tol and x.sum() >= 1]
     if not admissible:
-        m = indicators.shape[1]
         zeros = np.zeros(m, dtype=np.int8)
         return CalibrationResult(beta=math.nan, d=zeros, fdr=0.0,
                                  fnr=posterior_fnr(zeros, v), feasible=False,
-                                 evaluations=evaluations)
-    admissible.sort(key=lambda t: (-t[1].sum(), abs(t[2] - target_fdr), t[0]))
-    beta, d, fdr = admissible[0]
-    return CalibrationResult(beta=float(beta), d=d, fdr=float(fdr),
-                             fnr=posterior_fnr(d, v), feasible=True,
-                             evaluations=evaluations)
+                                 evaluations=evaluations, components=reports)
+    n = admissible[-1]  # rejections grow along the path
+    return CalibrationResult(beta=0.5 * (edges[n] + edges[n + 1]), d=path[n], fdr=fdrs[n],
+                             fnr=posterior_fnr(path[n], v), feasible=True,
+                             evaluations=evaluations, components=reports)
 
 
 # ---------------------------------------------------------------------------
@@ -384,24 +515,18 @@ def calibrate_beta(indicators: np.ndarray, groups: GroupStructure,
 # ---------------------------------------------------------------------------
 
 def bayes_factors(posterior_probs: np.ndarray, prior_probs: np.ndarray,
-                  n_posterior_draws: int, n_prior_draws: int):
+                  n_posterior_draws: int, n_prior_draws: int) -> np.ndarray:
     """Posterior-to-prior odds ratios for deregulation, per unit.
 
     Probabilities are clipped away from {0, 1} by half a draw's worth of
     mass on each side before forming odds, so finite chains give finite
-    factors.  Units whose raw prior probability was exactly 0 or 1 are
-    flagged as degenerate.
-
-    Returns:
-        (bayes factor array, degenerate-prior flag array).
+    factors.
     """
-    p = np.asarray(posterior_probs, dtype=float)
-    q = np.asarray(prior_probs, dtype=float)
-    degenerate = (q <= 0.0) | (q >= 1.0)
-    p = np.clip(p, 1.0 / (2 * n_posterior_draws), 1.0 - 1.0 / (2 * n_posterior_draws))
-    q = np.clip(q, 1.0 / (2 * n_prior_draws), 1.0 - 1.0 / (2 * n_prior_draws))
-    bf = (p / (1.0 - p)) / (q / (1.0 - q))
-    return bf, degenerate
+    p = np.clip(np.asarray(posterior_probs, dtype=float),
+                1.0 / (2 * n_posterior_draws), 1.0 - 1.0 / (2 * n_posterior_draws))
+    q = np.clip(np.asarray(prior_probs, dtype=float),
+                1.0 / (2 * n_prior_draws), 1.0 - 1.0 / (2 * n_prior_draws))
+    return (p / (1.0 - p)) / (q / (1.0 - q))
 
 
 def format_bayes_factor(value: float) -> str:
@@ -420,13 +545,11 @@ class DecisionReport:
     ci_low: np.ndarray
     ci_high: np.ndarray
     bayes_factor: np.ndarray
-    degenerate_prior: np.ndarray
     group_members: tuple
     beta: float
     posterior_fdr: float
     posterior_fnr: float
     feasible: bool = True
-    bf_clip_note: str = ""
 
     @property
     def n_discoveries(self) -> int:
@@ -474,7 +597,7 @@ def build_decision_report(mirna_names, psi_draws: np.ndarray, calibration: Calib
     names = tuple(mirna_names)
     post_ind = hypothesis_indicators(psi_draws, threshold)
     prior_ind = hypothesis_indicators(prior_psi_draws, threshold)
-    bf, degenerate = bayes_factors(marginal_probs(post_ind), marginal_probs(prior_ind),
+    bf = bayes_factors(marginal_probs(post_ind), marginal_probs(prior_ind),
                                    post_ind.shape[0], prior_ind.shape[0])
     mean = psi_draws.mean(axis=0)
     alpha = 0.5 * (1.0 - ci_level)
@@ -494,12 +617,9 @@ def build_decision_report(mirna_names, psi_draws: np.ndarray, calibration: Calib
         ci_low=lowq,
         ci_high=highq,
         bayes_factor=bf,
-        degenerate_prior=degenerate,
         group_members=members,
         beta=calibration.beta,
         posterior_fdr=calibration.fdr,
         posterior_fnr=calibration.fnr,
         feasible=calibration.feasible,
-        bf_clip_note=f"probabilities clipped to [1/(2T), 1-1/(2T)] with T_post={post_ind.shape[0]}, "
-                     f"T_prior={prior_ind.shape[0]}",
     )

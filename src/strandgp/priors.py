@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtrs
-from scipy.optimize import brentq
 from scipy.special import gammaln, polygamma
 
 from .data import DesignMatrix
@@ -43,6 +42,25 @@ LOG2PI = math.log(2.0 * math.pi)
 # ---------------------------------------------------------------------------
 # (mode, variance) -> natural parameter solvers
 # ---------------------------------------------------------------------------
+
+def _bisect(gap, lo: float, hi: float) -> float:
+    """Root of ``gap`` in [lo, hi], where it changes sign, to float resolution.
+
+    Halves the bracket until its midpoint is one of its ends.
+    """
+    lo_negative = gap(lo) < 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        value = gap(mid)
+        if value == 0:
+            return mid
+        if (value < 0) == lo_negative:
+            lo = mid
+        else:
+            hi = mid
+
 
 def solve_ig(mode: float, variance: float) -> tuple[float, float]:
     """Inverse-gamma (shape, scale) with the given mode and variance.
@@ -67,7 +85,7 @@ def solve_ig(mode: float, variance: float) -> tuple[float, float]:
         hi += 1.0
         if hi > 700.0:
             raise ValueError("no inverse-gamma solution with shape > 2")
-    shape = 2.0 + math.exp(brentq(gap, -700.0, hi, xtol=1e-13, rtol=8.9e-16))
+    shape = 2.0 + math.exp(_bisect(gap, -700.0, hi))
     scale = mode * (shape + 1.0)
     mode_back = scale / (shape + 1.0)
     var_back = scale**2 / ((shape - 1.0) ** 2 * (shape - 2.0))
@@ -97,7 +115,7 @@ def solve_lognormal(mode: float, variance: float) -> tuple[float, float]:
         hi *= 2.0
         if hi > 1e6:
             raise ValueError("no lognormal scale solution")
-    t = brentq(gap, 1e-300, hi, xtol=1e-300, rtol=8.9e-16)
+    t = _bisect(gap, 1e-300, hi)
     mu = math.log(mode) + t
     sigma = math.sqrt(t)
     mode_back = math.exp(mu - t)

@@ -86,6 +86,17 @@ class TestRunConfig:
         ("lrbh", "q", "1.0"),
         ("lrbh", "q", "-0.1"),
         ("lrbh", "bootstrap", "0"),
+        ("testing", "percentile", "150"),
+        ("testing", "percentile", "-5"),
+        ("testing", "tolerance", "-0.01"),
+        ("testing", "tolerance", "small"),
+        ("testing", "cap", "abc"),
+        ("testing", "cap", "0"),
+        ("testing", "component_enum_limit", "0"),
+        ("testing", "component_enum_limit", "2.5"),
+        ("testing", "prior_psi_draws", "0"),
+        ("testing", "prior_correlation_draws", "-3"),
+        ("testing", "target_fdr", "tenth"),
     ])
     def test_out_of_range_value_exits_2_before_any_work(self, tmp_path, capsys, section, key, value):
         path = tmp_path / "bad.ini"
@@ -235,12 +246,13 @@ class TestPipeline:
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    code = "import sys, strandgp.cli; print('scipy.stats' in sys.modules)"
+    code = ("import sys, strandgp.cli; "
+            "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=env, check=True, timeout=120)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
 
 
 class TestExitCodes:

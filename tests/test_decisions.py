@@ -45,6 +45,52 @@ def brute_force_argmax(indicators, groups, beta):
     return best_d, best_f
 
 
+def brute_force_path(indicators, groups):
+    """Decisions that are the exhaustive argmax on some open interval of beta.
+
+    w is recomputed from the draws for all 2^m configurations.  The argmax
+    can only change where the best scores of two rejection counts cross,
+    so one beta inside each gap between consecutive crossings in [0, 1]
+    covers every interval; runs of one decision are kept once.  Returns
+    (configurations, w matrix, [(beta, d)] with beta ascending).
+    """
+    m = indicators.shape[1]
+    configs = np.array(list(itertools.product([0, 1], repeat=m)))
+    w = np.array([compute_w(d, indicators, groups) for d in configs])
+    score = (configs * w).sum(axis=1)
+    count = configs.sum(axis=1)
+    best = {k: score[count == k].max() for k in range(m + 1)}
+    crossings = sorted({0.0, 1.0, *((best[a] - best[b]) / (a - b)
+                                     for a in best for b in best if a > b)})
+    edges = [0.0]
+    for x in crossings:
+        if 1e-12 < x <= 1.0 and x - edges[-1] > 1e-12:
+            edges.append(x)
+    edges[-1] = 1.0
+    path = []
+    for lo, hi in zip(edges, edges[1:]):
+        beta = 0.5 * (lo + hi)
+        d = configs[int(np.argmax((configs * (w - beta)).sum(axis=1)))]
+        if not path or not np.array_equal(path[-1][1], d):
+            path.append((beta, d))
+    return configs, w, path
+
+
+def correlated_instance(rng, m, t=200):
+    """Indicators from correlated latent effects, with random groups."""
+    root = rng.normal(size=(m, m)) * rng.uniform(0, 1.2)
+    cov = root @ root.T + np.eye(m)
+    mean = rng.uniform(-0.5, 2.5, size=m)
+    latent = rng.multivariate_normal(mean, cov / np.diag(cov).mean(), size=t)
+    member_lists = []
+    for i in range(m):
+        others = [j for j in range(m) if j != i]
+        size = int(rng.integers(0, 4))
+        chosen = list(rng.choice(others, size=size, replace=False)) if size else []
+        member_lists.append([i, *chosen])
+    return np.abs(latent) > 1.0, groups_from_lists(member_lists)
+
+
 def random_instance(rng, m, cap=3, t=60):
     indicators = rng.random((t, m)) < rng.uniform(0.15, 0.85, size=m)
     member_lists = []
@@ -267,27 +313,84 @@ class TestCalibrateBeta:
         assert not result.feasible
 
     def test_records_evaluations(self):
-        indicators = np.ones((10, 2), dtype=bool)
-        result = calibrate_beta(indicators, GroupStructure.singletons(2))
-        assert len(result.evaluations) > 10
+        # Singleton marginals 0.1, 0.3, 0.3, 0.6, 0.9, 1.0: the decision
+        # changes at the four distinct values inside (0, 1).
+        t = 10
+        v = [1, 3, 3, 6, 9, 10]
+        indicators = np.array([[r < k for k in v] for r in range(t)])
+        result = calibrate_beta(indicators, GroupStructure.singletons(len(v)))
         betas = [e[0] for e in result.evaluations]
-        assert betas == sorted(betas)
+        assert betas == pytest.approx([0.05, 0.2, 0.45, 0.75, 0.95])
+        assert [e[1] for e in result.evaluations] == [6, 5, 3, 2, 1]
+
+    def test_matches_brute_force_path(self):
+        rng = np.random.default_rng(10)
+        n_feasible = 0
+        for _ in range(30):
+            m = int(rng.integers(3, 11))
+            indicators, groups = correlated_instance(rng, m)
+            target = float(rng.choice([0.10, 0.20, 0.30]))
+            configs, w, path = brute_force_path(indicators, groups)
+            v = marginal_probs(indicators)
+            admissible = [int(d.sum()) for _, d in path
+                          if d.sum() >= 1 and posterior_fdr(d, v) <= target + 0.005]
+            result = calibrate_beta(indicators, groups, target_fdr=target, tol=0.005)
+            assert [e[1] for e in result.evaluations] == [int(d.sum()) for _, d in path]
+            assert result.feasible == bool(admissible)
+            if not admissible:
+                assert result.d.sum() == 0
+                continue
+            n_feasible += 1
+            assert result.d.sum() == max(admissible)
+            f = (configs * (w - result.beta)).sum(axis=1)
+            np.testing.assert_array_equal(result.d, configs[int(np.argmax(f))])
+            np.testing.assert_array_equal(
+                optimize_decisions(indicators, groups, result.beta).d, result.d)
+        assert n_feasible >= 10
+
+    def test_nonmonotone_fdr_keeps_most_rejections(self):
+        # On this instance posterior FDR rises and falls again as beta
+        # falls, so a search that assumes monotonicity stops early.
+        rng = np.random.default_rng(225)
+        m = int(rng.integers(4, 11))
+        indicators, groups = correlated_instance(rng, m)
+        _, _, path = brute_force_path(indicators, groups)
+        v = marginal_probs(indicators)
+        fdrs = [posterior_fdr(d, v) for _, d in path[::-1]]  # beta descending
+        assert any(a > b for a, b in zip(fdrs, fdrs[1:]))
+        best = max(int(d.sum()) for _, d in path
+                   if d.sum() >= 1 and posterior_fdr(d, v) <= 0.205)
+        result = calibrate_beta(indicators, groups, target_fdr=0.20, tol=0.005)
+        assert result.d.sum() == best == 5
+        assert result.fdr <= 0.205
+
+    def test_inexact_component_matches_exact_calibration(self):
+        rng = np.random.default_rng(4)
+        indicators, groups = random_instance(rng, m=8, cap=4)
+        exact = calibrate_beta(indicators, groups, target_fdr=0.3)
+        searched = calibrate_beta(indicators, groups, target_fdr=0.3, enum_limit=2)
+        assert all(c.exact for c in exact.components)
+        inexact = [c for c in searched.components if not c.exact]
+        assert inexact
+        for c in inexact:
+            assert 1 <= c.ascent_runs <= 2 * c.indices.size
+        np.testing.assert_array_equal(searched.d, exact.d)
+        assert searched.beta == exact.beta
 
 
 class TestBayesFactors:
     def test_equal_odds_unit_factor(self):
-        bf, flags = bayes_factors(np.array([0.4]), np.array([0.4]), 1000, 1000)
+        bf = bayes_factors(np.array([0.4]), np.array([0.4]), 1000, 1000)
         assert bf[0] == pytest.approx(1.0)
-        assert not flags[0]
 
     def test_odds_arithmetic(self):
-        bf, _ = bayes_factors(np.array([0.9]), np.array([0.5]), 10000, 10000)
+        bf = bayes_factors(np.array([0.9]), np.array([0.5]), 10000, 10000)
         assert bf[0] == pytest.approx(9.0)
 
-    def test_degenerate_prior_flagged_and_clipped(self):
-        bf, flags = bayes_factors(np.array([0.5]), np.array([0.0]), 100, 200)
-        assert flags[0]
-        assert np.isfinite(bf[0])
+    def test_degenerate_prior_clipped(self):
+        bf = bayes_factors(np.array([0.5]), np.array([0.0]), 100, 200)
+        # posterior odds 1 over the odds of the clipped prior 1/(2 * 200)
+        assert bf[0] == pytest.approx(399.0)
 
     def test_formatting_convention(self):
         assert format_bayes_factor(250.0) == ">100"
@@ -348,8 +451,8 @@ class TestBayesFactorThinningStability:
         ind_b = hypothesis_indicators(second)
         pa, pb = marginal_probs(ind_a), marginal_probs(ind_b)
         q = marginal_probs(hypothesis_indicators(prior))
-        bf_a, _ = bayes_factors(pa, q, t // 2, t)
-        bf_b, _ = bayes_factors(pb, q, t // 2, t)
+        bf_a = bayes_factors(pa, q, t // 2, t)
+        bf_b = bayes_factors(pb, q, t // 2, t)
         n = t // 2
         pa_c = np.clip(pa, 1 / (2 * n), 1 - 1 / (2 * n))
         pb_c = np.clip(pb, 1 / (2 * n), 1 - 1 / (2 * n))
