@@ -18,6 +18,7 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -72,6 +73,25 @@ _DEFAULTS = {
     },
     "run": {"seed": "0"},
 }
+# Checked while a config is read: (section, key, type, test, requirement).
+_RANGES = (
+    *((section, key, float, lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
+      for section, key in (("testing", "target_fdr"), ("lrbh", "q"), ("cv", "level"))),
+    *(("priors", key, float, lambda v: 0.0 < v < math.inf, "be positive and finite")
+      for key in ("varrho2_mode", "varrho2_variance", "nu_mode", "nu_variance", "rho_variance")),
+    ("testing", "percentile", float, lambda v: 0.0 <= v <= 100.0, "lie in [0, 100]"),
+    ("testing", "tolerance", float, lambda v: v >= 0.0, "be at least 0"),
+    ("run", "seed", int, lambda v: v >= 0, "be at least 0"),
+    *((section, key, int, lambda v: v >= 1, "be at least 1")
+      for section, key in (("testing", "cap"), ("testing", "component_enum_limit"),
+                           ("testing", "prior_correlation_draws"), ("testing", "prior_psi_draws"),
+                           ("lrbh", "bootstrap"), ("cv", "per_state"))),
+)
+_CHOICES = {
+    ("lrbh", "method"): ("lrbh", "median-sign"),
+    ("priors", "rho_prior_variance_scale"): ("natural", "log"),
+    ("priors", "varrho_prior_on"): ("varrho2", "varrho"),
+}
 
 
 def _as_bool(raw: str) -> bool:
@@ -93,20 +113,20 @@ class RunConfig:
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         parser = configparser.ConfigParser()
-        read = parser.read(path)
+        try:
+            read = parser.read(path)
+            sections = {section: dict(parser.items(section)) for section in parser.sections()}
+        except configparser.Error as exc:
+            raise ConfigError(f"malformed config file: {exc}") from None
         if not read:
             raise ConfigError(f"cannot read config file {path}")
-        values = {section: dict(defaults) for section, defaults in _DEFAULTS.items()}
-        for section in parser.sections():
-            if section not in values:
+        for section, items in sections.items():
+            if section not in _DEFAULTS:
                 raise ConfigError(f"unknown config section [{section}]")
-            for key, raw in parser.items(section):
-                if key not in values[section]:
+            for key in items:
+                if key not in _DEFAULTS[section]:
                     raise ConfigError(f"unknown key {key!r} in section [{section}]")
-                values[section][key] = raw
-        cfg = cls(values=values, base_dir=os.path.dirname(os.path.abspath(path)))
-        cfg.validate()
-        return cfg
+        return cls.from_defaults(sections, base_dir=os.path.dirname(os.path.abspath(path)))
 
     @classmethod
     def from_defaults(cls, overrides: dict | None = None, base_dir: str = ".") -> "RunConfig":
@@ -150,16 +170,8 @@ class RunConfig:
         )
 
     def prior_kwargs(self) -> dict:
-        sec = self.values["priors"]
-        return {
-            "varrho2_mode": float(sec["varrho2_mode"]),
-            "varrho2_variance": float(sec["varrho2_variance"]),
-            "nu_mode": float(sec["nu_mode"]),
-            "nu_variance": float(sec["nu_variance"]),
-            "rho_variance": float(sec["rho_variance"]),
-            "rho_prior_variance_scale": sec["rho_prior_variance_scale"],
-            "varrho_prior_on": sec["varrho_prior_on"],
-        }
+        return {key: raw if ("priors", key) in _CHOICES else float(raw)
+                for key, raw in self.values["priors"].items()}
 
     def _number(self, section: str, key: str, kind=float):
         raw = self.values[section][key]
@@ -170,33 +182,21 @@ class RunConfig:
             raise ConfigError(f"{section}.{key} must be {what}, got {raw!r}") from None
 
     def validate(self) -> None:
+        for section, key, kind, accept, requirement in _RANGES:
+            value = self._number(section, key, kind)
+            if not accept(value):
+                raise ConfigError(f"{section}.{key} must {requirement}, got {value}")
+        for (section, key), allowed in _CHOICES.items():
+            value = self.values[section][key]
+            if value not in allowed:
+                raise ConfigError(f"{section}.{key} must be one of {', '.join(allowed)}, got {value!r}")
         try:
             self.sampler_config()
             self.sampler_config("cv")
-            self.prior_kwargs()
             _as_bool(self.values["data"]["drop_incomplete_patients"])
             _as_bool(self.values["testing"]["group_cap_includes_self"])
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"invalid configuration: {exc}") from exc
-        for section, key in (("testing", "target_fdr"), ("lrbh", "q")):
-            value = self._number(section, key)
-            if not 0.0 < value < 1.0:
-                raise ConfigError(f"{section}.{key} must lie in (0, 1), got {value}")
-        percentile = self._number("testing", "percentile")
-        if not 0.0 <= percentile <= 100.0:
-            raise ConfigError(f"testing.percentile must lie in [0, 100], got {percentile}")
-        tolerance = self._number("testing", "tolerance")
-        if not tolerance >= 0.0:
-            raise ConfigError(f"testing.tolerance must be at least 0, got {tolerance}")
-        for section, key in (("testing", "cap"), ("testing", "component_enum_limit"),
-                             ("testing", "prior_correlation_draws"),
-                             ("testing", "prior_psi_draws"), ("lrbh", "bootstrap")):
-            value = self._number(section, key, int)
-            if value < 1:
-                raise ConfigError(f"{section}.{key} must be at least 1, got {value}")
-        method = self.values["lrbh"]["method"]
-        if method not in ("lrbh", "median-sign"):
-            raise ConfigError(f"lrbh.method must be 'lrbh' or 'median-sign', got {method!r}")
 
     def semantic_hash(self) -> str:
         """Hash of every result-affecting field (output location excluded)."""
@@ -515,13 +515,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except StrandGPError as exc:
+    except StrandGPError as exc:  # data and config errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

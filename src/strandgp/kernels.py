@@ -6,12 +6,15 @@ correlation length).  Strands are independent a priori, so the latent-effect
 covariance over all loci is block diagonal; the covariance of the m-vector
 of unit effects is the congruence ``P W P^T`` with the incidence matrix P.
 It is assembled by index from the Matern covariances of the locus pairs
-(``data.CovarianceIndex``) and factored one component at a time.
+(``data.CovarianceIndex``) into packed component blocks and factored one
+component at a time; prior draws and the prior Monte Carlo read those blocks
+and factors, never a dense m x m matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf
@@ -171,7 +174,8 @@ def factor_blocks(index: CovarianceIndex, packed: np.ndarray,
     """Lower Cholesky factor and jitter of every component block.
 
     Jitter escalates per component against the largest unit variance over
-    all components (see ``JitterPolicy``).
+    all components (see ``JitterPolicy``) and is added to the block's
+    diagonal in ``packed``, so each factor is that of its packed block.
 
     Raises:
         NumericalError: some block is not positive definite within budget.
@@ -184,6 +188,7 @@ def factor_blocks(index: CovarianceIndex, packed: np.ndarray,
         jitter = 0.0
         if info:
             chol, jitter = cholesky_with_jitter(block, scale, policy)
+            block[np.diag_indices(size)] += jitter
         out.append((chol, jitter))
     return out
 
@@ -194,18 +199,35 @@ def hyper_arrays(hypers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.array([h.rho for h in hypers]))
 
 
+def _packed_units(index: CovarianceIndex) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column unit of every entry of the packed blocks."""
+    rows = np.concatenate([np.repeat(units, units.size) for units in index.components])
+    cols = np.concatenate([np.tile(units, units.size) for units in index.components])
+    return rows, cols
+
+
 @dataclass(frozen=True)
 class PriorCovariance:
-    """The induced unit-effect covariance P W P^T, certified positive
-    definite component by component (any jitter is on its diagonal)."""
+    """The induced unit-effect covariance P W P^T, certified positive definite
+    component by component: the blocks packed as ``index`` lays them out (any
+    jitter on their diagonals), each block's lower Cholesky factor, and the
+    largest jitter used.  The dense m x m ``psi_cov`` is built when read."""
 
-    psi_cov: np.ndarray
+    index: CovarianceIndex
+    packed: np.ndarray
+    factors: tuple
     jitter_used: float
+
+    @cached_property
+    def psi_cov(self) -> np.ndarray:
+        dense = np.zeros((self.index.n_units,) * 2)
+        dense[_packed_units(self.index)] = self.packed
+        return dense
 
 
 def prior_cov_psi(design: DesignMatrix, hypers,
                   policy: JitterPolicy = DEFAULT_JITTER) -> PriorCovariance:
-    """The m x m prior covariance of the effects, certified positive definite.
+    """The prior covariance of the effects, certified positive definite.
 
     ``hypers`` supplies one StrandHyperParams per strand, in the design's
     strand order.  The covariance is assembled through the design's
@@ -219,33 +241,54 @@ def prior_cov_psi(design: DesignMatrix, hypers,
     if len(hypers) != index.n_strands:
         raise ValueError(f"expected {index.n_strands} strand hyperparameters, got {len(hypers)}")
     packed = assemble_blocks(index, *hyper_arrays(hypers))
-    psi_cov = np.zeros((index.n_units, index.n_units))
-    worst_jitter = 0.0
-    for units, (_, size, offset), (_, jitter) in zip(index.components, index.spans,
-                                                     factor_blocks(index, packed, policy)):
-        block = packed[offset:offset + size * size].reshape(size, size)
-        if jitter > 0.0:
-            block[np.diag_indices(size)] += jitter
-            worst_jitter = max(worst_jitter, jitter)
-        psi_cov[np.ix_(units, units)] = block
-    return PriorCovariance(psi_cov=psi_cov, jitter_used=worst_jitter)
+    factors, jitters = zip(*factor_blocks(index, packed, policy))
+    return PriorCovariance(index, packed, factors, max(jitters))
 
 
-def sample_psi_prior(prior_cov: PriorCovariance, n_draws: int, rng,
-                     policy: JitterPolicy = DEFAULT_JITTER) -> np.ndarray:
-    """Draw ``n_draws`` effect vectors from N(0, psi_cov); rows are draws."""
-    cov = prior_cov.psi_cov
-    scale = float(np.max(np.diag(cov)))
-    chol, _ = cholesky_with_jitter(cov, scale, policy)
-    normals = rng.standard_normal((n_draws, cov.shape[0]))
-    return normals @ chol.T
+def sample_psi_prior(prior_cov: PriorCovariance, n_draws: int, rng) -> np.ndarray:
+    """Draw ``n_draws`` effect vectors from N(0, psi_cov), rows are draws: one
+    ``standard_normal((n_draws, m))`` call mapped through the component factors."""
+    index = prior_cov.index
+    out = rng.standard_normal((n_draws, index.n_units))
+    for units, chol in zip(index.components, prior_cov.factors):
+        out[:, units] = out[:, units] @ chol.T
+    return out
 
 
-def _correlation_from_cov(cov: np.ndarray) -> np.ndarray:
-    sd = np.sqrt(np.diag(cov))
-    corr = cov / np.outer(sd, sd)
-    np.fill_diagonal(corr, 1.0)
-    return np.clip(corr, -1.0, 1.0)
+def prior_monte_carlo(design: DesignMatrix, draw_hypers, n_draws: int, seed, start, add,
+                      policy: JitterPolicy = DEFAULT_JITTER,
+                      max_skip_fraction: float = 0.01) -> tuple[list, int]:
+    """Fold certified prior covariances into one ``start()`` accumulator per
+    chunk of 256 draws by ``add(acc, prior_cov, rng)``, draw i on the i-th
+    child stream of ``seed``; chunks run on ``worker_count()`` threads.
+    Draws failing certification are skipped; more than
+    ``max_skip_fraction`` of them raises NumericalError.  Returns
+    (accumulators in order, certified draws).
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    rngs = spawn_rngs(seed, n_draws)
+    chunk = 256  # fixed, so that results do not depend on the worker count
+
+    def run_chunk(first):
+        acc, failed = start(), 0
+        for rng in rngs[first:first + chunk]:
+            hypers = draw_hypers(rng)
+            try:  # the module attribute, so a wrapper on it sees every draw
+                prior_cov = prior_cov_psi(design, hypers, policy)
+            except NumericalError:
+                failed += 1
+                continue
+            add(acc, prior_cov, rng)
+        return acc, failed
+
+    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+        results = list(pool.map(run_chunk, range(0, n_draws, chunk)))
+    failed = sum(bad for _, bad in results)
+    if failed > max_skip_fraction * n_draws:
+        raise NumericalError(
+            f"{failed}/{n_draws} prior draws failed PD certification (> {max_skip_fraction:.0%})")
+    return [acc for acc, _ in results], n_draws - failed
 
 
 def estimate_prior_correlation(design: DesignMatrix, draw_hypers, n_mc: int, seed,
@@ -253,64 +296,30 @@ def estimate_prior_correlation(design: DesignMatrix, draw_hypers, n_mc: int, see
                                max_skip_fraction: float = 0.01) -> np.ndarray:
     """Monte Carlo estimate of the prior correlation matrix of the effects.
 
-    For each of ``n_mc`` draws, hyperparameters come from ``draw_hypers(rng)``,
-    the induced covariance P W P^T is converted to a correlation matrix, and
-    the entrywise average over draws is returned (correlations, not
-    covariances, are averaged: the group-formation threshold works on the
-    correlation scale and the draws have heterogeneous variances).
-
-    Draw i uses the i-th child stream of ``seed``, so the estimate is
-    independent of chunking or worker count.
-
-    Args:
-        draw_hypers: callable(rng) -> sequence of StrandHyperParams.
-        n_mc: number of draws, at least 1000.
-        seed: base seed (int or SeedSequence).
-        max_skip_fraction: abort if more than this fraction of draws fails PD.
-
-    Returns:
-        m x m correlation matrix with unit diagonal, entries in [-1, 1].
+    For each of ``n_mc`` draws (at least 1000, through ``prior_monte_carlo``)
+    hyperparameters come from ``draw_hypers(rng)``, the induced covariance
+    P W P^T is converted to a correlation matrix, and the entrywise average
+    over draws is returned (correlations, not covariances, are averaged: the
+    group-formation threshold works on the correlation scale and the draws
+    have heterogeneous variances).  The average is kept on the packed blocks
+    and scattered once into the m x m result: unit diagonal, entries in
+    [-1, 1].
     """
     if n_mc < 1000:
         raise ValueError("n_mc must be at least 1000 for a stable percentile threshold")
-    rngs = spawn_rngs(seed, n_mc)
-    m = design.n_mirnas
+    index = design.covariance_index
+    rows, cols = _packed_units(index)
 
-    def accumulate(indices):
-        acc = np.zeros((m, m))
-        bad = 0
-        for i in indices:
-            hypers = draw_hypers(rngs[i])
-            try:
-                pc = prior_cov_psi(design, hypers, policy)
-            except NumericalError:
-                bad += 1
-                continue
-            acc += _correlation_from_cov(pc.psi_cov)
-        return acc, bad
+    def add(acc, prior_cov, rng):
+        sd = np.sqrt(prior_cov.packed[index.unit_diag])
+        corr = prior_cov.packed / (sd[rows] * sd[cols])
+        corr[index.unit_diag] = 1.0
+        acc += np.clip(corr, -1.0, 1.0)
 
-    # Fixed-size chunks summed in chunk order keep the result bit-identical
-    # for any worker count.
-    chunk_size = 256
-    chunks = [range(start, min(start + chunk_size, n_mc)) for start in range(0, n_mc, chunk_size)]
-    workers = worker_count()
-    if workers == 1:
-        results = map(accumulate, chunks)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(accumulate, chunks))
-    total = np.zeros((m, m))
-    skipped = 0
-    for acc, bad in results:
-        total += acc
-        skipped += bad
-
-    if skipped > max_skip_fraction * n_mc:
-        raise NumericalError(
-            f"{skipped}/{n_mc} prior draws failed PD certification (> {max_skip_fraction:.0%})"
-        )
-    corr = total / (n_mc - skipped)
+    chunks, certified = prior_monte_carlo(design, draw_hypers, n_mc, seed,
+                                          lambda: np.zeros(index.packed_size), add,
+                                          policy, max_skip_fraction)
+    corr = np.zeros((index.n_units,) * 2)
+    corr[rows, cols] = sum(chunks) / certified
     np.fill_diagonal(corr, 1.0)
     return np.clip(corr, -1.0, 1.0)

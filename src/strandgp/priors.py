@@ -32,6 +32,8 @@ from .kernels import (
     assemble_blocks,
     factor_blocks,
     hyper_arrays,
+    prior_monte_carlo,
+    sample_psi_prior,
 )
 from .tmcmc import TargetModel
 
@@ -585,26 +587,16 @@ def draw_prior_psi(design: DesignMatrix, priors: HyperPriorSpec, n_draws: int, s
     """Effect vectors from the full prior: hyperparameters from their priors,
     then one effect draw from the induced Gaussian prior per hyper draw.
 
-    Draw i uses the i-th child stream of ``seed``.  Draws whose covariance
-    fails PD certification are skipped; more than ``max_skip_fraction`` of
-    them is an error.
+    Draw i uses the i-th child stream of ``seed`` for both.  Draws run
+    through ``kernels.prior_monte_carlo``: those whose covariance fails PD
+    certification are skipped, and more than ``max_skip_fraction`` of them
+    is an error.
     """
-    from .kernels import prior_cov_psi, sample_psi_prior
-    from .util import spawn_rngs
-
-    rngs = spawn_rngs(seed, n_draws)
-    rows = []
-    skipped = 0
-    for rng in rngs:
-        hypers = priors.draw_strand_hypers(rng)
-        try:
-            pc = prior_cov_psi(design, hypers, policy)
-            rows.append(sample_psi_prior(pc, 1, rng, policy)[0])
-        except NumericalError:
-            skipped += 1
-    if skipped > max_skip_fraction * n_draws:
-        raise NumericalError(f"{skipped}/{n_draws} prior draws failed PD certification")
-    return np.array(rows)
+    chunks, _ = prior_monte_carlo(
+        design, priors.draw_strand_hypers, n_draws, seed, list,
+        lambda rows, prior_cov, rng: rows.extend(sample_psi_prior(prior_cov, 1, rng)),
+        policy, max_skip_fraction)
+    return np.array([row for rows in chunks for row in rows])
 
 
 def psi_draws(draws: np.ndarray, m: int) -> np.ndarray:

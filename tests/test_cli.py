@@ -97,10 +97,33 @@ class TestRunConfig:
         ("testing", "prior_psi_draws", "0"),
         ("testing", "prior_correlation_draws", "-3"),
         ("testing", "target_fdr", "tenth"),
+        ("priors", "varrho2_mode", "0"),
+        ("priors", "varrho2_variance", "-1"),
+        ("priors", "nu_mode", "one"),
+        ("priors", "nu_variance", "0"),
+        ("priors", "rho_variance", "inf"),
+        ("priors", "rho_prior_variance_scale", "logarithmic"),
+        ("priors", "varrho_prior_on", "sigma"),
+        ("run", "seed", "-1"),
+        ("run", "seed", "first"),
+        ("cv", "level", "1.5"),
+        ("cv", "level", "0"),
+        ("cv", "level", "most"),
+        ("cv", "per_state", "0"),
+        ("cv", "per_state", "1.5"),
+        # Malformed files: the whole text is given and the name the error
+        # must carry stands in for the key.
+        pytest.param(None, "priors", "[priors]\nnu_mode = 1\n[priors]\nnu_mode = 2\n",
+                     id="duplicate-section"),
+        pytest.param(None, "nu_mode", "nu_mode = 1\n[priors]\n", id="missing-section-header"),
+        pytest.param(None, "nu_mode", "[priors]\nnu_mode = 1\nnu_mode = 2\n", id="duplicate-key"),
     ])
     def test_out_of_range_value_exits_2_before_any_work(self, tmp_path, capsys, section, key, value):
         path = tmp_path / "bad.ini"
-        path.write_text(f"[data]\ncase = {tmp_path}/absent.csv\n[{section}]\n{key} = {value}\n")
+        if section is None:
+            path.write_text(value)
+        else:
+            path.write_text(f"[data]\ncase = {tmp_path}/absent.csv\n[{section}]\n{key} = {value}\n")
         with pytest.raises(ConfigError, match=key):
             RunConfig.from_file(path)
         # The range check fires while the config is read, before any input

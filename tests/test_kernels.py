@@ -15,6 +15,7 @@ from strandgp import (
 )
 from strandgp.data import GenomeAnnotation, StrandRecord
 from strandgp.kernels import matern_correlation
+from strandgp.util import spawn_rngs
 
 mp.mp.dps = 50
 
@@ -77,6 +78,29 @@ def random_design(rng, n_strands, singles, shared):
     for entry in spec:
         entry[2].sort(key=lambda t: t[1])
     return build_design_matrix(make_annotation(spec), names)
+
+
+def jitter_design():
+    """Two components: four loci a few bases apart on one strand (their
+    block needs jitter when the correlation length is long) and three units
+    on two strands tied by ``b1``; units are listed interleaved."""
+    ann = make_annotation([
+        ("Chr1+", 2e3, [("a0", 1000.0), ("a1", 1001.0), ("a2", 1002.0), ("a3", 1010.0)]),
+        ("Chr2+", 2e3, [("b0", 100.0), ("b1", 900.0)]),
+        ("Chr3+", 2e3, [("c0", 40.0), ("b1", 300.0)]),
+    ])
+    return build_design_matrix(ann, ["b0", "a0", "c0", "a1", "a2", "b1", "a3"])
+
+
+def draw_jittery(rng):
+    """Hyperparameters under which about a fifth of the jitter design's
+    draws need jitter."""
+    return [StrandHyperParams(float(1.0 / rng.gamma(3.0, 1.0)), float(np.exp(rng.normal(1.5, 0.5))),
+                              float(np.exp(rng.normal(6.0, 2.0)))),
+            StrandHyperParams(2.0, 1.0, 500.0), StrandHyperParams(1.0, 0.7, 200.0)]
+
+
+NO_JITTER = JitterPolicy(maximum=0.0)  # rejects any block that needs jitter
 
 
 def random_hypers(rng, k):
@@ -388,6 +412,25 @@ class TestPriorDraws:
         target_corr = pc.psi_cov / np.outer(sd, sd)
         assert np.max(np.abs(sample_corr - target_corr)) < 0.03
 
+    def test_component_factors_reproduce_the_certified_blocks(self):
+        design = jitter_design()
+        hypers = [StrandHyperParams(1.0, 2.5, 5e3), StrandHyperParams(2.0, 1.0, 500.0),
+                  StrandHyperParams(1.0, 0.7, 200.0)]
+        pc = prior_cov_psi(design, hypers)
+        assert pc.jitter_used > 0.0
+        components = design.covariance_index.components
+        for units, chol in zip(components, pc.factors):
+            block = pc.psi_cov[np.ix_(units, units)]
+            np.testing.assert_allclose(chol @ chol.T, block, rtol=1e-12, atol=0.0)
+        # One standard_normal((n_draws, m)) call, mapped component by component.
+        rng = np.random.default_rng(11)
+        normals = rng.standard_normal((5, design.n_mirnas))
+        used = np.random.default_rng(11)
+        draws = sample_psi_prior(pc, 5, used)
+        assert used.bit_generator.state == rng.bit_generator.state
+        for units, chol in zip(components, pc.factors):
+            np.testing.assert_array_equal(draws[:, units], normals[:, units] @ chol.T)
+
 
 class TestEstimatePriorCorrelation:
     def fixed_draw(self, hypers):
@@ -439,6 +482,46 @@ class TestEstimatePriorCorrelation:
         monkeypatch.setenv("STRANDGP_THREADS", "4")
         second = estimate_prior_correlation(design, draw, 1200, seed=42)
         np.testing.assert_array_equal(first, second)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_equals_dense_reference(self, monkeypatch, threads):
+        design = jitter_design()
+        n_mc, chunk = 1100, 256
+        total, jittered = np.zeros((design.n_mirnas,) * 2), 0
+        for first in range(0, n_mc, chunk):
+            acc = np.zeros_like(total)
+            for rng in spawn_rngs(5, n_mc)[first:first + chunk]:
+                pc = prior_cov_psi(design, draw_jittery(rng))
+                jittered += pc.jitter_used > 0.0
+                sd = np.sqrt(np.diag(pc.psi_cov))
+                corr = pc.psi_cov / np.outer(sd, sd)
+                np.fill_diagonal(corr, 1.0)
+                acc += np.clip(corr, -1.0, 1.0)
+            total += acc
+        expected = total / n_mc
+        np.fill_diagonal(expected, 1.0)
+        expected = np.clip(expected, -1.0, 1.0)
+        assert 0 < jittered < n_mc
+        monkeypatch.setenv("STRANDGP_THREADS", threads)
+        got = estimate_prior_correlation(design, draw_jittery, n_mc, seed=5)
+        np.testing.assert_array_equal(got, expected)
+
+    def test_skip_limit(self):
+        design = jitter_design()
+        n_mc = 1024  # a power of two, so fraction * n_mc is exact
+        failed = 0
+        for rng in spawn_rngs(3, n_mc):
+            try:
+                prior_cov_psi(design, draw_jittery(rng), NO_JITTER)
+            except NumericalError:
+                failed += 1
+        assert failed > 0
+        corr = estimate_prior_correlation(design, draw_jittery, n_mc, seed=3, policy=NO_JITTER,
+                                          max_skip_fraction=failed / n_mc)
+        assert np.all(np.isfinite(corr))
+        with pytest.raises(NumericalError, match=f"{failed}/{n_mc} prior draws failed"):
+            estimate_prior_correlation(design, draw_jittery, n_mc, seed=3, policy=NO_JITTER,
+                                       max_skip_fraction=(failed - 1) / n_mc)
 
 
 class TestCholeskyWithJitter:

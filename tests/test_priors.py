@@ -7,9 +7,12 @@ from scipy import integrate, stats
 from strandgp import (
     DataError,
     HyperPriorSpec,
+    JitterPolicy,
     ModelState,
+    NumericalError,
     StrandHyperParams,
     build_design_matrix,
+    draw_prior_psi,
     empirical_bayes_delta2,
     log_posterior,
     make_posterior_model,
@@ -20,6 +23,7 @@ from strandgp import (
     solve_lognormal,
 )
 from strandgp.data import GenomeAnnotation, StrandRecord
+from strandgp.util import spawn_rngs
 
 
 def make_design(spec, names):
@@ -394,3 +398,43 @@ class TestLogPosterior:
         a, b = priors.varrho2_prior
         assert state.hypers[0].varrho2 == pytest.approx(b / (a + 1.0), rel=1e-12)
         assert state.delta2 == pytest.approx(priors.mean_delta2(), rel=1e-12)
+
+
+class TestDrawPriorPsi:
+    """Prior effect draws over a design whose first component (four loci a
+    few bases apart) needs jitter on about a fifth of the draws."""
+
+    def setup_method(self):
+        self.design = make_design([
+            ("Chr1+", 2e3, [("a0", 1000.0), ("a1", 1001.0), ("a2", 1002.0), ("a3", 1010.0)]),
+            ("Chr2+", 2e3, [("b0", 100.0), ("b1", 900.0)]),
+            ("Chr3+", 2e3, [("c0", 40.0), ("b1", 300.0)]),
+        ], ["b0", "a0", "c0", "a1", "a2", "b1", "a3"])
+        self.priors = HyperPriorSpec(varrho2_prior=(3.0, 1.0), nu_prior=(1.5, 0.5),
+                                     rho_priors=((6.0, 2.0), (6.0, 0.1), (5.0, 0.1)),
+                                     delta2_prior=(3.0, 2.0), dof=10)
+
+    def test_bit_identical_across_thread_counts(self, monkeypatch):
+        monkeypatch.setenv("STRANDGP_THREADS", "1")
+        serial = draw_prior_psi(self.design, self.priors, 600, seed=9)
+        monkeypatch.setenv("STRANDGP_THREADS", "2")
+        threaded = draw_prior_psi(self.design, self.priors, 600, seed=9)
+        assert serial.shape == (600, 7)
+        np.testing.assert_array_equal(serial, threaded)
+
+    def test_skip_limit(self):
+        n_draws = 512  # a power of two, so fraction * n_draws is exact
+        no_jitter = JitterPolicy(maximum=0.0)
+        failed = 0
+        for rng in spawn_rngs(4, n_draws):
+            try:
+                prior_cov_psi(self.design, self.priors.draw_strand_hypers(rng), no_jitter)
+            except NumericalError:
+                failed += 1
+        assert failed > 0
+        draws = draw_prior_psi(self.design, self.priors, n_draws, seed=4, policy=no_jitter,
+                               max_skip_fraction=failed / n_draws)
+        assert draws.shape == (n_draws - failed, 7)
+        with pytest.raises(NumericalError, match=f"{failed}/{n_draws} prior draws failed"):
+            draw_prior_psi(self.design, self.priors, n_draws, seed=4, policy=no_jitter,
+                           max_skip_fraction=(failed - 1) / n_draws)
