@@ -60,7 +60,7 @@ from .priors import (
     solve_ig,
     solve_lognormal,
 )
-from .crossval import PredictiveSummary, loo_predictive, overall_coverage, run_loo, sample_predictive
+from .crossval import PredictiveSummary, loo_predictive, overall_coverage, run_loo
 from .simulate import SimulatedData, simulate_dataset, write_simulated
 from .tmcmc import (
     PosteriorSamples,

@@ -398,8 +398,7 @@ def cmd_cv(args) -> int:
     sec = config.values["cv"]
     summaries = run_loo(dataset, design, config.sampler_config("cv"),
                         prior_kwargs=config.prior_kwargs(),
-                        level=float(sec["level"]), per_state=int(sec["per_state"]),
-                        folds=folds)
+                        level=float(sec["level"]), folds=folds)
     for summary in summaries:
         summary.write_csv(os.path.join(outdir, f"cv_{summary.patient_id}.csv"))
     coverage = overall_coverage(summaries)

@@ -131,12 +131,11 @@ def cholesky_with_jitter(matrix: np.ndarray, scale: float,
         NumericalError: factorization still fails at the jitter budget, or
             the reference scale is not a positive finite number.
     """
+    chol, info = dpotrf(matrix, lower=1, clean=1)
+    if not info:
+        return chol, 0.0
     if not (np.isfinite(scale) and scale > 0.0):
         raise NumericalError(f"invalid jitter reference scale {scale!r}")
-    try:
-        return np.linalg.cholesky(matrix), 0.0
-    except np.linalg.LinAlgError:
-        pass
     jitter = policy.initial * scale
     limit = policy.maximum * scale
     eye = np.eye(matrix.shape[0])
@@ -184,10 +183,8 @@ def factor_blocks(index: CovarianceIndex, packed: np.ndarray,
     out = []
     for _, size, offset in index.spans:
         block = packed[offset:offset + size * size].reshape(size, size)
-        chol, info = dpotrf(block, lower=1, clean=1)
-        jitter = 0.0
-        if info:
-            chol, jitter = cholesky_with_jitter(block, scale, policy)
+        chol, jitter = cholesky_with_jitter(block, scale, policy)
+        if jitter:
             block[np.diag_indices(size)] += jitter
         out.append((chol, jitter))
     return out

@@ -18,6 +18,7 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import stdtr
 
 from .errors import DataError
 from .util import spawn_rngs
@@ -160,16 +161,14 @@ def median_sign_pvalues(z: np.ndarray) -> np.ndarray:
     sds = z.std(axis=0, ddof=1)
     if np.any(sds <= 0):
         raise DataError("zero sample variance")
-    from scipy import stats  # deferred: importing it costs every command about 0.6 s
-
     medians = np.median(z, axis=0)
     se = sds / np.sqrt(n)
     p = np.empty(m)
     upper = medians > 0
     t_up = (means - 1.0) / se
     t_dn = (means + 1.0) / se
-    p[upper] = stats.t.sf(t_up[upper], df=n - 1)
-    p[~upper] = stats.t.cdf(t_dn[~upper], df=n - 1)
+    p[upper] = stdtr(n - 1, -t_up[upper])
+    p[~upper] = stdtr(n - 1, t_dn[~upper])
     return p
 
 

@@ -16,6 +16,7 @@ parameters come from moment matching on the per-unit sample variances.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +25,7 @@ from scipy.linalg.lapack import dpotrf, dtrtrs
 from scipy.special import gammaln, polygamma
 
 from .data import DesignMatrix
-from .errors import DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError
 from .kernels import (
     DEFAULT_JITTER,
     JitterPolicy,
@@ -64,6 +65,22 @@ def _bisect(gap, lo: float, hi: float) -> float:
             hi = mid
 
 
+def _unsolvable_as_value_error(solver):
+    """Raise every failure to solve a (mode, variance) pair, overflow and
+    underflow to zero included, as ``ValueError``."""
+    @functools.wraps(solver)
+    def solve(mode: float, variance: float) -> tuple[float, float]:
+        if mode <= 0 or variance <= 0:
+            raise ValueError("mode and variance must be positive")
+        try:
+            return solver(mode, variance)
+        except ArithmeticError as exc:
+            raise ValueError(f"{solver.__name__} cannot solve mode={mode}, "
+                             f"variance={variance} in floating point ({exc})") from None
+    return solve
+
+
+@_unsolvable_as_value_error
 def solve_ig(mode: float, variance: float) -> tuple[float, float]:
     """Inverse-gamma (shape, scale) with the given mode and variance.
 
@@ -71,8 +88,6 @@ def solve_ig(mode: float, variance: float) -> tuple[float, float]:
     then scale b = mode (a + 1).  The forward formulas are re-evaluated and
     must round-trip within 1e-8 relative error.
     """
-    if mode <= 0 or variance <= 0:
-        raise ValueError("mode and variance must be positive")
     ratio = variance / mode**2
 
     # Root search in u = log(shape - 2): keeps relative precision when huge
@@ -98,6 +113,7 @@ def solve_ig(mode: float, variance: float) -> tuple[float, float]:
     return shape, scale
 
 
+@_unsolvable_as_value_error
 def solve_lognormal(mode: float, variance: float) -> tuple[float, float]:
     """Lognormal (location mu, scale sigma) with the given mode and variance.
 
@@ -105,8 +121,6 @@ def solve_lognormal(mode: float, variance: float) -> tuple[float, float]:
     variance becomes mode^2 (e^t - 1) e^{3t}; t is found by root search and
     the pair is forward-checked to 1e-8 relative error.
     """
-    if mode <= 0 or variance <= 0:
-        raise ValueError("mode and variance must be positive")
     ratio = variance / mode**2
 
     def gap(t):
@@ -205,20 +219,30 @@ class HyperPriorSpec:
                   varrho_prior_on: str = "varrho2",
                   rho_prior_variance_scale: str = "natural") -> "HyperPriorSpec":
         """Standard construction: vague modes at 1, strand-length modes for rho,
-        delta2 from the data, degrees of freedom m + 3."""
+        delta2 from the data, degrees of freedom m + 3.  A (mode, variance)
+        pair with no prior raises ``ConfigError`` naming its ``[priors]`` keys."""
         if varrho_prior_on not in ("varrho2", "varrho"):
             raise ValueError(f"varrho_prior_on must be 'varrho2' or 'varrho', got {varrho_prior_on!r}")
         if rho_prior_variance_scale not in ("natural", "log"):
             raise ValueError("rho_prior_variance_scale must be 'natural' or 'log'")
+
+        def solved(solver, keys, mode, variance):
+            try:
+                return solver(mode, variance)
+            except ValueError as exc:
+                raise ConfigError(f"no prior for {keys}: {exc}") from None
+
         rho_priors = []
         for strand in design.annotation.strands:
             if rho_prior_variance_scale == "natural":
-                rho_priors.append(solve_lognormal(strand.length, rho_variance))
+                rho_priors.append(solved(solve_lognormal, f"priors.rho_variance on strand {strand.strand_id}",
+                                         strand.length, rho_variance))
             else:
                 rho_priors.append((math.log(strand.length), math.sqrt(rho_variance)))
         return cls(
-            varrho2_prior=solve_ig(varrho2_mode, varrho2_variance),
-            nu_prior=solve_lognormal(nu_mode, nu_variance),
+            varrho2_prior=solved(solve_ig, "priors.varrho2_mode and priors.varrho2_variance",
+                                 varrho2_mode, varrho2_variance),
+            nu_prior=solved(solve_lognormal, "priors.nu_mode and priors.nu_variance", nu_mode, nu_variance),
             rho_priors=tuple(rho_priors),
             delta2_prior=empirical_bayes_delta2(z),
             dof=z.shape[1] + 3,

@@ -268,19 +268,53 @@ class TestPipeline:
         assert main(["fit", "--config", config2, "--trace", "bogus"]) == 2
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    code = ("import sys, strandgp.cli; "
-            "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])")
+def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
+    report = "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])"
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env=env, check=True, timeout=120)
-    assert result.stdout.strip() == "[]"
+
+    def last_line(code, *args):
+        result = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                                text=True, env=env, check=True, timeout=300)
+        return result.stdout.strip().splitlines()[-1]
+
+    assert last_line("import sys, strandgp.cli; " + report) == "[]"
+    # Nor do cv and the median-sign baseline load them while they run.
+    data_dir = tmp_path / "data"
+    assert main(["simulate", "--out", str(data_dir), "--m", "6", "--n", "5",
+                 "--strands", "2", "--seed", "0"]) == 0
+    config = tmp_path / "run.ini"
+    write_config(config, data_dir, tmp_path / "out")
+    config.write_text(config.read_text()
+                      .replace("[cv]\niterations = 600", "[cv]\niterations = 300")
+                      .replace("[lrbh]\n", "[lrbh]\nmethod = median-sign\n"))
+    assert "method = median-sign" in config.read_text()
+    code = ("import sys; from strandgp.cli import main; "
+            "codes = [main(['cv', '--config', sys.argv[1], '--folds', '0']), "
+            "main(['lrbh', '--config', sys.argv[1]])]; print(codes, end=' '); " + report)
+    assert last_line(code, str(config)) == "[0, 0] []"
+    assert (tmp_path / "out" / "cv_summary.json").exists()
+    assert (tmp_path / "out" / "lrbh.csv").exists()
 
 
 class TestExitCodes:
     def test_missing_config_is_validation_error(self, tmp_path):
         assert main(["fit", "--config", str(tmp_path / "nope.ini")]) == 2
+
+    @pytest.mark.parametrize("key, value", [("varrho2_variance", "1e300"), ("nu_mode", "1e-300")])
+    def test_unsolvable_prior_exits_2_naming_the_key(self, tmp_path, capsys, key, value):
+        # Positive and finite, so the config loads; the hyperprior has no
+        # floating-point solution, which shows once fit builds it.
+        data_dir = tmp_path / "data"
+        assert main(["simulate", "--out", str(data_dir), "--m", "4", "--n", "5",
+                     "--strands", "2", "--seed", "0"]) == 0
+        config = write_config(tmp_path / "run.ini", data_dir, tmp_path / "out",
+                              extra=f"[priors]\n{key} = {value}\n")
+        capsys.readouterr()
+        assert main(["fit", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert f"priors.{key}" in err
+        assert not (tmp_path / "out" / "samples.bin").exists()
 
     def test_missing_data_file(self, tmp_path):
         config = tmp_path / "run.ini"

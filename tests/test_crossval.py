@@ -10,7 +10,6 @@ from strandgp import (
     loo_predictive,
     overall_coverage,
     run_loo,
-    sample_predictive,
 )
 from strandgp.crossval import predictive_draws
 from strandgp.simulate import simulate_dataset
@@ -29,58 +28,82 @@ def tiny_dataset(seed=0, m=4, n=6, k=2):
     return dataset, design
 
 
-class TestSamplePredictive:
-    def test_univariate_matches_student_t(self):
-        # Fixed state, one unit: the composition must reproduce the
-        # analytic location-scale t predictive.
-        rng = np.random.default_rng(0)
-        psi = np.array([0.7])
-        delta2 = 1.3
-        z_train = rng.normal(0.5, 1.0, size=(7, 1))
-        ups = 1 + 3
-        draws = np.concatenate([
-            sample_predictive(psi, delta2, z_train, ups, rng, n_draws=1)[:, 0]
-            for _ in range(20000)
-        ])
-        df = ups + 7
-        scale_mat = delta2 + np.sum((z_train[:, 0] - psi[0]) ** 2)
-        t_scale = np.sqrt(scale_mat / df)
-        for q in (0.125, 0.25, 0.5, 0.75, 0.875):
-            expected = psi[0] + t_scale * stats.t.ppf(q, df)
-            got = np.quantile(draws, q)
-            se = (stats.t.ppf(q + 0.01, df) - stats.t.ppf(q - 0.01, df)) * t_scale
-            assert abs(got - expected) < max(3 * se, 0.05), q
+def chain_draws(psis, delta2s):
+    """A stored-draw matrix: effects, three unused hyperparameter columns,
+    then log delta2."""
+    psis = np.atleast_2d(psis)
+    return np.hstack([psis, np.zeros((psis.shape[0], 3)), np.log(np.asarray(delta2s))[:, None]])
 
-    def test_composition_moments_match_matrix_t(self):
-        # First two predictive moments agree with the analytic integrated
-        # form: mean psi, covariance (delta2 I + S) / (df - m - 1).
+
+def t_scales(psis, delta2s, z_train, nu):
+    """Per state and unit, sqrt((delta2 + S_ii) / nu) with S the training
+    scatter about the state's effects, summed directly."""
+    scatter = ((z_train[None, :, :] - psis[:, None, :]) ** 2).sum(axis=1)
+    return np.sqrt((delta2s[:, None] + scatter) / nu)
+
+
+class TestPredictiveInterval:
+    def test_one_state_one_unit_is_the_student_t_quantile(self):
+        rng = np.random.default_rng(0)
+        psi = np.array([[0.7]])
+        delta2 = np.array([1.3])
+        z_train = rng.normal(0.5, 1.0, size=(7, 1))
+        dof = 1 + 3
+        nu = dof + 7 - 1 + 1
+        low, high = predictive_draws(chain_draws(psi, delta2), z_train, dof=dof, m=1, level=0.75)
+        s = t_scales(psi, delta2, z_train, nu)[0, 0]
+        np.testing.assert_allclose(low, 0.7 + s * stats.t.ppf(0.125, nu), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(high, 0.7 + s * stats.t.ppf(0.875, nu), rtol=0, atol=1e-12)
+
+    def test_mixture_cdf_equals_the_tail_levels_at_the_ends(self):
         rng = np.random.default_rng(1)
-        m = 3
-        psi = np.array([0.5, -1.0, 2.0])
-        delta2 = 0.8
-        z_train = rng.normal(size=(6, m)) + psi
-        ups = m + 3
-        draws = np.vstack([
-            sample_predictive(psi, delta2, z_train, ups, rng, n_draws=1)
-            for _ in range(30000)
-        ])
-        df = ups + 6
-        centered = z_train - psi
-        scale = delta2 * np.eye(m) + centered.T @ centered
-        expected_cov = scale / (df - m - 1)
-        np.testing.assert_allclose(draws.mean(axis=0), psi, atol=0.05)
-        np.testing.assert_allclose(np.cov(draws.T), expected_cov, rtol=0.12, atol=0.03)
+        n_states, m, n = 40, 5, 9
+        psis = rng.normal(scale=2.0, size=(n_states, m))
+        delta2s = rng.gamma(2.0, 0.5, size=n_states)
+        z_train = rng.normal(size=(n, m))
+        dof = m + 3
+        nu = dof + n - m + 1
+        ends = predictive_draws(chain_draws(psis, delta2s), z_train, dof=dof, m=m, level=0.8)
+        s = t_scales(psis, delta2s, z_train, nu)
+        for end, target in zip(ends, (0.1, 0.9)):
+            cdf = stats.t.cdf((end[None, :] - psis) / s, nu).mean(axis=0)
+            np.testing.assert_allclose(cdf, target, rtol=0, atol=1e-12)
+
+    def test_agrees_with_the_inverse_wishart_composition(self):
+        # Monte Carlo oracle: per state, draw the error covariance from its
+        # inverse-Wishart conditional and a new row from the normal around
+        # psi; the pooled draws' per-unit quantiles match the exact ends.
+        rng = np.random.default_rng(2)
+        m, n, n_draws = 3, 6, 25000
+        psis = np.array([[0.5, -1.0, 2.0], [0.8, -0.6, 1.5], [0.2, -1.3, 2.4]])
+        delta2s = np.array([0.8, 1.1, 0.6])
+        z_train = rng.normal(size=(n, m)) + psis[0]
+        dof = m + 3
+        pooled = []
+        for psi, delta2 in zip(psis, delta2s):
+            centered = z_train - psi
+            scale = delta2 * np.eye(m) + centered.T @ centered
+            sigmas = stats.invwishart.rvs(df=dof + n, scale=scale, size=n_draws, random_state=rng)
+            normals = rng.standard_normal((n_draws, m, 1))
+            pooled.append(psi + (np.linalg.cholesky(sigmas) @ normals)[:, :, 0])
+        pooled = np.vstack(pooled)
+        ends = predictive_draws(chain_draws(psis, delta2s), z_train, dof=dof, m=m, level=0.75)
+        nu = dof + n - m + 1
+        s = t_scales(psis, delta2s, z_train, nu)
+        for end, q in zip(ends, (0.125, 0.875)):
+            density = (stats.t.pdf((end[None, :] - psis) / s, nu) / s).mean(axis=0)
+            se = np.sqrt(q * (1.0 - q) / pooled.shape[0]) / density
+            got = np.quantile(pooled, q, axis=0)
+            assert np.all(np.abs(got - end) < 4.0 * se), (q, got, end, se)
 
     def test_training_row_permutation_leaves_intervals_unchanged(self):
-        rng_a = np.random.default_rng(7)
-        rng_b = np.random.default_rng(7)
-        psi = np.array([0.2, -0.4])
-        z_train = np.random.default_rng(3).normal(size=(8, 2))
-        a = sample_predictive(psi, 1.0, z_train, 5, rng_a, n_draws=500)
-        b = sample_predictive(psi, 1.0, z_train[::-1], 5, rng_b, n_draws=500)
-        qa = np.quantile(a, [0.125, 0.875], axis=0)
-        qb = np.quantile(b, [0.125, 0.875], axis=0)
-        np.testing.assert_allclose(qa, qb, rtol=1e-9, atol=1e-9)
+        rng = np.random.default_rng(3)
+        psis = rng.normal(size=(30, 4))
+        delta2s = rng.gamma(2.0, 0.5, size=30)
+        z_train = rng.normal(size=(8, 4))
+        a = predictive_draws(chain_draws(psis, delta2s), z_train, dof=7, m=4, level=0.75)
+        b = predictive_draws(chain_draws(psis, delta2s), z_train[::-1], dof=7, m=4, level=0.75)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestLooPredictive:
@@ -146,5 +169,6 @@ def test_predictive_draws_shape():
         np.log(rng.normal(size=(10, 1)) ** 2 + 0.5),    # log delta2
     ])
     z_train = rng.normal(size=(5, 2))
-    out = predictive_draws(draws, z_train, dof=5, rng=rng, m=2, per_state=3)
-    assert out.shape == (30, 2)
+    out = predictive_draws(draws, z_train, dof=5, m=2, level=0.75)
+    assert out.shape == (2, 2)
+    assert np.all(out[0] < out[1])

@@ -14,6 +14,7 @@ from strandgp import (
     sample_psi_prior,
 )
 from strandgp.data import GenomeAnnotation, StrandRecord
+from strandgp import kernels
 from strandgp.kernels import matern_correlation
 from strandgp.util import spawn_rngs
 
@@ -394,6 +395,32 @@ class TestCovarianceIndex:
         # The jitter is measured against the largest unit variance (2.0).
         assert 2.0 * JitterPolicy().initial <= pc.jitter_used <= 2.0 * JitterPolicy().maximum
         np.linalg.cholesky(pc.psi_cov)
+
+    def test_block_that_needs_jitter_is_factored_once_per_level(self, monkeypatch):
+        # Each component is factored once without jitter; a rejected block
+        # then escalates from the policy's initial jitter, one factorization
+        # per level, with no second unjittered attempt.
+        ann = make_annotation([
+            ("Chr1+", 2e3, [("a0", 1000.0), ("a1", 1000.0 + 1e-9), ("a2", 1000.0 + 2e-9)]),
+            ("Chr2+", 2e3, [("b0", 100.0), ("b1", 900.0)]),
+        ])
+        design = build_design_matrix(ann, ["a0", "a1", "a2", "b0", "b1"])
+        hypers = [StrandHyperParams(1.0, 1.5, 1e6), StrandHyperParams(2.0, 1.0, 500.0)]
+        calls = {"dpotrf": 0, "cholesky": 0}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(kernels, "dpotrf", counted("dpotrf", kernels.dpotrf))
+        monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
+        pc = prior_cov_psi(design, hypers)
+        monkeypatch.undo()
+        levels = np.log2(pc.jitter_used / (2.0 * JitterPolicy().initial)) + 1
+        assert levels == round(levels) >= 1
+        assert calls == {"dpotrf": 2, "cholesky": round(levels)}
 
 
 class TestPriorDraws:

@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
 from strandgp import (
+    ConfigError,
     DataError,
     HyperPriorSpec,
     JitterPolicy,
@@ -68,6 +70,11 @@ class TestSolveIG:
         with pytest.raises(ValueError):
             solve_ig(1.0, -1.0)
 
+    @pytest.mark.parametrize("mode, variance", [(1.0, 1e300), (1e-300, 1.0), (1e300, 1.0)])
+    def test_unsolvable_extreme_pair_is_value_error(self, mode, variance):
+        with pytest.raises(ValueError, match="solve_ig cannot solve"):
+            solve_ig(mode, variance)
+
 
 class TestSolveLognormal:
     def test_mode_one_gives_mu_equal_s2(self):
@@ -82,6 +89,11 @@ class TestSolveLognormal:
             assert lognormal_moments(mu, sigma)[1] == pytest.approx(variance, rel=1e-8)
         assert sigma < 1e-5
         assert mu == pytest.approx(math.log(mode), abs=1e-8)
+
+    @pytest.mark.parametrize("mode, variance", [(1e-300, 1.0), (1e300, 1.0)])
+    def test_unsolvable_extreme_pair_is_value_error(self, mode, variance):
+        with pytest.raises(ValueError, match="solve_lognormal cannot solve"):
+            solve_lognormal(mode, variance)
 
     def test_genome_scale_mode(self):
         mu, sigma = solve_lognormal(1e8, 1000.0)
@@ -137,6 +149,17 @@ class TestHyperPriorSpec:
         priors = make_priors(design, z)
         again = HyperPriorSpec.from_dict(priors.to_dict())
         assert again == priors
+
+    @pytest.mark.parametrize("kwargs, keys", [
+        (dict(varrho2_variance=1e300), "priors.varrho2_mode and priors.varrho2_variance"),
+        (dict(nu_mode=1e-300), "priors.nu_mode and priors.nu_variance"),
+        (dict(rho_variance=1e-300), "priors.rho_variance on strand Chr1+"),
+    ])
+    def test_unsolvable_pair_is_config_error_naming_its_keys(self, kwargs, keys):
+        design = two_locus_design()
+        z = np.random.default_rng(0).normal(size=(5, 2))
+        with pytest.raises(ConfigError, match=f"no prior for {re.escape(keys)}"):
+            make_priors(design, z, **kwargs)
 
     def test_dof_is_units_plus_three(self):
         design = two_locus_design()
