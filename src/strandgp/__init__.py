@@ -53,10 +53,10 @@ from .lrbh import BaselineReport, LrResult, bh_adjust, bootstrap_pvalue, lr_stat
 from .priors import (
     HyperPriorSpec,
     ModelState,
-    draw_prior_psi,
     empirical_bayes_delta2,
     log_posterior,
     make_posterior_model,
+    prior_exceedance,
     solve_ig,
     solve_lognormal,
 )

@@ -39,7 +39,9 @@ from .decisions import (
 from .errors import ConfigError, DataError, NumericalError, StrandGPError
 from .kernels import estimate_prior_correlation
 from .lrbh import run_baseline
-from .priors import HyperPriorSpec, draw_prior_psi, make_posterior_model, psi_draws
+from .priors import HyperPriorSpec, make_posterior_model, psi_draws
+# perfbench/tracing.py times the prior step under this name (ROADMAP item 6).
+from .priors import prior_exceedance as draw_prior_psi
 from .simulate import simulate_dataset, write_simulated
 from .tmcmc import PosteriorSamples, SamplerConfig, export_trace, run_chain
 from .util import THREADS_ENV
@@ -79,12 +81,14 @@ _RANGES = (
       for section, key in (("testing", "target_fdr"), ("lrbh", "q"), ("cv", "level"))),
     *(("priors", key, float, lambda v: 0.0 < v < math.inf, "be positive and finite")
       for key in ("varrho2_mode", "varrho2_variance", "nu_mode", "nu_variance", "rho_variance")),
+    # The group threshold is a percentile of the estimated correlations.
+    ("testing", "prior_correlation_draws", int, lambda v: v >= 1000, "be at least 1000"),
     ("testing", "percentile", float, lambda v: 0.0 <= v <= 100.0, "lie in [0, 100]"),
     ("testing", "tolerance", float, lambda v: v >= 0.0, "be at least 0"),
     ("run", "seed", int, lambda v: v >= 0, "be at least 0"),
     *((section, key, int, lambda v: v >= 1, "be at least 1")
       for section, key in (("testing", "cap"), ("testing", "component_enum_limit"),
-                           ("testing", "prior_correlation_draws"), ("testing", "prior_psi_draws"),
+                           ("testing", "prior_psi_draws"),
                            ("lrbh", "bootstrap"), ("cv", "per_state"))),
 )
 _CHOICES = {
@@ -335,8 +339,7 @@ def cmd_test(args) -> int:
     tst = config.values["testing"]
     corr_seed, prior_seed = (s for s in np.random.SeedSequence(config.seed()).spawn(2))
     correlation = estimate_prior_correlation(
-        design, priors.draw_strand_hypers,
-        n_mc=max(1000, int(tst["prior_correlation_draws"])), seed=corr_seed)
+        design, priors.draw_hyper_arrays, n_mc=int(tst["prior_correlation_draws"]), seed=corr_seed)
     np.savetxt(os.path.join(outdir, "prior_correlation.csv"), correlation,
                delimiter=",", header=",".join(dataset.mirna_names), comments="")
     groups = form_groups(correlation, cap=int(tst["cap"]),
@@ -348,9 +351,9 @@ def cmd_test(args) -> int:
                                  tol=float(tst["tolerance"]),
                                  enum_limit=int(tst["component_enum_limit"]),
                                  seed=config.seed())
-    prior_psi = draw_prior_psi(design, priors, int(tst["prior_psi_draws"]), prior_seed)
+    prior_probs, n_prior = draw_prior_psi(design, priors, int(tst["prior_psi_draws"]), prior_seed)
     report = build_decision_report(dataset.mirna_names, psi_draws(draws, m),
-                                   calibration, groups, prior_psi)
+                                   calibration, groups, prior_probs, n_prior)
     report.write_csv(os.path.join(outdir, "decisions.csv"))
     report.write_summary_json(os.path.join(outdir, "decisions_summary.json"))
 

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, stdtr, stdtrit
 
 from .data import DesignMatrix, ExpressionDataset
 from .errors import DataError, NumericalError
@@ -36,6 +35,8 @@ def _mixture_t_quantile(loc: np.ndarray, scale: np.ndarray, nu: float, p: float)
     make a column oscillate; a column is frozen once its step or its bracket
     is under float resolution.
     """
+    from scipy.special import gammaln, stdtr, stdtrit  # once per call, not per pass
+
     comp = loc + scale * stdtrit(nu, p)
     lo, hi, x = comp.min(axis=0), comp.max(axis=0), np.median(comp, axis=0)
     last_step, span = hi - lo, scale.max(axis=0)

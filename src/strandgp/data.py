@@ -213,9 +213,11 @@ class CovarianceIndex:
         n_units: m.
         n_strands: k.
         locus_strand: strand of each locus (design column order).
+        locus_unit: unit of each locus.
         pair_strand, pair_dist: strand and distance of every locus pair
             sharing a strand (upper triangle, strand by strand).
         pair_units: (P, 2) units of each pair, smaller index first.
+        same_unit_pairs: the pairs whose two loci belong to one unit.
         components: ascending unit indices of each component, ordered by
             their first strand.
         unit_order: the components' units concatenated.
@@ -228,9 +230,11 @@ class CovarianceIndex:
     n_units: int
     n_strands: int
     locus_strand: np.ndarray
+    locus_unit: np.ndarray
     pair_strand: np.ndarray
     pair_dist: np.ndarray
     pair_units: np.ndarray
+    same_unit_pairs: np.ndarray
     components: tuple
     unit_order: np.ndarray
     spans: tuple
@@ -306,8 +310,9 @@ class CovarianceIndex:
             offset[ui] + local[uj] * width[ui] + local[ui],
         ])
         index = cls(
-            n_units=m, n_strands=k, locus_strand=locus_strand,
+            n_units=m, n_strands=k, locus_strand=locus_strand, locus_unit=locus_unit,
             pair_strand=pair_strand, pair_dist=pair_dist, pair_units=pair_units,
+            same_unit_pairs=np.flatnonzero(ui == uj),
             components=components, unit_order=np.concatenate(components),
             spans=tuple(spans), targets=targets, unit_diag=unit_diag, packed_size=packed,
         )

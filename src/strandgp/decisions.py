@@ -584,9 +584,11 @@ class DecisionReport:
 
 
 def build_decision_report(mirna_names, psi_draws: np.ndarray, calibration: CalibrationResult,
-                          groups: GroupStructure, prior_psi_draws: np.ndarray,
+                          groups: GroupStructure, prior_probs: np.ndarray, n_prior_draws: int,
                           threshold: float = 1.0, ci_level: float = 0.95) -> DecisionReport:
-    """Assemble the full per-unit report from posterior and prior draw sets.
+    """Assemble the full per-unit report from the posterior draws and the
+    prior probabilities of deregulation at the same ``threshold``
+    (``priors.prior_exceedance``), which average ``n_prior_draws`` draws.
 
     Point estimates are posterior means; intervals are central credible
     intervals at ``ci_level``.  Discoveries are labeled 'up' when the
@@ -596,9 +598,7 @@ def build_decision_report(mirna_names, psi_draws: np.ndarray, calibration: Calib
     psi_draws = np.asarray(psi_draws, dtype=float)
     names = tuple(mirna_names)
     post_ind = hypothesis_indicators(psi_draws, threshold)
-    prior_ind = hypothesis_indicators(prior_psi_draws, threshold)
-    bf = bayes_factors(marginal_probs(post_ind), marginal_probs(prior_ind),
-                                   post_ind.shape[0], prior_ind.shape[0])
+    bf = bayes_factors(marginal_probs(post_ind), prior_probs, post_ind.shape[0], n_prior_draws)
     mean = psi_draws.mean(axis=0)
     alpha = 0.5 * (1.0 - ci_level)
     lowq, highq = np.quantile(psi_draws, [alpha, 1.0 - alpha], axis=0)

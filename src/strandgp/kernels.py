@@ -6,23 +6,32 @@ correlation length).  Strands are independent a priori, so the latent-effect
 covariance over all loci is block diagonal; the covariance of the m-vector
 of unit effects is the congruence ``P W P^T`` with the incidence matrix P.
 It is assembled by index from the Matern covariances of the locus pairs
-(``data.CovarianceIndex``) into packed component blocks and factored one
-component at a time; prior draws and the prior Monte Carlo read those blocks
-and factors, never a dense m x m matrix.
+(``data.CovarianceIndex``) into packed component blocks and, where a draw
+of effects is needed, factored one component at a time.  The prior Monte
+Carlo reads the assembled blocks or the unit variances only; it factors
+nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf
-from scipy.special import gammaln, kv
 
 from .data import CovarianceIndex, DesignMatrix
 from .errors import NumericalError
 from .util import spawn_rngs, worker_count
+
+@cache
+def _scipy():
+    """(dpotrf, gammaln, kv), imported on first use so that importing the
+    package loads no scipy module.  Public functions look them up once per
+    call and hand them down, never once per block or pair."""
+    from scipy.linalg.lapack import dpotrf
+    from scipy.special import gammaln, kv
+
+    return dpotrf, gammaln, kv
 
 
 @dataclass(frozen=True)
@@ -69,12 +78,12 @@ DEFAULT_JITTER = JitterPolicy()
 _LOG2 = np.log(2.0)
 
 
-def _matern_at(x, nu, lead) -> np.ndarray:
+def _matern_at(x, nu, lead, kv) -> np.ndarray:
     """Matern correlation at scaled distances ``x = sqrt(2 nu) d``, with
     ``lead = (1 - nu) log 2 - log Gamma(nu)``; ``nu`` and ``lead`` are
-    scalars or arrays shaped like ``x``."""
+    scalars or arrays shaped like ``x``; ``kv`` is scipy's Bessel K."""
     out = np.ones(x.shape)
-    pos = x > 0
+    pos = x != 0.0  # a NaN (say from a NaN smoothness) goes on to the Bessel factor and raises
     xp = x[pos]
     if np.ndim(nu):
         nu, lead = nu[pos], lead[pos]
@@ -100,7 +109,8 @@ def matern_correlation(d, nu: float) -> np.ndarray:
     d = np.asarray(d, dtype=float)
     if np.any(d < 0) or not np.all(np.isfinite(d)):
         raise ValueError("distances must be finite and nonnegative")
-    return _matern_at(np.sqrt(2.0 * nu) * d, nu, (1.0 - nu) * _LOG2 - gammaln(nu))
+    _, gammaln, kv = _scipy()
+    return _matern_at(np.sqrt(2.0 * nu) * d, nu, (1.0 - nu) * _LOG2 - gammaln(nu), kv)
 
 
 def matern_cov(d, h: StrandHyperParams):
@@ -120,6 +130,9 @@ def cholesky_with_jitter(matrix: np.ndarray, scale: float,
                          policy: JitterPolicy = DEFAULT_JITTER) -> tuple[np.ndarray, float]:
     """Cholesky factor of ``matrix``, adding escalating diagonal jitter on failure.
 
+    Every attempt, jittered or not, is one LAPACK ``dpotrf`` call, so one
+    library decides positive definiteness throughout.
+
     Args:
         matrix: symmetric matrix to factor (not modified).
         scale: reference magnitude; jitter amounts are ``policy`` fractions of it.
@@ -131,6 +144,10 @@ def cholesky_with_jitter(matrix: np.ndarray, scale: float,
         NumericalError: factorization still fails at the jitter budget, or
             the reference scale is not a positive finite number.
     """
+    return _factor_with_jitter(matrix, scale, policy, _scipy()[0])
+
+
+def _factor_with_jitter(matrix, scale, policy, dpotrf):
     chol, info = dpotrf(matrix, lower=1, clean=1)
     if not info:
         return chol, 0.0
@@ -140,10 +157,10 @@ def cholesky_with_jitter(matrix: np.ndarray, scale: float,
     limit = policy.maximum * scale
     eye = np.eye(matrix.shape[0])
     while jitter <= limit:
-        try:
-            return np.linalg.cholesky(matrix + jitter * eye), jitter
-        except np.linalg.LinAlgError:
-            jitter *= policy.growth
+        chol, info = dpotrf(matrix + jitter * eye, lower=1, clean=1)
+        if not info:
+            return chol, jitter
+        jitter *= policy.growth
     raise NumericalError(
         f"matrix not positive definite within jitter budget ({policy.maximum:g} x scale)"
     )
@@ -160,12 +177,19 @@ def assemble_blocks(index: CovarianceIndex, varrho2s, nus, rhos) -> np.ndarray:
     Raises:
         NumericalError: the Matern evaluation left its numerical domain.
     """
-    s = index.pair_strand
-    lead = (1.0 - nus) * _LOG2 - gammaln(nus)
-    x = np.sqrt(2.0 * nus)[s] * (index.pair_dist / rhos[s])
-    pairs = varrho2s[s] * _matern_at(x, nus[s], lead[s])
+    pairs = _pair_covariances(index, slice(None), varrho2s, nus, rhos)
     weights = np.concatenate((varrho2s[index.locus_strand], pairs, pairs))
     return np.bincount(index.targets, weights, minlength=index.packed_size)
+
+
+def _pair_covariances(index: CovarianceIndex, which, varrho2s, nus, rhos) -> np.ndarray:
+    """Matern covariance of the locus pairs ``which`` selects, each with its
+    strand's hyperparameters."""
+    _, gammaln, kv = _scipy()
+    s = index.pair_strand[which]
+    lead = (1.0 - nus) * _LOG2 - gammaln(nus)
+    x = np.sqrt(2.0 * nus)[s] * (index.pair_dist[which] / rhos[s])
+    return varrho2s[s] * _matern_at(x, nus[s], lead[s], kv)
 
 
 def factor_blocks(index: CovarianceIndex, packed: np.ndarray,
@@ -179,15 +203,35 @@ def factor_blocks(index: CovarianceIndex, packed: np.ndarray,
     Raises:
         NumericalError: some block is not positive definite within budget.
     """
+    dpotrf = _scipy()[0]
     scale = float(packed[index.unit_diag].max())
     out = []
     for _, size, offset in index.spans:
         block = packed[offset:offset + size * size].reshape(size, size)
-        chol, jitter = cholesky_with_jitter(block, scale, policy)
+        chol, jitter = _factor_with_jitter(block, scale, policy, dpotrf)
         if jitter:
             block[np.diag_indices(size)] += jitter
         out.append((chol, jitter))
     return out
+
+
+def unit_variances(index: CovarianceIndex, varrho2s, nus, rhos) -> np.ndarray:
+    """The diagonal of ``P W P^T``: each unit's locus variances plus twice the
+    Matern covariance of each pair of its loci on one strand.  Only those
+    pairs are evaluated, and the sums are those of ``assemble_blocks``, so
+    the result equals the diagonal of its blocks bit for bit.
+
+    Raises:
+        NumericalError: the Matern evaluation left its numerical domain.
+    """
+    units, weights = index.locus_unit, varrho2s[index.locus_strand]
+    same = index.same_unit_pairs
+    if same.size:
+        pairs = _pair_covariances(index, same, varrho2s, nus, rhos)
+        owner = index.pair_units[same, 0]
+        units = np.concatenate((units, owner, owner))
+        weights = np.concatenate((weights, pairs, pairs))
+    return np.bincount(units, weights, minlength=index.n_units)
 
 
 def hyper_arrays(hypers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -252,15 +296,16 @@ def sample_psi_prior(prior_cov: PriorCovariance, n_draws: int, rng) -> np.ndarra
     return out
 
 
-def prior_monte_carlo(design: DesignMatrix, draw_hypers, n_draws: int, seed, start, add,
-                      policy: JitterPolicy = DEFAULT_JITTER,
+def prior_monte_carlo(draw_hypers, n_draws: int, seed, start, add,
                       max_skip_fraction: float = 0.01) -> tuple[list, int]:
-    """Fold certified prior covariances into one ``start()`` accumulator per
-    chunk of 256 draws by ``add(acc, prior_cov, rng)``, draw i on the i-th
-    child stream of ``seed``; chunks run on ``worker_count()`` threads.
-    Draws failing certification are skipped; more than
-    ``max_skip_fraction`` of them raises NumericalError.  Returns
-    (accumulators in order, certified draws).
+    """Fold ``n_draws`` hyperparameter draws into one ``start()`` accumulator
+    per chunk of 256 draws by ``add(acc, varrho2s, nus, rhos)``, where the
+    per-strand arrays are ``draw_hypers(rng)`` of the i-th child stream of
+    ``seed`` for draw i; chunks run on ``worker_count()`` threads.  A draw
+    whose ``add`` raises NumericalError (a Matern evaluation out of its
+    numerical domain; ``add`` must not have touched ``acc``) is skipped, and
+    more than ``max_skip_fraction`` of them raises NumericalError.  Returns
+    (accumulators in order, draws used).
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -270,32 +315,29 @@ def prior_monte_carlo(design: DesignMatrix, draw_hypers, n_draws: int, seed, sta
     def run_chunk(first):
         acc, failed = start(), 0
         for rng in rngs[first:first + chunk]:
-            hypers = draw_hypers(rng)
-            try:  # the module attribute, so a wrapper on it sees every draw
-                prior_cov = prior_cov_psi(design, hypers, policy)
+            try:
+                add(acc, *draw_hypers(rng))
             except NumericalError:
                 failed += 1
-                continue
-            add(acc, prior_cov, rng)
         return acc, failed
 
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         results = list(pool.map(run_chunk, range(0, n_draws, chunk)))
     failed = sum(bad for _, bad in results)
     if failed > max_skip_fraction * n_draws:
-        raise NumericalError(
-            f"{failed}/{n_draws} prior draws failed PD certification (> {max_skip_fraction:.0%})")
+        raise NumericalError(f"{failed}/{n_draws} prior draws failed: the Matern evaluation "
+                             f"left its numerical domain (> {max_skip_fraction:.0%})")
     return [acc for acc, _ in results], n_draws - failed
 
 
 def estimate_prior_correlation(design: DesignMatrix, draw_hypers, n_mc: int, seed,
-                               policy: JitterPolicy = DEFAULT_JITTER,
                                max_skip_fraction: float = 0.01) -> np.ndarray:
     """Monte Carlo estimate of the prior correlation matrix of the effects.
 
     For each of ``n_mc`` draws (at least 1000, through ``prior_monte_carlo``)
-    hyperparameters come from ``draw_hypers(rng)``, the induced covariance
-    P W P^T is converted to a correlation matrix, and the entrywise average
+    the per-strand hyperparameter arrays come from ``draw_hypers(rng)``, the
+    induced covariance P W P^T is assembled (never factored) and converted
+    to a correlation matrix, clipped to [-1, 1], and the entrywise average
     over draws is returned (correlations, not covariances, are averaged: the
     group-formation threshold works on the correlation scale and the draws
     have heterogeneous variances).  The average is kept on the packed blocks
@@ -307,16 +349,16 @@ def estimate_prior_correlation(design: DesignMatrix, draw_hypers, n_mc: int, see
     index = design.covariance_index
     rows, cols = _packed_units(index)
 
-    def add(acc, prior_cov, rng):
-        sd = np.sqrt(prior_cov.packed[index.unit_diag])
-        corr = prior_cov.packed / (sd[rows] * sd[cols])
+    def add(acc, varrho2s, nus, rhos):
+        packed = assemble_blocks(index, varrho2s, nus, rhos)
+        sd = np.sqrt(packed[index.unit_diag])
+        corr = packed / (sd[rows] * sd[cols])
         corr[index.unit_diag] = 1.0
         acc += np.clip(corr, -1.0, 1.0)
 
-    chunks, certified = prior_monte_carlo(design, draw_hypers, n_mc, seed,
-                                          lambda: np.zeros(index.packed_size), add,
-                                          policy, max_skip_fraction)
+    chunks, used = prior_monte_carlo(draw_hypers, n_mc, seed, lambda: np.zeros(index.packed_size),
+                                     add, max_skip_fraction)
     corr = np.zeros((index.n_units,) * 2)
-    corr[rows, cols] = sum(chunks) / certified
+    corr[rows, cols] = sum(chunks) / used
     np.fill_diagonal(corr, 1.0)
     return np.clip(corr, -1.0, 1.0)

@@ -18,7 +18,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtr
 
 from .errors import DataError
 from .util import spawn_rngs
@@ -153,6 +152,8 @@ def median_sign_pvalues(z: np.ndarray) -> np.ndarray:
     for comparison only: splitting the composite test on the median's sign
     has no formal justification.
     """
+    from scipy.special import stdtr  # deferred: the default baseline never needs scipy
+
     z = np.asarray(z, dtype=float)
     n, m = z.shape
     if n < 2:

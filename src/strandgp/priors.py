@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtrs
-from scipy.special import gammaln, polygamma
 
 from .data import DesignMatrix
 from .errors import ConfigError, DataError, NumericalError
@@ -34,7 +32,7 @@ from .kernels import (
     factor_blocks,
     hyper_arrays,
     prior_monte_carlo,
-    sample_psi_prior,
+    unit_variances,
 )
 from .tmcmc import TargetModel
 
@@ -126,12 +124,15 @@ def solve_lognormal(mode: float, variance: float) -> tuple[float, float]:
     def gap(t):
         return np.expm1(t) * np.exp(3.0 * t) - ratio
 
-    hi = 1.0
-    while gap(hi) < 0:
-        hi *= 2.0
-        if hi > 1e6:
-            raise ValueError("no lognormal scale solution")
-    t = _bisect(gap, 1e-300, hi)
+    # Past t of about 236 the product overflows to inf, which still brackets
+    # the root: no warning.
+    with np.errstate(over="ignore"):
+        hi = 1.0
+        while gap(hi) < 0:
+            hi *= 2.0
+            if hi > 1e6:
+                raise ValueError("no lognormal scale solution")
+        t = _bisect(gap, 1e-300, hi)
     mu = math.log(mode) + t
     sigma = math.sqrt(t)
     mode_back = math.exp(mu - t)
@@ -171,6 +172,8 @@ def empirical_bayes_delta2(z: np.ndarray) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def log_invgamma_pdf(x, shape: float, scale: float):
+    from scipy.special import gammaln
+
     x = np.asarray(x, dtype=float)
     return shape * math.log(scale) - gammaln(shape) - (shape + 1.0) * np.log(x) - scale / x
 
@@ -286,7 +289,8 @@ class HyperPriorSpec:
 
     # -- draws -------------------------------------------------------------
 
-    def draw_strand_hypers(self, rng) -> list[StrandHyperParams]:
+    def draw_hyper_arrays(self, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One draw of the per-strand (varrho2, nu, rho) arrays."""
         k = self.n_strands
         a, b = self.varrho2_prior
         base = 1.0 / rng.gamma(a, 1.0 / b, size=k)  # inverse-gamma draws
@@ -296,7 +300,7 @@ class HyperPriorSpec:
         rhos = np.array([
             math.exp(m_ + s_ * rng.standard_normal()) for m_, s_ in self.rho_priors
         ])
-        return [StrandHyperParams(v, n_, r_) for v, n_, r_ in zip(varrho2, nus, rhos)]
+        return varrho2, nus, rhos
 
     def draw_delta2(self, rng) -> float:
         a, b = self.delta2_prior
@@ -326,6 +330,8 @@ class HyperPriorSpec:
 
     def log_scale_sds(self) -> dict:
         """Prior standard deviations of the log-scale parameters (proposal scales)."""
+        from scipy.special import polygamma
+
         a, _ = self.varrho2_prior
         sd_log_ig = math.sqrt(float(polygamma(1, a)))
         sd_varrho2 = 2.0 * sd_log_ig if self.varrho_prior_on == "varrho" else sd_log_ig
@@ -431,16 +437,21 @@ class _PosteriorTarget:
     """The marginalized log posterior of one dataset under one design.
 
     The design's covariance index, the data products and the hyperprior
-    constants are fixed at construction; every call allocates its own work
-    arrays, so concurrent calls are safe.  Called on an unconstrained vector
-    [psi, log varrho2 (k), log nu (k), log rho (k), log delta2] it returns
-    the log target including the log Jacobian of the exponential map (the
-    sum of the vector's tail), or -inf where the posterior is undefined or
-    its covariance fails PD certification.
+    constants are fixed at construction, and so are the LAPACK routines it
+    calls; every call allocates its own work arrays, so concurrent calls are
+    safe.  Called on an unconstrained vector [psi, log varrho2 (k), log nu
+    (k), log rho (k), log delta2] it returns the log target including the
+    log Jacobian of the exponential map (the sum of the vector's tail), or
+    -inf where the posterior is undefined or its covariance fails PD
+    certification.
     """
 
     def __init__(self, z: np.ndarray, design: DesignMatrix, priors: HyperPriorSpec,
                  include_likelihood: bool, policy: JitterPolicy):
+        from scipy.linalg.lapack import dpotrf, dtrtrs
+        from scipy.special import gammaln
+
+        self.dpotrf, self.dtrtrs = dpotrf, dtrtrs
         self.z = np.asarray(z, dtype=float)
         self.n, self.m = self.z.shape
         if self.m != design.n_mirnas:
@@ -505,6 +516,7 @@ class _PosteriorTarget:
         varrho2s, nus, rhos, delta2 = nat[:k], nat[k:2 * k], nat[2 * k:3 * k], nat[-1]
 
         packed = assemble_blocks(index, varrho2s, nus, rhos)
+        dtrtrs = self.dtrtrs
         y = psi[index.unit_order]
         diag = np.empty(self.m)
         for (start, size, _), (chol, _) in zip(index.spans, factor_blocks(index, packed, self.policy)):
@@ -519,7 +531,7 @@ class _PosteriorTarget:
         if self.include_likelihood:
             u = self.z @ psi
             gram = self.zzt - u[:, None] - u[None, :] + psi @ psi
-            bchol, info = dpotrf(self.eye + gram / delta2, lower=1, clean=0)
+            bchol, info = self.dpotrf(self.eye + gram / delta2, lower=1, clean=0)
             if info:
                 raise NumericalError("likelihood Gram matrix lost positive definiteness")
             lp -= (self.dof + self.n) * np.log(bchol.diagonal()).sum()
@@ -605,22 +617,30 @@ def make_posterior_model(z: np.ndarray, design: DesignMatrix, priors: HyperPrior
     )
 
 
-def draw_prior_psi(design: DesignMatrix, priors: HyperPriorSpec, n_draws: int, seed,
-                   policy: JitterPolicy = DEFAULT_JITTER,
-                   max_skip_fraction: float = 0.01) -> np.ndarray:
-    """Effect vectors from the full prior: hyperparameters from their priors,
-    then one effect draw from the induced Gaussian prior per hyper draw.
+def prior_exceedance(design: DesignMatrix, priors: HyperPriorSpec, n_draws: int, seed,
+                     threshold: float = 1.0) -> tuple[np.ndarray, int]:
+    """Prior probability that each unit's effect exceeds ``threshold`` in
+    absolute value, and the number of hyperparameter draws it averages.
 
-    Draw i uses the i-th child stream of ``seed`` for both.  Draws run
-    through ``kernels.prior_monte_carlo``: those whose covariance fails PD
-    certification are skipped, and more than ``max_skip_fraction`` of them
-    is an error.
+    Given the hyperparameters h, psi_i ~ N(0, Sigma_ii(h)), so
+    P(|psi_i| > t | h) = erfc(t / sqrt(2 Sigma_ii(h))) exactly.  Averaging it
+    over hyperparameter draws (draw i on the i-th child stream of ``seed``,
+    through ``kernels.prior_monte_carlo``) is the Rao-Blackwellized
+    frequency of |psi_i| > t among effects drawn from the full prior
+    (Casella & Robert 1996, Biometrika 83).  Nothing is factored, and the
+    Matern covariance is evaluated only for pairs of one unit's loci on one
+    strand (``kernels.unit_variances``).
     """
-    chunks, _ = prior_monte_carlo(
-        design, priors.draw_strand_hypers, n_draws, seed, list,
-        lambda rows, prior_cov, rng: rows.extend(sample_psi_prior(prior_cov, 1, rng)),
-        policy, max_skip_fraction)
-    return np.array([row for rows in chunks for row in rows])
+    from scipy.special import erfc
+
+    index = design.covariance_index
+
+    def add(acc, varrho2s, nus, rhos):
+        acc += erfc(threshold / np.sqrt(2.0 * unit_variances(index, varrho2s, nus, rhos)))
+
+    chunks, used = prior_monte_carlo(priors.draw_hyper_arrays, n_draws, seed,
+                                     lambda: np.zeros(index.n_units), add)
+    return sum(chunks) / used, used
 
 
 def psi_draws(draws: np.ndarray, m: int) -> np.ndarray:

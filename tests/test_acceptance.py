@@ -543,7 +543,7 @@ def test_criterion_9_study_reproduction():
         load_expression,
     )
     from strandgp.decisions import build_decision_report
-    from strandgp.priors import draw_prior_psi, psi_draws
+    from strandgp.priors import prior_exceedance, psi_draws
 
     start = time.perf_counter()
     dataset = load_expression(os.environ[STUDY_ENV["case"]],
@@ -565,15 +565,15 @@ def test_criterion_9_study_reproduction():
         model = make_posterior_model(dataset.z, design, priors)
         cfg = SamplerConfig(n_iterations=iterations, burn_in=burn_in, thin=thin, seed=seed)
         samples = run_chain(model, cfg)
-        correlation = estimate_prior_correlation(design, priors.draw_strand_hypers,
+        correlation = estimate_prior_correlation(design, priors.draw_hyper_arrays,
                                                  n_mc=2000, seed=seed + 1)
         groups = form_groups(correlation)
         draws = psi_draws(samples.draws, dataset.n_mirnas)
         calibration = calibrate_beta(hypothesis_indicators(draws), groups,
                                      target_fdr=0.10, tol=0.005, seed=seed)
-        prior_psi = draw_prior_psi(design, priors, 4000, seed + 2)
+        prior_probs, n_prior = prior_exceedance(design, priors, 4000, seed + 2)
         return build_decision_report(dataset.mirna_names, draws, calibration,
-                                     groups, prior_psi)
+                                     groups, prior_probs, n_prior)
 
     report_main = run_variant("varrho2", "natural", seed=0)
     name_to_idx = {n: i for i, n in enumerate(report_main.mirna_names)}

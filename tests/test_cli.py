@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -96,6 +97,7 @@ class TestRunConfig:
         ("testing", "component_enum_limit", "2.5"),
         ("testing", "prior_psi_draws", "0"),
         ("testing", "prior_correlation_draws", "-3"),
+        ("testing", "prior_correlation_draws", "999"),
         ("testing", "target_fdr", "tenth"),
         ("priors", "varrho2_mode", "0"),
         ("priors", "varrho2_variance", "-1"),
@@ -270,6 +272,7 @@ class TestPipeline:
 
 def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
     report = "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])"
+    report_any = "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
@@ -278,8 +281,10 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
                                 text=True, env=env, check=True, timeout=300)
         return result.stdout.strip().splitlines()[-1]
 
-    assert last_line("import sys, strandgp.cli; " + report) == "[]"
-    # Nor do cv and the median-sign baseline load them while they run.
+    # Importing the command line loads no scipy module at all.
+    assert last_line("import sys, strandgp.cli; " + report_any) == "[]"
+    # Nor do cv and the median-sign baseline load scipy.stats or
+    # scipy.optimize while they run.
     data_dir = tmp_path / "data"
     assert main(["simulate", "--out", str(data_dir), "--m", "6", "--n", "5",
                  "--strands", "2", "--seed", "0"]) == 0
@@ -295,6 +300,50 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
     assert last_line(code, str(config)) == "[0, 0] []"
     assert (tmp_path / "out" / "cv_summary.json").exists()
     assert (tmp_path / "out" / "lrbh.csv").exists()
+    # The default baseline and report load no scipy module.
+    config = write_config(tmp_path / "default.ini", data_dir, tmp_path / "out2")
+    assert main(["fit", "--config", config]) == 0
+    assert main(["test", "--config", config]) == 0
+    code = ("import sys; from strandgp.cli import main; "
+            "codes = [main(['lrbh', '--config', sys.argv[1]]), "
+            "main(['report', '--config', sys.argv[1]])]; print(codes, end=' '); " + report_any)
+    assert last_line(code, config) == "[0, 0] []"
+    assert (tmp_path / "out2" / "comparison.csv").exists()
+
+
+def test_test_command_runs_at_study_shape_under_default_priors(tmp_path):
+    # 522 units, 18 patients, 46 strands, default [priors] and [testing]:
+    # the prior step factors nothing, so no draw can fail certification.
+    # The stored chain is synthetic: effects around each unit's column mean.
+    data_dir = tmp_path / "data"
+    assert main(["simulate", "--out", str(data_dir), "--m", "522", "--n", "18",
+                 "--strands", "46", "--seed", "1"]) == 0
+    config = tmp_path / "run.ini"
+    config.write_text(f"""
+[data]
+case = {data_dir}/case.csv
+control = {data_dir}/control.csv
+annotation = {data_dir}/annotation.csv
+output_dir = {tmp_path}/out
+""")
+    names = (data_dir / "case.csv").read_text().splitlines()[0].split(",")[1:]
+    z = (np.loadtxt(data_dir / "case.csv", delimiter=",", skiprows=1, usecols=range(1, 523))
+         - np.loadtxt(data_dir / "control.csv", delimiter=",", skiprows=1, usecols=range(1, 523)))
+    rng = np.random.default_rng(0)
+    draws = np.zeros((400, 522 + 3 * 46 + 1))
+    draws[:, :522] = z.mean(axis=0) + z.std(axis=0, ddof=1) / np.sqrt(18) * rng.standard_normal((400, 522))
+    os.makedirs(tmp_path / "out")
+    write_samples(tmp_path / "out" / "samples.bin", PosteriorSamples(
+        draws=draws, names=[f"psi:{n}" for n in names] + [f"x{i}" for i in range(3 * 46 + 1)],
+        acceptance_rate=0.3, scales=np.ones(draws.shape[1]),
+        config=SamplerConfig(n_iterations=400, seed=0), block_info=[], meta={"m": 522, "k": 46}))
+    assert main(["test", "--config", str(config)]) == 0
+    correlation = np.loadtxt(tmp_path / "out" / "prior_correlation.csv", delimiter=",", skiprows=1)
+    assert correlation.shape == (522, 522)
+    with open(tmp_path / "out" / "decisions.csv", encoding="utf-8") as fh:
+        rows = fh.read().strip().splitlines()[1:]
+    assert len(rows) == 522
+    assert all(0.0 < float(row.split(",")[6]) < math.inf for row in rows)
 
 
 class TestExitCodes:

@@ -407,7 +407,8 @@ class TestDecisionReport:
         groups = GroupStructure.singletons(m)
         calibration = calibrate_beta(indicators, groups)
         names = [f"mir-{i}" for i in range(m)]
-        return build_decision_report(names, psi_draws, calibration, groups, prior_draws)
+        prior_probs = marginal_probs(hypothesis_indicators(prior_draws))
+        return build_decision_report(names, psi_draws, calibration, groups, prior_probs, 800)
 
     def test_directions_follow_sign_convention(self, tmp_path):
         report = self.build(tmp_path)

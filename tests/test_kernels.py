@@ -15,7 +15,7 @@ from strandgp import (
 )
 from strandgp.data import GenomeAnnotation, StrandRecord
 from strandgp import kernels
-from strandgp.kernels import matern_correlation
+from strandgp.kernels import assemble_blocks, hyper_arrays, matern_correlation, unit_variances
 from strandgp.util import spawn_rngs
 
 mp.mp.dps = 50
@@ -95,13 +95,10 @@ def jitter_design():
 
 def draw_jittery(rng):
     """Hyperparameters under which about a fifth of the jitter design's
-    draws need jitter."""
+    draws are not numerically positive definite (need jitter to factor)."""
     return [StrandHyperParams(float(1.0 / rng.gamma(3.0, 1.0)), float(np.exp(rng.normal(1.5, 0.5))),
                               float(np.exp(rng.normal(6.0, 2.0)))),
             StrandHyperParams(2.0, 1.0, 500.0), StrandHyperParams(1.0, 0.7, 200.0)]
-
-
-NO_JITTER = JitterPolicy(maximum=0.0)  # rejects any block that needs jitter
 
 
 def random_hypers(rng, k):
@@ -323,6 +320,21 @@ class TestCovarianceIndex:
             np.testing.assert_allclose(pc.psi_cov, dense_congruence(design, hypers),
                                        rtol=1e-15, atol=0.0)
 
+    def test_unit_variances_are_the_assembled_diagonal(self):
+        # Bit for bit, with and without units that have two loci on one strand.
+        rng = np.random.default_rng(13)
+        same_strand = build_design_matrix(make_annotation([
+            ("Chr1+", 1e3, [("a", 10.0), ("b", 200.0), ("a", 450.0), ("a", 460.0), ("c", 700.0)]),
+            ("Chr2+", 1e3, [("c", 50.0), ("d", 300.0), ("c", 301.0)]),
+        ]), ["a", "b", "c", "d"])
+        assert same_strand.covariance_index.same_unit_pairs.size == 4
+        for design in (same_strand, random_design(rng, n_strands=6, singles=2, shared=3)):
+            index = design.covariance_index
+            for _ in range(5):
+                arrays = hyper_arrays(random_hypers(rng, design.n_strands))
+                np.testing.assert_array_equal(unit_variances(index, *arrays),
+                                              assemble_blocks(index, *arrays)[index.unit_diag])
+
     def test_components_match_graph_search(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
@@ -399,7 +411,8 @@ class TestCovarianceIndex:
     def test_block_that_needs_jitter_is_factored_once_per_level(self, monkeypatch):
         # Each component is factored once without jitter; a rejected block
         # then escalates from the policy's initial jitter, one factorization
-        # per level, with no second unjittered attempt.
+        # per level, with no second unjittered attempt.  LAPACK dpotrf makes
+        # every attempt, so numpy's Cholesky never decides.
         ann = make_annotation([
             ("Chr1+", 2e3, [("a0", 1000.0), ("a1", 1000.0 + 1e-9), ("a2", 1000.0 + 2e-9)]),
             ("Chr2+", 2e3, [("b0", 100.0), ("b1", 900.0)]),
@@ -414,13 +427,14 @@ class TestCovarianceIndex:
                 return fn(*args, **kwargs)
             return call
 
-        monkeypatch.setattr(kernels, "dpotrf", counted("dpotrf", kernels.dpotrf))
+        dpotrf, gammaln, kv = kernels._scipy()
+        monkeypatch.setattr(kernels, "_scipy", lambda: (counted("dpotrf", dpotrf), gammaln, kv))
         monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
         pc = prior_cov_psi(design, hypers)
         monkeypatch.undo()
         levels = np.log2(pc.jitter_used / (2.0 * JitterPolicy().initial)) + 1
         assert levels == round(levels) >= 1
-        assert calls == {"dpotrf": 2, "cholesky": round(levels)}
+        assert calls == {"dpotrf": 2 + round(levels), "cholesky": 0}
 
 
 class TestPriorDraws:
@@ -459,9 +473,21 @@ class TestPriorDraws:
             np.testing.assert_array_equal(draws[:, units], normals[:, units] @ chol.T)
 
 
+def draw_nan_smoothness(draw, fraction):
+    """``draw`` (per-strand arrays), but with a NaN smoothness on every strand
+    where the next uniform of the draw's stream is below ``fraction``: the
+    Matern evaluation of such a draw leaves its numerical domain."""
+    def flaky(rng):
+        varrho2s, nus, rhos = draw(rng)
+        if rng.random() < fraction:
+            nus = np.full_like(nus, np.nan)
+        return varrho2s, nus, rhos
+    return flaky
+
+
 class TestEstimatePriorCorrelation:
     def fixed_draw(self, hypers):
-        return lambda rng: hypers
+        return lambda rng: hyper_arrays(hypers)
 
     def test_cross_strand_correlation_is_zero(self):
         ann = make_annotation([
@@ -502,8 +528,8 @@ class TestEstimatePriorCorrelation:
         design = build_design_matrix(ann, ["a", "b", "c"])
 
         def draw(rng):
-            return [StrandHyperParams(float(1.0 / rng.gamma(3.0, 1.0)), 1.0,
-                                      float(np.exp(rng.normal(4.0, 0.5))))]
+            return (np.array([1.0 / rng.gamma(3.0, 1.0)]), np.array([1.0]),
+                    np.array([np.exp(rng.normal(4.0, 0.5))]))
 
         first = estimate_prior_correlation(design, draw, 1200, seed=42)
         monkeypatch.setenv("STRANDGP_THREADS", "4")
@@ -512,42 +538,51 @@ class TestEstimatePriorCorrelation:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_equals_dense_reference(self, monkeypatch, threads):
+        # The reference is the unjittered dense P W P^T of every draw, those
+        # that are not numerically positive definite included.
         design = jitter_design()
         n_mc, chunk = 1100, 256
-        total, jittered = np.zeros((design.n_mirnas,) * 2), 0
+        total, not_pd = np.zeros((design.n_mirnas,) * 2), 0
         for first in range(0, n_mc, chunk):
             acc = np.zeros_like(total)
             for rng in spawn_rngs(5, n_mc)[first:first + chunk]:
-                pc = prior_cov_psi(design, draw_jittery(rng))
-                jittered += pc.jitter_used > 0.0
-                sd = np.sqrt(np.diag(pc.psi_cov))
-                corr = pc.psi_cov / np.outer(sd, sd)
+                cov = dense_congruence(design, draw_jittery(rng))
+                try:
+                    np.linalg.cholesky(cov)
+                except np.linalg.LinAlgError:
+                    not_pd += 1
+                sd = np.sqrt(np.diag(cov))
+                corr = cov / np.outer(sd, sd)
                 np.fill_diagonal(corr, 1.0)
                 acc += np.clip(corr, -1.0, 1.0)
             total += acc
         expected = total / n_mc
         np.fill_diagonal(expected, 1.0)
         expected = np.clip(expected, -1.0, 1.0)
-        assert 0 < jittered < n_mc
+        assert 0 < not_pd < n_mc
         monkeypatch.setenv("STRANDGP_THREADS", threads)
-        got = estimate_prior_correlation(design, draw_jittery, n_mc, seed=5)
+        got = estimate_prior_correlation(design, lambda rng: hyper_arrays(draw_jittery(rng)),
+                                         n_mc, seed=5)
         np.testing.assert_array_equal(got, expected)
 
     def test_skip_limit(self):
+        # A draw whose Matern evaluation leaves its numerical domain is
+        # skipped; more than the allowed fraction of them is an error.
         design = jitter_design()
         n_mc = 1024  # a power of two, so fraction * n_mc is exact
+        draw = draw_nan_smoothness(lambda rng: hyper_arrays(draw_jittery(rng)), 0.02)
         failed = 0
         for rng in spawn_rngs(3, n_mc):
             try:
-                prior_cov_psi(design, draw_jittery(rng), NO_JITTER)
+                assemble_blocks(design.covariance_index, *draw(rng))
             except NumericalError:
                 failed += 1
         assert failed > 0
-        corr = estimate_prior_correlation(design, draw_jittery, n_mc, seed=3, policy=NO_JITTER,
+        corr = estimate_prior_correlation(design, draw, n_mc, seed=3,
                                           max_skip_fraction=failed / n_mc)
         assert np.all(np.isfinite(corr))
         with pytest.raises(NumericalError, match=f"{failed}/{n_mc} prior draws failed"):
-            estimate_prior_correlation(design, draw_jittery, n_mc, seed=3, policy=NO_JITTER,
+            estimate_prior_correlation(design, draw, n_mc, seed=3,
                                        max_skip_fraction=(failed - 1) / n_mc)
 
 

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,17 +10,17 @@ from strandgp import (
     ConfigError,
     DataError,
     HyperPriorSpec,
-    JitterPolicy,
     ModelState,
     NumericalError,
     StrandHyperParams,
     build_design_matrix,
-    draw_prior_psi,
     empirical_bayes_delta2,
     log_posterior,
     make_posterior_model,
     matern_cov,
     prior_cov_psi,
+    prior_exceedance,
+    sample_psi_prior,
     simulate_dataset,
     solve_ig,
     solve_lognormal,
@@ -94,6 +95,14 @@ class TestSolveLognormal:
     def test_unsolvable_extreme_pair_is_value_error(self, mode, variance):
         with pytest.raises(ValueError, match="solve_lognormal cannot solve"):
             solve_lognormal(mode, variance)
+
+    def test_brackets_a_huge_variance_without_warnings(self):
+        # The bracket search passes t where e^{3t} overflows; that must not warn.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mu, sigma = solve_lognormal(1.0, 1e300)
+        assert mu == pytest.approx(sigma**2, rel=1e-12)
+        assert np.expm1(sigma**2) * math.exp(3 * sigma**2) == pytest.approx(1e300, rel=1e-8)
 
     def test_genome_scale_mode(self):
         mu, sigma = solve_lognormal(1e8, 1000.0)
@@ -190,7 +199,7 @@ class TestHyperPriorSpec:
         z = np.random.default_rng(0).normal(size=(6, 2))
         priors = make_priors(design, z)
         rng = np.random.default_rng(123)
-        varrho2 = np.array([priors.draw_strand_hypers(rng)[0].varrho2 for _ in range(4000)])
+        varrho2 = np.array([priors.draw_hyper_arrays(rng)[0][0] for _ in range(4000)])
         a, b = priors.varrho2_prior
         ks = stats.ks_1samp(varrho2, stats.invgamma(a, scale=b).cdf)
         assert ks.statistic < 0.03
@@ -423,41 +432,88 @@ class TestLogPosterior:
         assert state.delta2 == pytest.approx(priors.mean_delta2(), rel=1e-12)
 
 
-class TestDrawPriorPsi:
-    """Prior effect draws over a design whose first component (four loci a
-    few bases apart) needs jitter on about a fifth of the draws."""
+class NanSmoothness:
+    """``priors``' hyperparameter draws, with a NaN smoothness on every strand
+    where the next uniform of the draw's stream is below ``cut``."""
+
+    def __init__(self, priors, cut):
+        self.priors, self.cut = priors, cut
+
+    def draw_hyper_arrays(self, rng):
+        varrho2s, nus, rhos = self.priors.draw_hyper_arrays(rng)
+        if rng.random() < self.cut:
+            nus = np.full_like(nus, np.nan)
+        return varrho2s, nus, rhos
+
+
+class TestPriorExceedance:
+    """Prior probabilities of |psi| > t over a design where unit ``a`` has
+    two loci on Chr1+, 400 bases apart, and a third on Chr2+; its variance
+    carries twice their Matern covariance."""
 
     def setup_method(self):
         self.design = make_design([
-            ("Chr1+", 2e3, [("a0", 1000.0), ("a1", 1001.0), ("a2", 1002.0), ("a3", 1010.0)]),
-            ("Chr2+", 2e3, [("b0", 100.0), ("b1", 900.0)]),
-            ("Chr3+", 2e3, [("c0", 40.0), ("b1", 300.0)]),
-        ], ["b0", "a0", "c0", "a1", "a2", "b1", "a3"])
-        self.priors = HyperPriorSpec(varrho2_prior=(3.0, 1.0), nu_prior=(1.5, 0.5),
-                                     rho_priors=((6.0, 2.0), (6.0, 0.1), (5.0, 0.1)),
-                                     delta2_prior=(3.0, 2.0), dof=10)
+            ("Chr1+", 2e3, [("a", 100.0), ("b", 400.0), ("a", 500.0)]),
+            ("Chr2+", 2e3, [("a", 50.0), ("c", 900.0)]),
+        ], ["a", "b", "c"])
+        self.priors = HyperPriorSpec(varrho2_prior=(3.0, 1.0), nu_prior=(0.3, 0.4),
+                                     rho_priors=((6.5, 0.5), (6.0, 0.5)),
+                                     delta2_prior=(3.0, 2.0), dof=6)
+
+    def test_matches_the_frequency_among_prior_effect_draws(self):
+        # Effects drawn from the certified prior covariance of the same
+        # hyperparameter draws: given those, the frequency of |psi| > 1 has
+        # variance sum_h p_h (1 - p_h) / (k n^2), p_h the exact tail.
+        n, k = 2000, 20
+        hits, var, locus_only = np.zeros(3), np.zeros(3), 0.0
+        for rng in spawn_rngs(7, n):
+            varrho2s, nus, rhos = self.priors.draw_hyper_arrays(rng)
+            pc = prior_cov_psi(self.design, [StrandHyperParams(*h) for h in zip(varrho2s, nus, rhos)])
+            assert pc.jitter_used == 0.0
+            hits += (np.abs(sample_psi_prior(pc, k, rng)) > 1.0).sum(axis=0)
+            p_h = 2.0 * stats.norm.cdf(-1.0 / np.sqrt(np.diag(pc.psi_cov)))
+            var += p_h * (1.0 - p_h)
+            locus_only += 2.0 * stats.norm.cdf(-1.0 / math.sqrt(2 * varrho2s[0] + varrho2s[1]))
+        frequency, se = hits / (n * k), np.sqrt(var / k) / n
+        probs, used = prior_exceedance(self.design, self.priors, n, seed=7)
+        assert used == n
+        assert np.all(np.abs(probs - frequency) < 4.0 * se)
+        # Without its own pair's covariance, unit a's estimate would miss.
+        assert abs(locus_only / n - frequency[0]) > 4.0 * se[0]
+
+    def test_single_locus_is_twice_the_normal_tail(self):
+        # One locus: sigma^2 = varrho2, so each draw gives 2 Phi(-t / sigma).
+        design = single_locus_design()
+        priors = HyperPriorSpec(varrho2_prior=(3.0, 1.0), nu_prior=(0.0, 1.0),
+                                rho_priors=((4.0, 1.0),), delta2_prior=(3.0, 2.0), dof=4)
+        sigmas = np.sqrt([priors.draw_hyper_arrays(rng)[0][0] for rng in spawn_rngs(2, 300)])
+        for t in (1.0, 2.5):
+            probs, used = prior_exceedance(design, priors, 300, seed=2, threshold=t)
+            assert used == 300
+            assert probs[0] == pytest.approx(np.mean(2.0 * stats.norm.cdf(-t / sigmas)), rel=1e-13)
+        probs, _ = prior_exceedance(design, priors, 1, seed=2)
+        assert probs[0] == pytest.approx(2.0 * stats.norm.cdf(-1.0 / sigmas[0]), rel=1e-14)
 
     def test_bit_identical_across_thread_counts(self, monkeypatch):
         monkeypatch.setenv("STRANDGP_THREADS", "1")
-        serial = draw_prior_psi(self.design, self.priors, 600, seed=9)
+        serial = prior_exceedance(self.design, self.priors, 600, seed=9)
         monkeypatch.setenv("STRANDGP_THREADS", "2")
-        threaded = draw_prior_psi(self.design, self.priors, 600, seed=9)
-        assert serial.shape == (600, 7)
-        np.testing.assert_array_equal(serial, threaded)
+        threaded = prior_exceedance(self.design, self.priors, 600, seed=9)
+        assert serial[1] == threaded[1] == 600
+        np.testing.assert_array_equal(serial[0], threaded[0])
 
     def test_skip_limit(self):
-        n_draws = 512  # a power of two, so fraction * n_draws is exact
-        no_jitter = JitterPolicy(maximum=0.0)
-        failed = 0
+        # A draw whose Matern evaluation leaves its numerical domain (here a
+        # NaN smoothness on unit a's own pair) is skipped; 1% may be.
+        n_draws = 1000
+        uniforms = []
         for rng in spawn_rngs(4, n_draws):
-            try:
-                prior_cov_psi(self.design, self.priors.draw_strand_hypers(rng), no_jitter)
-            except NumericalError:
-                failed += 1
-        assert failed > 0
-        draws = draw_prior_psi(self.design, self.priors, n_draws, seed=4, policy=no_jitter,
-                               max_skip_fraction=failed / n_draws)
-        assert draws.shape == (n_draws - failed, 7)
-        with pytest.raises(NumericalError, match=f"{failed}/{n_draws} prior draws failed"):
-            draw_prior_psi(self.design, self.priors, n_draws, seed=4, policy=no_jitter,
-                           max_skip_fraction=(failed - 1) / n_draws)
+            self.priors.draw_hyper_arrays(rng)
+            uniforms.append(rng.random())
+        cut = np.sort(uniforms)[10]  # ten draws fall below it
+        probs, used = prior_exceedance(self.design, NanSmoothness(self.priors, cut), n_draws, seed=4)
+        assert used == n_draws - 10
+        assert np.all((probs > 0.0) & (probs < 1.0))
+        with pytest.raises(NumericalError, match=f"11/{n_draws} prior draws failed"):
+            prior_exceedance(self.design, NanSmoothness(self.priors, np.nextafter(cut, 1.0)),
+                             n_draws, seed=4)
