@@ -4,12 +4,16 @@ bootstrap p-values and Benjamini-Hochberg step-up adjustment.
 Each unit's differential observations are modeled as iid normal.  The null
 constrains the mean to [-1, 1]; the test statistic is the likelihood ratio
 
-    zeta = (sigma_hat^2 / sigma0_hat^2)^(n/2),
+    zeta = (sigma_hat^2 / sigma0_hat^2)^(n/2) = (v / (v + g^2))^(n/2),
 
-with biased (1/n) variance MLEs and the constrained mean clamped to the
-interval.  The null distribution has no closed form, so p-values come from
-a parametric bootstrap at the constrained MLE.  A sign-based one-sided
-t-test variant is kept behind a flag for comparison runs.
+with biased (1/n) variance MLEs v = sigma_hat^2 and sigma0_hat^2 = v + g^2,
+where g is the gap between the sample mean and the interval.  zeta is a
+function of the sufficient statistics (mean, v) alone, and a mean inside
+the interval gives exactly zeta = 1.  The null distribution has no closed
+form, so p-values come from a parametric bootstrap at a null point; each
+replicate draws its mean and variance directly, which is exact in
+distribution (see ``bootstrap_pvalue``).  A sign-based one-sided t-test
+variant is kept behind a flag for comparison runs.
 """
 
 from __future__ import annotations
@@ -35,38 +39,48 @@ class LrResult:
     n: int
 
 
+def _zeta(mean, var, n: int):
+    """Likelihood ratio (var / (var + gap^2))^(n/2) from the sample mean and
+    the biased variance; gap = mean - clip(mean, -1, 1), so a mean inside
+    the interval gives exactly 1.  Works elementwise on arrays."""
+    gap = mean - np.clip(mean, -1.0, 1.0)
+    return (var / (var + gap * gap)) ** (n / 2.0)
+
+
 def lr_stat(z_col) -> LrResult:
     """Likelihood-ratio statistic for one unit's observations.
 
     Args:
-        z_col: at least two observations with positive sample variance.
+        z_col: at least two finite observations with positive sample
+            variance.
 
     Raises:
-        DataError: fewer than two observations or zero variance.
+        DataError: fewer than two observations, a non-finite observation
+            or zero variance.
     """
     z = np.asarray(z_col, dtype=float).ravel()
     n = z.size
     if n < 2:
         raise DataError("need at least two observations")
+    if not np.isfinite(z).all():
+        raise DataError("non-finite observation")
     mean = float(z.mean())
     var = float(np.mean((z - mean) ** 2))
     if var <= 0.0:
         raise DataError("zero sample variance")
     c_mean = float(np.clip(mean, -1.0, 1.0))
-    c_var = float(np.mean((z - c_mean) ** 2))
-    zeta = (var / c_var) ** (n / 2.0)
-    return LrResult(zeta=zeta, constrained_mean=c_mean, constrained_var=c_var,
-                    mean=mean, var=var, n=n)
+    return LrResult(zeta=float(_zeta(mean, var, n)), constrained_mean=c_mean,
+                    constrained_var=var + (mean - c_mean) ** 2, mean=mean, var=var, n=n)
 
 
-def _zeta_batch(samples: np.ndarray) -> np.ndarray:
-    """Vectorized zeta over rows of a (replicates x n) matrix."""
-    n = samples.shape[1]
-    means = samples.mean(axis=1)
-    var = np.mean((samples - means[:, None]) ** 2, axis=1)
-    c_means = np.clip(means, -1.0, 1.0)
-    c_var = np.mean((samples - c_means[:, None]) ** 2, axis=1)
-    return (var / c_var) ** (n / 2.0)
+def _replicate_zetas(center: float, spread2: float, n: int, n_boot: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """zeta of ``n_boot`` samples of n iid N(center, spread2) observations,
+    drawn from their sufficient statistics (see ``bootstrap_pvalue``): all
+    the means first, then all the variances."""
+    means = center + np.sqrt(spread2 / n) * rng.standard_normal(n_boot)
+    var = spread2 * 2.0 * rng.standard_gamma((n - 1) / 2.0, n_boot) / n
+    return _zeta(means, var, n)
 
 
 def bootstrap_pvalue(z_col, n_boot: int = 10000, seed=0, result: LrResult | None = None,
@@ -97,29 +111,39 @@ def bootstrap_pvalue(z_col, n_boot: int = 10000, seed=0, result: LrResult | None
     but never anti-conservative.  All variants are strictly positive and
     deterministic given the seed (the randomization draw comes from the
     same stream, after the replicates).
+
+    Each of the B replicates draws the two sufficient statistics of n iid
+    normal observations at the null point, not the observations: the mean
+    from N(center, s^2/n) and the biased variance from s^2 chi^2_{n-1} / n,
+    independent by Cochran's theorem.  zeta depends on a sample only
+    through these two, so the replicates have exactly the distribution of
+    zeta over full samples, at two random numbers per replicate instead
+    of n.
+
+    Raises:
+        ValueError: an unknown tie rule or null point, whatever ``n_boot``.
     """
+    if ties not in ("conservative", "randomized"):
+        raise ValueError(f"unknown tie rule {ties!r} (expected 'conservative' or 'randomized')")
+    if null_point not in ("mle", "boundary"):
+        raise ValueError(f"unknown null point {null_point!r} (expected 'mle' or 'boundary')")
     if result is None:
         result = lr_stat(z_col)
     if n_boot <= 0:
         return 1.0
     if null_point == "mle":
         center, spread2 = result.constrained_mean, result.constrained_var
-    elif null_point == "boundary":
+    else:
         center = 1.0 if result.mean >= 0 else -1.0
         spread2 = result.var + (result.mean - center) ** 2
-    else:
-        raise ValueError(f"unknown null point {null_point!r} (expected 'mle' or 'boundary')")
     rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
-    samples = center + np.sqrt(spread2) * rng.standard_normal((n_boot, result.n))
-    zetas = _zeta_batch(samples)
+    zetas = _replicate_zetas(center, spread2, result.n, n_boot, rng)
     below = int(np.count_nonzero(zetas < result.zeta))
     equal = int(np.count_nonzero(zetas == result.zeta))
     if ties == "conservative":
         return float((1.0 + below + equal) / (n_boot + 1.0))
-    if ties == "randomized":
-        u = rng.random()
-        return float((below + u * (1.0 + equal)) / (n_boot + 1.0))
-    raise ValueError(f"unknown tie rule {ties!r} (expected 'conservative' or 'randomized')")
+    u = rng.random()
+    return float((below + u * (1.0 + equal)) / (n_boot + 1.0))
 
 
 def bh_adjust(p_values, q: float = 0.10) -> np.ndarray:

@@ -13,7 +13,43 @@ from strandgp import (
     lr_stat,
     run_baseline,
 )
-from strandgp.lrbh import median_sign_pvalues
+from strandgp.lrbh import _replicate_zetas, median_sign_pvalues
+
+
+def _exact_lower_tail(z):
+    """P(zeta* <= zeta_obs) at the null point nearest the observed mean, for
+    zeta_obs < 1, by quadrature over the replicate mean: zeta* <= zeta_obs
+    iff |mean*| > 1 and n v* / s^2 <= n g^2 r / ((1 - r) s^2), with
+    r = zeta_obs^(2/n), g the replicate mean's gap to the interval and
+    n v* / s^2 ~ chi^2_{n-1}."""
+    from scipy import integrate
+
+    z = np.asarray(z, dtype=float)
+    n = z.size
+    mean, var = z.mean(), np.mean((z - z.mean()) ** 2)
+    center = float(np.clip(mean, -1.0, 1.0))
+    s2 = var + (mean - center) ** 2
+    r = lr_stat(z).zeta ** (2.0 / n)
+    assert r < 1.0
+
+    def integrand(x):
+        g = x - np.clip(x, -1.0, 1.0)
+        return (stats.norm.pdf(x, center, math.sqrt(s2 / n))
+                * stats.chi2.cdf(n * g * g * r / ((1.0 - r) * s2), n - 1))
+
+    lower = integrate.quad(integrand, -np.inf, -1.0, epsabs=1e-12)[0]
+    upper = integrate.quad(integrand, 1.0, np.inf, epsabs=1e-12)[0]
+    return lower + upper
+
+
+def _full_sample_zetas(center, spread2, n, n_boot, rng):
+    """zeta over rows of a (replicates x n) matrix of N(center, spread2)
+    observations, from the constrained and unconstrained variance MLEs."""
+    samples = center + math.sqrt(spread2) * rng.standard_normal((n_boot, n))
+    means = samples.mean(axis=1)
+    var = np.mean((samples - means[:, None]) ** 2, axis=1)
+    c_var = np.mean((samples - np.clip(means, -1.0, 1.0)[:, None]) ** 2, axis=1)
+    return (var / c_var) ** (n / 2.0)
 
 
 class TestLrStat:
@@ -83,7 +119,7 @@ class TestBootstrapPvalue:
         # Determinism contract plus a value frozen from the first verified run.
         z = np.array([2.1, 1.4, 3.3, 0.2, 2.7])
         p = bootstrap_pvalue(z, n_boot=5000, seed=12345)
-        assert p == 0.08678264347130574
+        assert p == 0.08098380323935213
         assert bootstrap_pvalue(z, n_boot=5000, seed=12345) == p
 
     def test_monotone_in_shifted_mean_with_common_randoms(self):
@@ -99,7 +135,8 @@ class TestBootstrapPvalue:
         pvals = []
         for _ in range(120):
             z = rng.normal(1.0, 1.0, size=12)
-            pvals.append(bootstrap_pvalue(z, n_boot=400, seed=rng, ties="randomized"))
+            pvals.append(bootstrap_pvalue(z, n_boot=400, seed=rng, ties="randomized",
+                                          null_point="boundary"))
         ks = stats.kstest(pvals, "uniform")
         assert ks.statistic < 0.15
 
@@ -118,6 +155,39 @@ class TestBootstrapPvalue:
     def test_tie_rule_validation(self):
         with pytest.raises(ValueError):
             bootstrap_pvalue([0.0, 1.0, 2.0], n_boot=10, seed=0, ties="bogus")
+        with pytest.raises(ValueError, match="tie rule"):
+            bootstrap_pvalue([0.0, 1.0, 2.0], n_boot=0, seed=0, ties="bogus")
+
+    @pytest.mark.parametrize("n_boot", [0, 10])
+    def test_null_point_validation(self, n_boot):
+        with pytest.raises(ValueError, match="null point"):
+            bootstrap_pvalue([0.0, 1.0, 2.0], n_boot=n_boot, seed=0, null_point="bogus")
+
+    @pytest.mark.parametrize("null_point", ["mle", "boundary"])
+    @pytest.mark.parametrize("z", [
+        [2.1, 1.4, 3.3, 0.2, 2.7],
+        [-1.9, -0.4, -2.6, -1.1, -3.0, -1.5, -0.8, -2.2],
+        [1.3, 0.6, 2.0, 1.1, 1.7, 0.9, 1.5, 1.2, 0.4, 1.9, 1.4, 1.0],
+    ])
+    def test_conservative_pvalue_matches_exact_tail(self, z, null_point):
+        # With the mean outside [-1, 1] both null points are the nearest
+        # endpoint with the variance profiled there.
+        n_boot = 20000
+        tail = _exact_lower_tail(z)
+        p = bootstrap_pvalue(z, n_boot=n_boot, seed=5, null_point=null_point)
+        expected = (1.0 + n_boot * tail) / (n_boot + 1.0)
+        se = math.sqrt(n_boot * tail * (1.0 - tail)) / (n_boot + 1.0)
+        assert abs(p - expected) < 4.0 * se
+
+    @pytest.mark.parametrize("center, spread2", [(1.0, 0.5), (-1.0, 2.0), (0.9, 0.3)])
+    def test_replicates_distributed_as_over_full_samples(self, center, spread2):
+        n, n_boot = 6, 20000
+        drawn = _replicate_zetas(center, spread2, n, n_boot, np.random.default_rng(11))
+        full = _full_sample_zetas(center, spread2, n, n_boot, np.random.default_rng(12))
+        atom_drawn, atom_full = np.mean(drawn == 1.0), np.mean(full == 1.0)
+        pooled = (atom_drawn + atom_full) / 2.0
+        assert abs(atom_drawn - atom_full) < 4.0 * math.sqrt(2.0 * pooled * (1 - pooled) / n_boot)
+        assert stats.ks_2samp(drawn[drawn < 1.0], full[full < 1.0]).pvalue > 1e-3
 
 
 class TestBhAdjust:
@@ -210,6 +280,13 @@ class TestRunBaseline:
         report = run_baseline(z, list("abcde"), method="median-sign")
         assert report.method == "median-sign"
         np.testing.assert_allclose(report.p_values, median_sign_pvalues(z))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_cell_rejected(self, bad):
+        z = np.random.default_rng(9).normal(size=(10, 4))
+        z[3, 2] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            run_baseline(z, list("abcd"), n_boot=100, seed=0)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
