@@ -232,16 +232,26 @@ def write_samples(path, samples: PosteriorSamples) -> None:
 
 
 def read_samples(path) -> tuple[np.ndarray, dict]:
-    with open(path, "rb") as fh:
-        magic = fh.readline().decode().rstrip("\n")
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"cannot read samples file {path}: {exc.strerror}") from None
+    with fh:
+        magic = fh.readline().decode(errors="replace").rstrip("\n")
         if magic != SAMPLES_MAGIC:
             raise DataError(f"{path}: not a samples file (bad magic {magic!r})")
-        meta = json.loads(fh.readline().decode())
-        marker = fh.readline().decode().rstrip("\n")
+        try:
+            meta = json.loads(fh.readline().decode())
+        except ValueError:
+            raise DataError(f"{path}: samples header is not JSON") from None
+        marker = fh.readline().decode(errors="replace").rstrip("\n")
         if marker != "#data float64":
             raise DataError(f"{path}: malformed samples header")
         body = fh.read()
-    d = len(meta["names"])
+    names = meta.get("names") if isinstance(meta, dict) else None
+    if not isinstance(names, list) or not names:
+        raise DataError(f"{path}: samples header has no column names")
+    d = len(names)
     if len(body) % (8 * d) != 0:
         raise DataError(f"{path}: body is not a whole number of float64 rows")
     draws = np.frombuffer(body, dtype="<f8").reshape(-1, d)
@@ -333,6 +343,8 @@ def cmd_test(args) -> int:
     m = dataset.n_mirnas
     if meta.get("m") not in (None, m):
         raise DataError(f"samples were drawn for m={meta.get('m')}, dataset has m={m}")
+    if meta["names"][:m] != [f"psi:{name}" for name in dataset.mirna_names]:
+        raise DataError("the samples' effect columns do not name the dataset's units in its order")
     if draws.shape[0] == 0:
         raise DataError("stored chain is empty; run fit with more iterations")
     priors = HyperPriorSpec.from_data(design, dataset.z, **config.prior_kwargs())
@@ -349,8 +361,7 @@ def cmd_test(args) -> int:
     calibration = calibrate_beta(indicators, groups,
                                  target_fdr=float(tst["target_fdr"]),
                                  tol=float(tst["tolerance"]),
-                                 enum_limit=int(tst["component_enum_limit"]),
-                                 seed=config.seed())
+                                 enum_limit=int(tst["component_enum_limit"]))
     prior_probs, n_prior = draw_prior_psi(design, priors, int(tst["prior_psi_draws"]), prior_seed)
     report = build_decision_report(dataset.mirna_names, psi_draws(draws, m),
                                    calibration, groups, prior_probs, n_prior)

@@ -9,8 +9,7 @@ group G_i of a-priori-correlated units, and the decision vector d maximizes
 where w_i(d) is the posterior probability that unit i is deregulated AND
 every other group member j's hypothesis agrees with its decision d_j.  Each
 connected component of the decision-dependence graph is solved once for
-every rejection count (exhaustive enumeration up to a size limit,
-coordinate ascent under a parametric search beyond it); the optimum at any
+every rejection count, exactly, by bucket elimination; the optimum at any
 beta follows from the upper concave hull of those solutions, and beta is
 calibrated on the exact path of optimal decisions so that the posterior
 false discovery rate meets a target.
@@ -24,6 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import NumericalError
 
 
 def hypothesis_indicators(psi_draws: np.ndarray, threshold: float = 1.0) -> np.ndarray:
@@ -187,206 +188,178 @@ def _components(groups: GroupStructure) -> list:
     return comps
 
 
-class _LocalTables:
-    """One component's w tables in local positions (0..c-1)."""
-
-    def __init__(self, comp, tables):
-        pos_of = {int(j): p for p, j in enumerate(comp)}
-        self.c = comp.size
-        self.counts = [tables[i][1].tolist() for i in comp]
-        self.neighbors = [[pos_of[int(j)] for j in tables[i][0]] for i in comp]
-        # dependents[q]: (p, bit) for every unit p that has q as neighbor ``bit``
-        self.dependents = [[] for _ in range(self.c)]
-        for p, nb in enumerate(self.neighbors):
-            for bit, q in enumerate(nb):
-                self.dependents[q].append((p, 1 << bit))
-
-    def codes(self, d) -> list:
-        return [sum(int(d[q]) << bit for bit, q in enumerate(nb)) for nb in self.neighbors]
-
-    def selected_counts(self, d) -> np.ndarray:
-        """Draw counts t w_p(d) of the rejected units, in component order."""
-        codes = self.codes(d)
-        return np.array([self.counts[p][codes[p]] for p in range(self.c) if d[p]], dtype=float)
-
-    def climb(self, d, beta_t: float) -> list:
-        """Coordinate ascent on f from ``d``; ties prefer 0.
-
-        Keeping unit p rejected is worth ``value`` draw counts (its own plus
-        what it changes in its dependents) against a penalty of beta t, so
-        each comparison is an exact int-to-float one and every strict
-        improvement raises f: the climb cannot cycle.
-        """
-        counts = self.counts
-        codes = self.codes(d)
-        d = [int(x) for x in d]
-        improved = True
-        while improved:
-            improved = False
-            for p in range(self.c):
-                value = counts[p][codes[p]]
-                for i, bit in self.dependents[p]:
-                    if d[i]:
-                        change = counts[i][codes[i] ^ bit] - counts[i][codes[i]]
-                        value += -change if d[p] else change
-                if d[p] and value <= beta_t or not d[p] and value > beta_t:
-                    improved = improved or value != beta_t
-                    d[p] ^= 1
-                    for i, bit in self.dependents[p]:
-                        codes[i] ^= bit
-        return d
-
-
 @dataclass(frozen=True)
 class ComponentReport:
     indices: np.ndarray
-    exact: bool
-    ascent_runs: int  # coordinate-ascent queries spent on this component (0 when enumerated)
+    exact: bool  # always true: a component is solved exactly or refused
+    width: int   # elimination width: most other units in one elimination step
 
 
 @dataclass(frozen=True)
 class _ComponentSolution:
-    """Best decision of one component for every rejection count it reached."""
+    """Best decision of one component for every rejection count k = 0..c."""
 
     report: ComponentReport
-    rejections: tuple      # ascending k
     scores: tuple          # t A_k, integers
-    decisions: np.ndarray  # (entries, c) lexicographically smallest argmax per k
-    weights: tuple         # per entry: w of the rejected units, in component order
+    decisions: np.ndarray  # (c + 1, c) lexicographically smallest argmax per k
+    weights: tuple         # per k: w of the rejected units, in component order
 
     def pick(self, beta: float):
-        """Entry maximizing f_beta, summed unit by unit in component order;
-        exact ties go to the smallest decision tuple."""
+        """Rejection count maximizing f_beta, summed unit by unit in
+        component order; exact ties go to the smallest decision tuple."""
         best, best_f = 0, -math.inf
-        for e, w in enumerate(self.weights):
+        for k, w in enumerate(self.weights):
             f = float(np.cumsum(w - beta)[-1]) if w.size else 0.0
-            if f > best_f or (f == best_f and tuple(self.decisions[e]) < tuple(self.decisions[best])):
-                best, best_f = e, f
+            if f > best_f or (f == best_f and tuple(self.decisions[k]) < tuple(self.decisions[best])):
+                best, best_f = k, f
         return best, best_f
 
     def hull(self, t: int):
-        """Upper concave hull of (k, A_k): entry indices and the betas between them.
+        """Upper concave hull of (k, A_k): vertex counts and the betas between them.
 
         Vertex j is the optimum for beta between ``breaks[j]`` and
         ``breaks[j - 1]``; breaks decrease.
         """
-        k, a = self.rejections, self.scores
+        a = self.scores
         vertices = []
-        for e in range(len(k)):
+        for k in range(len(a)):
             while len(vertices) >= 2:
                 p, q = vertices[-2:]
-                if (k[q] - k[p]) * (a[e] - a[p]) < (a[q] - a[p]) * (k[e] - k[p]):
+                if (q - p) * (a[k] - a[p]) < (a[q] - a[p]) * (k - p):
                     break
                 vertices.pop()
-            vertices.append(e)
-        breaks = [(a[q] - a[p]) / (t * (k[q] - k[p])) for p, q in zip(vertices, vertices[1:])]
+            vertices.append(k)
+        breaks = [(a[q] - a[p]) / (t * (q - p)) for p, q in zip(vertices, vertices[1:])]
         return vertices, breaks
 
 
-def _solution(comp, local, t, best: dict, exact: bool, runs: int) -> _ComponentSolution:
-    """Package ``best`` (k -> (t A_k, decision tuple)) for one component."""
-    ks = tuple(sorted(best))
-    decisions = np.array([best[k][1] for k in ks], dtype=np.int8).reshape(len(ks), comp.size)
+def _min_fill(scopes, c: int):
+    """Greedy min-fill elimination order of the graph in which every scope is
+    a clique (ties: fewer neighbors, then lower position), and its width: the
+    most neighbors a unit still has when it is eliminated."""
+    adjacent = [set() for _ in range(c)]
+    for scope in scopes:
+        for p in scope:
+            adjacent[p].update(scope)
+    for p in range(c):
+        adjacent[p].discard(p)
+
+    def fill(p):  # missing edges among p's neighbors
+        return sum(len(adjacent[p] - adjacent[q]) - 1 for q in adjacent[p]) // 2
+
+    fills = {p: fill(p) for p in range(c)}
+    order, width = [], 0
+    while fills:
+        p = min(fills, key=lambda q: (fills[q], len(adjacent[q]), q))
+        del fills[p]
+        neighbors = adjacent[p]
+        width = max(width, len(neighbors))
+        for q in neighbors:
+            adjacent[q] |= neighbors
+            adjacent[q] -= {p, q}
+        # new edges join p's neighbors: only they and units next to them change fill
+        for q in neighbors.union(*(adjacent[q] for q in neighbors)):
+            fills[q] = fill(q)
+        order.append(p)
+    return order, width
+
+
+def _align(scope, table, joint):
+    """``table`` over ``scope`` (one axis per unit, then the count axis),
+    reshaped to broadcast over the units of ``joint``."""
+    table = table.transpose([scope.index(q) for q in joint if q in scope] + [len(scope)])
+    return table.reshape([2 if q in scope else 1 for q in joint] + [table.shape[-1]])
+
+
+def _convolve(a, b):
+    """Max-plus convolution along the last (rejection count) axis; the other
+    axes broadcast."""
+    if a.shape[-1] < b.shape[-1]:
+        a, b = b, a
+    na, nb = a.shape[-1], b.shape[-1]
+    out = np.empty(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (na + nb - 1,), dtype=object)
+    out[..., :na] = a + b[..., :1]
+    for j in range(1, nb):
+        out[..., j:j + na - 1] = np.maximum(out[..., j:j + na - 1], a[..., :-1] + b[..., j:j + 1])
+        out[..., j + na - 1] = a[..., -1] + b[..., j]
+    return out
+
+
+def _solve_component(comp, tables, t: int, enum_limit: int, cap: int) -> _ComponentSolution:
+    """Every A_k of one component by bucket elimination (Dechter 1999).
+
+    Units are eliminated in min-fill order.  Each table has one axis per
+    unit of its scope and a last axis: the number of rejections among the
+    units already eliminated into it.  Eliminating x joins the tables that
+    read x (max-plus convolution over the count axis), maximizes over x and
+    hands the result to the next unit of its scope.  Values are Python ints
+    S 2^c - sum_p d_p 2^(c-1-p), with S the score in draw counts and p the
+    unit's position; a unit's term enters as its counts times 2^c when its
+    bucket is joined, its tie-break when it is eliminated.  The sum is below
+    2^c and differs between decisions, so each rejection count has one
+    maximum: the largest S, attained first by the lexicographically smallest
+    decision, whose bits are the low c bits of the maximum's negation.
+    """
+    c = comp.size
+    position = {int(i): p for p, i in enumerate(comp)}
+    neighbors = [[position[int(j)] for j in tables[i][0]] for i in comp]
+    counts = [tables[i][1] for i in comp]
+    # neighbor b is bit b of a count table's code: reshaped, the last neighbor's axis comes first
+    scopes = [(p, *reversed(nb)) for p, nb in enumerate(neighbors)]
+    order, width = _min_fill(scopes, c)
+    if width + 1 > enum_limit:
+        raise NumericalError(
+            f"a decision component of {c} units has elimination width {width} (testing.cap = "
+            f"{cap}): {width + 1} units in one elimination step exceed "
+            f"testing.component_enum_limit = {enum_limit}")
+    rank = {p: r for r, p in enumerate(order)}
+    buckets = {p: [] for p in order}
+    for p, scope in enumerate(scopes):
+        own = counts[p].reshape((2,) * (len(scope) - 1) + (1,))
+        buckets[min(scope, key=rank.get)].append((scope, np.stack([np.zeros_like(own), own])))
+    root = np.zeros(1, dtype=object)
+    for x in order:
+        items = buckets.pop(x)
+        joint = (x, *sorted({q for scope, _ in items for q in scope} - {x}, key=rank.get))
+        table = None
+        for scope, item in items:
+            if item.dtype != object:  # a unit's own term
+                item = item.astype(object) * (1 << c)
+            item = _align(scope, item, joint)
+            table = item if table is None else _convolve(table, item)
+        tie = 1 << (c - 1 - x)
+        out = np.empty(table.shape[1:-1] + (table.shape[-1] + 1,), dtype=object)
+        out[..., :-1] = table[0]
+        out[..., -1] = table[1, ..., -1] - tie
+        out[..., 1:-1] = np.maximum(out[..., 1:-1], table[1, ..., :-1] - tie)
+        if len(joint) == 1:
+            root = _convolve(root, out)
+        else:
+            buckets[joint[1]].append((joint[1:], out))
+    ties = [-value % (1 << c) for value in root]
+    decisions = np.array([[(tie >> (c - 1 - p)) & 1 for p in range(c)] for tie in ties],
+                         dtype=np.int8)
+    # draw counts t w_p of every unit under every decision
+    bits = decisions.astype(np.int64)
+    own = np.column_stack([
+        counts[p][sum((bits[:, q] << b for b, q in enumerate(nb)), np.zeros(c + 1, dtype=np.int64))]
+        for p, nb in enumerate(neighbors)])
     return _ComponentSolution(
-        report=ComponentReport(indices=comp, exact=exact, ascent_runs=runs),
-        rejections=ks,
-        scores=tuple(best[k][0] for k in ks),
+        report=ComponentReport(indices=comp, exact=True, width=width),
+        scores=tuple((value + tie) >> c for value, tie in zip(root, ties)),
         decisions=decisions,
-        weights=tuple(local.selected_counts(d) / t for d in decisions),
+        weights=tuple(own[k, decisions[k] == 1] / t for k in range(c + 1)),
     )
 
 
-def _enumerate_component(comp, tables, t) -> _ComponentSolution:
-    """Exact per-popcount maxima over all 2^c configurations of one component.
-
-    Configurations are numbered so that ascending numbers are ascending
-    decision tuples (component indices ascending, 0 before 1); the first
-    maximum within each popcount is its lexicographically smallest argmax.
-    """
-    c = comp.size
-    local = _LocalTables(comp, tables)
-    masks = np.arange(1 << c, dtype=np.int64)
-
-    def bit(p):
-        return (masks >> (c - 1 - p)) & 1
-
-    score = np.zeros(masks.size, dtype=np.int64)
-    popcount = np.zeros(masks.size, dtype=np.int8)
-    for p in range(c):
-        code = np.zeros(masks.size, dtype=np.int64)
-        for b, q in enumerate(local.neighbors[p]):
-            code |= bit(q) << b
-        own = bit(p)
-        score += own * np.asarray(local.counts[p])[code]
-        popcount += own.astype(np.int8)
-    best = {}
-    for k in range(c + 1):
-        idx = np.flatnonzero(popcount == k)
-        e = idx[int(np.argmax(score[idx]))]
-        best[k] = (int(score[e]), tuple(int(x) for x in (e >> (c - 1 - np.arange(c))) & 1))
-    return _solution(comp, local, t, best, exact=True, runs=0)
-
-
-def _search_component(comp, tables, t, v, rng, restarts: int) -> _ComponentSolution:
-    """Hull of one component too large to enumerate, by parametric search.
-
-    Each query runs multi-start coordinate ascent at one beta (the
-    thresholded marginals plus ``restarts`` random starts) and records every
-    local optimum as a candidate for its rejection count.  Queries follow
-    Eisner & Severance (1976): between two hull lines, query where they
-    cross; a line above both there, with a rejection count between theirs,
-    splits the interval.  The empty decision is the exact optimum at beta = 1,
-    so the search starts from one query at beta = 0 and makes at most 2c.
-    """
-    c = comp.size
-    local = _LocalTables(comp, tables)
-    best = {0: (0, (0,) * c)}
-    runs = 0
-
-    def record(d):
-        key = tuple(int(x) for x in d)
-        k = sum(key)
-        score = int(local.selected_counts(key).sum())
-        if k not in best or score > best[k][0] or (score == best[k][0] and key < best[k][1]):
-            best[k] = (score, key)
-
-    def query(num: int, den: int):
-        """Ascent at beta = num / (t den); returns the best count there."""
-        nonlocal runs
-        runs += 1
-        beta = num / (t * den)
-        starts = [(v[comp] > beta).astype(np.int8)]
-        starts += [rng.integers(0, 2, size=c).astype(np.int8) for _ in range(restarts)]
-        for s in starts:
-            record(local.climb(s, num / den))
-        # best f at beta, scaled by t den: exact integer comparison
-        return max(best, key=lambda k: (best[k][0] * den - num * k, -k))
-
-    def search(k_lo: int, k_hi: int):
-        """Hull between the lines of counts k_lo < k_hi."""
-        num = best[k_hi][0] - best[k_lo][0]
-        den = k_hi - k_lo
-        k = query(num, den)
-        if k_lo < k < k_hi and best[k][0] * den - num * k > best[k_lo][0] * den - num * k_lo:
-            search(k_lo, k)
-            search(k, k_hi)
-
-    k_top = query(0, 1)
-    if k_top > 0:
-        search(0, k_top)
-    return _solution(comp, local, t, best, exact=False, runs=runs)
-
-
-def _solve_components(indicators: np.ndarray, groups: GroupStructure, enum_limit: int,
-                      restarts: int, seed: int) -> list:
-    if groups.n_units != indicators.shape[1]:
+def _solve_components(indicators: np.ndarray, groups: GroupStructure, enum_limit: int) -> list:
+    t, m = indicators.shape
+    if t == 0:
+        raise ValueError("need at least one posterior draw")
+    if groups.n_units != m:
         raise ValueError("groups and indicator matrix disagree on unit count")
-    t = indicators.shape[0]
     tables = _w_tables(indicators, groups)
-    v = marginal_probs(indicators)
-    rng = np.random.default_rng(seed)
-    return [_enumerate_component(comp, tables, t) if comp.size <= enum_limit
-            else _search_component(comp, tables, t, v, rng, restarts)
+    return [_solve_component(comp, tables, t, enum_limit, groups.cap)
             for comp in _components(groups)]
 
 
@@ -395,39 +368,43 @@ class OptimizeResult:
     d: np.ndarray
     f_value: float
     components: tuple
-    exact: bool  # every component solved by enumeration
+    exact: bool  # always true (see ComponentReport)
 
 
 def optimize_decisions(indicators: np.ndarray, groups: GroupStructure, beta: float,
-                       enum_limit: int = 20, restarts: int = 8, seed: int = 0) -> OptimizeResult:
+                       enum_limit: int = 20) -> OptimizeResult:
     """Maximize f_beta over all 2^m decision vectors.
 
     The dependence graph (i adjacent to j when either's group contains the
     other) splits the objective into independent connected components.
-    Components up to ``enum_limit`` units are enumerated exhaustively; the
-    optimum is read from the best decision per rejection count, and ties
-    go to the lexicographically smallest vector.  Larger components are
-    searched by coordinate ascent over the same per-count tables and are
-    flagged as not exact.
+    Each is solved exactly by bucket elimination; the optimum is read from
+    the best decision per rejection count, and ties go to the
+    lexicographically smallest vector.
 
     Args:
-        indicators: (draws x units) deregulation indicator matrix.
+        indicators: (draws x units) deregulation indicator matrix, at least
+            one draw.
         groups: group structure (one group per unit).
         beta: rejection penalty in (0, 1).
+        enum_limit: most units one elimination step may join.
 
     Returns:
         OptimizeResult with the decision vector, the attained f value, and
-        per-component exactness reports.
+        per-component reports.
+
+    Raises:
+        NumericalError: a component's elimination width is ``enum_limit``
+            or more.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
     indicators = np.asarray(indicators, dtype=bool)
-    solutions = _solve_components(indicators, groups, enum_limit, restarts, seed)
+    solutions = _solve_components(indicators, groups, enum_limit)
     d = np.zeros(indicators.shape[1], dtype=np.int8)
     total = 0.0
     for sol in solutions:
-        e, f = sol.pick(beta)
-        d[sol.report.indices] = sol.decisions[e]
+        k, f = sol.pick(beta)
+        d[sol.report.indices] = sol.decisions[k]
         total += f
     reports = tuple(sol.report for sol in solutions)
     return OptimizeResult(d=d, f_value=total, components=reports,
@@ -450,8 +427,8 @@ class CalibrationResult:
 
 
 def calibrate_beta(indicators: np.ndarray, groups: GroupStructure,
-                   target_fdr: float = 0.10, tol: float = 0.005, enum_limit: int = 20,
-                   restarts: int = 8, seed: int = 0) -> CalibrationResult:
+                   target_fdr: float = 0.10, tol: float = 0.005,
+                   enum_limit: int = 20) -> CalibrationResult:
     """Pick beta so the posterior FDR of the optimal decisions meets a target.
 
     The optimal decision is piecewise constant in beta: the breakpoints of
@@ -467,9 +444,9 @@ def calibrate_beta(indicators: np.ndarray, groups: GroupStructure,
     if not 0.0 < target_fdr < 1.0:
         raise ValueError("target_fdr must lie in (0, 1)")
     indicators = np.asarray(indicators, dtype=bool)
+    solutions = _solve_components(indicators, groups, enum_limit)
     t, m = indicators.shape
     v = marginal_probs(indicators)
-    solutions = _solve_components(indicators, groups, enum_limit, restarts, seed)
 
     # Walk beta down from 1 to 0: each component starts at the hull vertex
     # optimal just below 1 and steps one vertex on at each of its breaks.

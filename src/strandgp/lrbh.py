@@ -157,7 +157,7 @@ def bh_adjust(p_values, q: float = 0.10) -> np.ndarray:
         Boolean mask over the input order.
     """
     p = np.asarray(p_values, dtype=float)
-    if np.any((p < 0) | (p > 1)):
+    if not np.all((p >= 0) & (p <= 1)):  # NaN fails both
         raise ValueError("p-values must lie in [0, 1]")
     m = p.size
     order = np.argsort(p, kind="stable")
@@ -182,6 +182,8 @@ def median_sign_pvalues(z: np.ndarray) -> np.ndarray:
     n, m = z.shape
     if n < 2:
         raise DataError("need at least two observations per unit")
+    if not np.isfinite(z).all():
+        raise DataError("non-finite observation")
     means = z.mean(axis=0)
     sds = z.std(axis=0, ddof=1)
     if np.any(sds <= 0):

@@ -570,7 +570,7 @@ def test_criterion_9_study_reproduction():
         groups = form_groups(correlation)
         draws = psi_draws(samples.draws, dataset.n_mirnas)
         calibration = calibrate_beta(hypothesis_indicators(draws), groups,
-                                     target_fdr=0.10, tol=0.005, seed=seed)
+                                     target_fdr=0.10, tol=0.005)
         prior_probs, n_prior = prior_exceedance(design, priors, 4000, seed + 2)
         return build_decision_report(dataset.mirna_names, draws, calibration,
                                      groups, prior_probs, n_prior)

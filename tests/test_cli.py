@@ -401,6 +401,65 @@ seed = 0
         assert main(["test", "--config", str(config)]) == 2
 
 
+class TestSamplesChecks:
+    """``test`` refuses, with exit 2, a samples file that it cannot read or
+    whose effect columns are not the dataset's units in its order."""
+
+    @pytest.fixture
+    def run(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        assert main(["simulate", "--out", str(data_dir), "--m", "4", "--n", "5",
+                     "--strands", "2", "--seed", "0"]) == 0
+        config = write_config(tmp_path / "run.ini", data_dir, tmp_path / "out")
+        units = (data_dir / "case.csv").read_text().splitlines()[0].split(",")[1:]
+        path = tmp_path / "s.bin"
+
+        def run(header: bytes, columns: int = 8, magic: bytes = b"#strandgp-samples v1"):
+            body = np.random.default_rng(0).normal(size=(5, columns)).astype("<f8").tobytes()
+            path.write_bytes(magic + b"\n" + header + b"\n#data float64\n" + body)
+            capsys.readouterr()
+            code = main(["test", "--config", config, "--samples", str(path)])
+            return code, capsys.readouterr().err
+
+        run.units = units
+        return run
+
+    @pytest.mark.parametrize("header, message", [
+        (b"{not json", "not JSON"),
+        (b'{"m": 4}', "no column names"),
+        (b'{"names": []}', "no column names"),
+        (b'["psi:a"]', "no column names"),
+    ])
+    def test_malformed_header_exits_2(self, run, header, message):
+        code, err = run(header)
+        assert code == 2
+        assert message in err
+
+    def test_missing_file_exits_2(self, run, tmp_path, capsys):
+        config = str(tmp_path / "run.ini")
+        assert main(["test", "--config", config, "--samples", str(tmp_path / "none.bin")]) == 2
+        assert "cannot read samples file" in capsys.readouterr().err
+
+    def test_binary_file_exits_2(self, run):
+        # A first line that is not UTF-8, as in a NumPy .npy file.
+        code, err = run(b"{}", magic=b"\x93NUMPY\x01\x00")
+        assert code == 2
+        assert "not a samples file" in err
+
+    def test_other_units_exit_2(self, run):
+        # Same unit count as the dataset, units in another order.
+        names = [f"psi:{u}" for u in reversed(run.units)] + [f"x{i}" for i in range(4)]
+        code, err = run(json.dumps({"m": 4, "names": names}).encode())
+        assert code == 2
+        assert "effect columns" in err
+
+    def test_too_few_effect_columns_exit_2(self, run):
+        names = [f"psi:{u}" for u in run.units[:3]]
+        code, err = run(json.dumps({"names": names}).encode(), columns=3)
+        assert code == 2
+        assert "effect columns" in err
+
+
 class TestIntegrationFit:
     def test_acceptance_rate_lands_in_tuned_band(self, tmp_path):
         # 50-unit end-to-end fit: the manifest must record a post-burn-in

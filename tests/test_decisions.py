@@ -19,7 +19,8 @@ from strandgp import (
     posterior_fdr,
     posterior_fnr,
 )
-from strandgp.decisions import format_bayes_factor
+from strandgp.decisions import _solve_components, format_bayes_factor
+from strandgp.errors import NumericalError
 
 
 def groups_from_lists(member_lists):
@@ -74,6 +75,72 @@ def brute_force_path(indicators, groups):
         if not path or not np.array_equal(path[-1][1], d):
             path.append((beta, d))
     return configs, w, path
+
+
+def enumerate_per_count(indicators, groups, comp):
+    """Exhaustive oracle for one component: for every rejection count k, the
+    best score t A_k over all 2^c decisions of ``comp`` and the
+    lexicographically smallest decision that reaches it.
+
+    Configurations are numbered so that ascending numbers are ascending
+    decision tuples; the first maximum within each popcount is the
+    lexicographically smallest argmax.
+    """
+    c = comp.size
+    pos = {int(j): p for p, j in enumerate(comp)}
+    masks = np.arange(1 << c, dtype=np.int64)
+
+    def bit(p):
+        return (masks >> (c - 1 - p)) & 1
+
+    score = np.zeros(masks.size, dtype=np.int64)
+    for p, i in enumerate(comp):
+        others = groups.neighbors(i)
+        draw_codes = np.zeros(indicators.shape[0], dtype=np.int64)
+        config_codes = np.zeros(masks.size, dtype=np.int64)
+        for b, j in enumerate(others):
+            draw_codes |= indicators[:, j].astype(np.int64) << b
+            config_codes |= bit(pos[int(j)]) << b
+        counts = np.bincount(draw_codes[indicators[:, i]], minlength=1 << others.size)
+        score += bit(p) * counts[config_codes]
+    popcount = sum(bit(p) for p in range(c))
+    scores, decisions = [], []
+    for k in range(c + 1):
+        idx = np.flatnonzero(popcount == k)
+        e = idx[int(np.argmax(score[idx]))]
+        scores.append(int(score[e]))
+        decisions.append([int(x) for x in (e >> (c - 1 - np.arange(c))) & 1])
+    return scores, decisions
+
+
+def connected_instance(rng, m, cap=3, t=120):
+    """Random groups over m units whose dependence graph is connected: each
+    unit after the first is grouped with one earlier unit, plus random
+    extra members up to ``cap``."""
+    indicators = rng.random((t, m)) < rng.uniform(0.15, 0.85, size=m)
+    member_lists = [{i} for i in range(m)]
+    for i in range(1, m):
+        member_lists[i].add(int(rng.integers(0, i)))
+        extra = int(rng.integers(0, cap))
+        member_lists[i].update(int(j) for j in rng.choice(m, size=extra, replace=False) if j != i)
+    return indicators, groups_from_lists(member_lists)
+
+
+def banded_instance(rng, m=200, half_width=2, t=400):
+    """Units on a hidden line, each grouped with its neighbors within
+    ``half_width`` there, under a random relabeling; latent effects are
+    smooth along the line, so neighbors' indicators correlate."""
+    perm = rng.permutation(m)  # perm[line position] = unit index
+    mean = rng.uniform(-0.5, 2.5, size=m)
+    noise = rng.standard_normal((t, m + 2 * half_width))
+    smooth = sum(noise[:, s:s + m] for s in range(2 * half_width + 1)) / math.sqrt(2 * half_width + 1)
+    latent = np.empty((t, m))
+    latent[:, perm] = mean + 0.6 * smooth
+    member_lists = [None] * m
+    for s in range(m):
+        member_lists[perm[s]] = [int(perm[r]) for r in range(max(0, s - half_width),
+                                                             min(m, s + half_width + 1))]
+    return np.abs(latent) > 1.0, groups_from_lists(member_lists)
 
 
 def correlated_instance(rng, m, t=200):
@@ -257,19 +324,61 @@ class TestOptimizeDecisions:
             assert res.f_value == pytest.approx(expected_f, abs=1e-12)
             np.testing.assert_array_equal(res.d, expected_d)
 
-    def test_heuristic_path_reports_inexact(self):
-        rng = np.random.default_rng(4)
-        indicators, groups = random_instance(rng, m=8, cap=4)
-        res = optimize_decisions(indicators, groups, beta=0.3, enum_limit=2)
-        assert any(not c.exact for c in res.components) or res.exact
-        # heuristic must still reach the exact optimum on this small case
-        expected_d, expected_f = brute_force_argmax(indicators, groups, 0.3)
-        assert res.f_value == pytest.approx(expected_f, abs=1e-12)
-
     def test_invalid_beta(self):
         indicators = np.ones((4, 2), dtype=bool)
         with pytest.raises(ValueError):
             optimize_decisions(indicators, GroupStructure.singletons(2), beta=1.0)
+
+    def test_no_draws_rejected(self):
+        with pytest.raises(ValueError, match="at least one posterior draw"):
+            optimize_decisions(np.zeros((0, 3), dtype=bool), GroupStructure.singletons(3), 0.5)
+
+
+class TestComponentSolver:
+    def test_matches_enumeration_beyond_criterion_size(self):
+        # Components of 13-20 units: every rejection count, score and decision.
+        rng = np.random.default_rng(11)
+        for m in (13, 15, 17, 20):
+            for _ in range(2):
+                indicators, groups = connected_instance(rng, m)
+                solutions = _solve_components(indicators, groups, enum_limit=20)
+                assert len(solutions) == 1
+                sol = solutions[0]
+                assert sol.report.indices.tolist() == list(range(m))
+                scores, decisions = enumerate_per_count(indicators, groups, sol.report.indices)
+                assert list(sol.scores) == scores
+                assert sol.decisions.tolist() == decisions
+                assert sol.report.exact and 1 <= sol.report.width < m
+
+    def test_width_above_limit_raises(self):
+        # Six units in one another's groups: every elimination order joins
+        # all six in its first step (width 5).
+        rng = np.random.default_rng(12)
+        indicators = rng.random((50, 7)) < 0.5
+        groups = groups_from_lists([list(range(6))] * 6 + [[6]])
+        assert _solve_components(indicators, groups, enum_limit=6)[0].report.width == 5
+        with pytest.raises(NumericalError, match="6 units.*width 5.*cap = 5.*component_enum_limit = 5"):
+            optimize_decisions(indicators, groups, 0.5, enum_limit=5)
+        with pytest.raises(NumericalError):
+            calibrate_beta(indicators, groups, enum_limit=5)
+
+    def test_banded_structure_with_shuffled_indices(self):
+        rng = np.random.default_rng(13)
+        indicators, groups = banded_instance(rng)
+        result = calibrate_beta(indicators, groups, target_fdr=0.10)
+        assert result.feasible
+        assert [c.indices.size for c in result.components] == [200]
+        assert all(c.exact and c.width == 4 for c in result.components)
+        np.testing.assert_array_equal(optimize_decisions(indicators, groups, result.beta).d, result.d)
+
+        def f(d):
+            return float(np.sum(d * (compute_w(d, indicators, groups) - result.beta)))
+
+        base = f(result.d)
+        for u in range(200):
+            flipped = result.d.copy()
+            flipped[u] ^= 1
+            assert f(flipped) <= base + 1e-12, u
 
 
 class TestCalibrateBeta:
@@ -364,18 +473,9 @@ class TestCalibrateBeta:
         assert result.d.sum() == best == 5
         assert result.fdr <= 0.205
 
-    def test_inexact_component_matches_exact_calibration(self):
-        rng = np.random.default_rng(4)
-        indicators, groups = random_instance(rng, m=8, cap=4)
-        exact = calibrate_beta(indicators, groups, target_fdr=0.3)
-        searched = calibrate_beta(indicators, groups, target_fdr=0.3, enum_limit=2)
-        assert all(c.exact for c in exact.components)
-        inexact = [c for c in searched.components if not c.exact]
-        assert inexact
-        for c in inexact:
-            assert 1 <= c.ascent_runs <= 2 * c.indices.size
-        np.testing.assert_array_equal(searched.d, exact.d)
-        assert searched.beta == exact.beta
+    def test_no_draws_rejected(self):
+        with pytest.raises(ValueError, match="at least one posterior draw"):
+            calibrate_beta(np.zeros((0, 3), dtype=bool), GroupStructure.singletons(3))
 
 
 class TestBayesFactors:

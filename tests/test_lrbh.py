@@ -226,6 +226,11 @@ class TestBhAdjust:
         with pytest.raises(ValueError):
             bh_adjust(np.array([0.5, 1.2]))
 
+    def test_nan_pvalue_rejected(self):
+        # NaN passes a (p < 0) | (p > 1) test and would sort as the largest.
+        with pytest.raises(ValueError):
+            bh_adjust(np.array([np.nan, 0.01, 0.02]), 0.1)
+
 
 class TestMedianSign:
     def test_strong_positive_shift_detected(self):
@@ -249,6 +254,13 @@ class TestMedianSign:
         mean, sd = z.mean(), z.std(ddof=1)
         expected = stats.t.cdf((mean + 1.0) / (sd / np.sqrt(9)), df=8)
         assert p[0] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cell_rejected(self, bad):
+        z = np.random.default_rng(10).normal(size=(10, 4))
+        z[3, 2] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            median_sign_pvalues(z)
 
 
 class TestRunBaseline:
