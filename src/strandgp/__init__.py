@@ -30,7 +30,6 @@ from .decisions import (
     bayes_factors,
     build_decision_report,
     calibrate_beta,
-    compute_w,
     form_groups,
     hypothesis_indicators,
     marginal_probs,
@@ -40,21 +39,16 @@ from .decisions import (
 )
 from .errors import ConfigError, DataError, NumericalError, StrandGPError
 from .kernels import (
-    JitterPolicy,
     PriorCovariance,
     StrandHyperParams,
-    cholesky_with_jitter,
     estimate_prior_correlation,
-    matern_cov,
     prior_cov_psi,
-    sample_psi_prior,
 )
 from .lrbh import BaselineReport, LrResult, bh_adjust, bootstrap_pvalue, lr_stat, run_baseline
 from .priors import (
     HyperPriorSpec,
     ModelState,
     empirical_bayes_delta2,
-    log_posterior,
     make_posterior_model,
     prior_exceedance,
     solve_ig,

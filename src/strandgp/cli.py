@@ -407,6 +407,10 @@ def cmd_cv(args) -> int:
         out_of_range = [j for j in folds if not 0 <= j < dataset.n_patients]
         if out_of_range:
             raise ConfigError(f"fold indices out of range: {out_of_range}")
+        # Each fold has one RNG stream; a repeat would rerun it on a used one.
+        repeated = sorted({j for j in folds if folds.count(j) > 1})
+        if repeated:
+            raise ConfigError(f"fold indices repeated: {repeated}")
     else:
         folds = None
     sec = config.values["cv"]

@@ -137,17 +137,15 @@ def loo_predictive(dataset: ExpressionDataset, design: DesignMatrix, patient_ind
 
 def run_loo(dataset: ExpressionDataset, design: DesignMatrix,
             sampler_config: SamplerConfig, prior_kwargs: dict | None = None,
-            level: float = 0.75, folds=None,
-            seed: int | None = None) -> list:
+            level: float = 0.75, folds=None) -> list:
     """All (or selected) folds, each with its own child RNG stream.
 
-    Folds are independent; their seeds are spawned from ``seed`` (defaults
-    to the sampler config's seed) indexed by patient position, so running a
-    subset reproduces the same per-fold results as running all of them.
+    Folds are independent; their streams are spawned from the sampler
+    config's seed and indexed by patient position, so running a subset
+    reproduces the same per-fold results as running all of them.
     """
     indices = list(folds) if folds is not None else list(range(dataset.n_patients))
-    base_seed = sampler_config.seed if seed is None else seed
-    rngs = spawn_rngs(base_seed, dataset.n_patients)
+    rngs = spawn_rngs(sampler_config.seed, dataset.n_patients)
     summaries = []
     for j in indices:
         try:

@@ -17,7 +17,8 @@ threads.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -153,7 +154,6 @@ class DesignMatrix:
     p: np.ndarray
     mirna_names: tuple[str, ...]
     annotation: GenomeAnnotation  # restricted to the named units, in column order
-    column_index: dict = field(repr=False)
 
     def __post_init__(self):
         self.p.setflags(write=False)
@@ -452,8 +452,9 @@ def load_annotation(path, lengths_path=None) -> GenomeAnnotation:
     strand.
 
     Raises:
-        DataError: unknown strand symbol, non-positive coordinate or
-            length, duplicate (strand, coordinate) pair, malformed header.
+        DataError: unknown strand symbol, non-positive or non-finite
+            coordinate or length, a chromosome listed twice in the lengths
+            file, duplicate (strand, coordinate) pair, malformed header.
     """
     rows = _read_rows(path)
     header = [c.strip().lower() for c in rows[0]]
@@ -473,8 +474,12 @@ def load_annotation(path, lengths_path=None) -> GenomeAnnotation:
                 length = float(row[1])
             except (ValueError, IndexError):
                 raise DataError(f"{lengths_path}:{lineno}: bad length") from None
+            if not math.isfinite(length):
+                raise DataError(f"{lengths_path}:{lineno}: non-finite length {row[1].strip()!r}")
             if length <= 0:
                 raise DataError(f"{lengths_path}:{lineno}: non-positive length")
+            if chrom in lengths:
+                raise DataError(f"{lengths_path}:{lineno}: second length for chromosome {chrom!r}")
             lengths[chrom] = length
 
     per_strand: dict[str, list[tuple[str, float]]] = {}
@@ -488,6 +493,8 @@ def load_annotation(path, lengths_path=None) -> GenomeAnnotation:
             coord = float(coord_raw)
         except ValueError:
             raise DataError(f"{path}:{lineno}: non-numeric coordinate {coord_raw!r}") from None
+        if not math.isfinite(coord):
+            raise DataError(f"{path}:{lineno}: non-finite coordinate {coord_raw!r} for {name!r}")
         if coord <= 0:
             raise DataError(f"{path}:{lineno}: non-positive coordinate for {name!r}")
         per_strand.setdefault(strand_id, []).append((name, coord))
@@ -528,11 +535,9 @@ def build_design_matrix(annotation: GenomeAnnotation, mirna_names) -> DesignMatr
     row_of = {name: i for i, name in enumerate(names)}
     n_loci = restricted.total_loci
     p = np.zeros((len(names), n_loci), dtype=np.int8)
-    column_index = {}
     col = 0
     for strand in restricted.strands:
-        for name, coord in strand.loci:
+        for name, _ in strand.loci:
             p[row_of[name], col] = 1
-            column_index[(strand.strand_id, coord)] = col
             col += 1
-    return DesignMatrix(p=p, mirna_names=names, annotation=restricted, column_index=column_index)
+    return DesignMatrix(p=p, mirna_names=names, annotation=restricted)

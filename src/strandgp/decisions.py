@@ -99,27 +99,6 @@ def form_groups(correlation: np.ndarray, cap: int = 5, percentile: float = 95.0,
     return GroupStructure(groups=tuple(groups), threshold=cutoff, cap=cap)
 
 
-def compute_w(d: np.ndarray, indicators: np.ndarray, groups: GroupStructure) -> np.ndarray:
-    """Group-coupled posterior probabilities w_i(d).
-
-    w_i(d) is the fraction of draws where unit i is deregulated and, for
-    every other member j of its group, the draw's indicator equals d_j.
-    Singleton groups give the marginal probability.
-    """
-    indicators = np.asarray(indicators, dtype=bool)
-    d = np.asarray(d).astype(bool)
-    t, m = indicators.shape
-    if t == 0:
-        raise ValueError("need at least one posterior draw")
-    w = np.empty(m)
-    for i in range(m):
-        mask = indicators[:, i].copy()
-        for j in groups.neighbors(i):
-            mask &= indicators[:, j] == d[j]
-        w[i] = mask.mean()
-    return w
-
-
 def posterior_fdr(d: np.ndarray, v: np.ndarray) -> float:
     """Expected false-discovery proportion under the posterior, given decisions."""
     d = np.asarray(d, dtype=float)

@@ -55,26 +55,18 @@ class StrandHyperParams:
                 raise ValueError(f"{name} must be positive and finite, got {v}")
 
 
-@dataclass(frozen=True)
-class JitterPolicy:
-    """Escalating diagonal jitter for Cholesky certification.
-
-    Amounts are relative to a reference scale: start at ``initial``,
-    multiply by ``growth`` on failure, give up beyond ``maximum``.  For the
-    effect covariance the reference is its largest diagonal entry over all
-    units, and each component (strands linked by multi-locus units) escalates
-    on its own: a component that factors without jitter gets none, and the
-    jitter lands on the component's unit variances.  Because every
-    component shares the global reference, a covariance is rejected exactly
-    when the whole matrix would be (in exact arithmetic).
-    """
-
-    initial: float = 1e-10
-    growth: float = 2.0
-    maximum: float = 1e-6
-
-
-DEFAULT_JITTER = JitterPolicy()
+# Escalating diagonal jitter for Cholesky certification, as fractions of a
+# reference scale: start at JITTER_INITIAL, multiply by JITTER_GROWTH on
+# failure, give up beyond JITTER_MAXIMUM (read at call time).  For the effect
+# covariance the reference is its largest diagonal entry over all units, and
+# each component (strands linked by multi-locus units) escalates on its own:
+# a component that factors without jitter gets none, and the jitter lands on
+# the component's unit variances.  Because every component shares the global
+# reference, a covariance is rejected exactly when the whole matrix would be
+# (in exact arithmetic).
+JITTER_INITIAL = 1e-10
+JITTER_GROWTH = 2.0
+JITTER_MAXIMUM = 1e-6
 _LOG2 = np.log(2.0)
 
 
@@ -113,21 +105,7 @@ def matern_correlation(d, nu: float) -> np.ndarray:
     return _matern_at(np.sqrt(2.0 * nu) * d, nu, (1.0 - nu) * _LOG2 - gammaln(nu), kv)
 
 
-def matern_cov(d, h: StrandHyperParams):
-    """Matern covariance at distance(s) ``d`` (scalar in, scalar out).
-
-    Returns ``varrho2`` at distance zero and decays monotonically with
-    distance; the decay rate is set by ``rho`` (distances are measured in
-    the same unit, base pairs) and the shape near zero by ``nu``.
-    """
-    d = np.asarray(d, dtype=float)
-    scalar = d.ndim == 0
-    value = h.varrho2 * matern_correlation(d / h.rho, h.nu)
-    return float(value) if scalar else value
-
-
-def cholesky_with_jitter(matrix: np.ndarray, scale: float,
-                         policy: JitterPolicy = DEFAULT_JITTER) -> tuple[np.ndarray, float]:
+def cholesky_with_jitter(matrix: np.ndarray, scale: float) -> tuple[np.ndarray, float]:
     """Cholesky factor of ``matrix``, adding escalating diagonal jitter on failure.
 
     Every attempt, jittered or not, is one LAPACK ``dpotrf`` call, so one
@@ -135,7 +113,7 @@ def cholesky_with_jitter(matrix: np.ndarray, scale: float,
 
     Args:
         matrix: symmetric matrix to factor (not modified).
-        scale: reference magnitude; jitter amounts are ``policy`` fractions of it.
+        scale: reference magnitude; jitter amounts are the ``JITTER_*`` fractions of it.
 
     Returns:
         (lower Cholesky factor, jitter actually added to the diagonal).
@@ -144,25 +122,25 @@ def cholesky_with_jitter(matrix: np.ndarray, scale: float,
         NumericalError: factorization still fails at the jitter budget, or
             the reference scale is not a positive finite number.
     """
-    return _factor_with_jitter(matrix, scale, policy, _scipy()[0])
+    return _factor_with_jitter(matrix, scale, _scipy()[0])
 
 
-def _factor_with_jitter(matrix, scale, policy, dpotrf):
+def _factor_with_jitter(matrix, scale, dpotrf):
     chol, info = dpotrf(matrix, lower=1, clean=1)
     if not info:
         return chol, 0.0
     if not (np.isfinite(scale) and scale > 0.0):
         raise NumericalError(f"invalid jitter reference scale {scale!r}")
-    jitter = policy.initial * scale
-    limit = policy.maximum * scale
+    jitter = JITTER_INITIAL * scale
+    limit = JITTER_MAXIMUM * scale
     eye = np.eye(matrix.shape[0])
     while jitter <= limit:
         chol, info = dpotrf(matrix + jitter * eye, lower=1, clean=1)
         if not info:
             return chol, jitter
-        jitter *= policy.growth
+        jitter *= JITTER_GROWTH
     raise NumericalError(
-        f"matrix not positive definite within jitter budget ({policy.maximum:g} x scale)"
+        f"matrix not positive definite within jitter budget ({JITTER_MAXIMUM:g} x scale)"
     )
 
 
@@ -192,13 +170,13 @@ def _pair_covariances(index: CovarianceIndex, which, varrho2s, nus, rhos) -> np.
     return varrho2s[s] * _matern_at(x, nus[s], lead[s], kv)
 
 
-def factor_blocks(index: CovarianceIndex, packed: np.ndarray,
-                  policy: JitterPolicy = DEFAULT_JITTER) -> list:
+def factor_blocks(index: CovarianceIndex, packed: np.ndarray) -> list:
     """Lower Cholesky factor and jitter of every component block.
 
     Jitter escalates per component against the largest unit variance over
-    all components (see ``JitterPolicy``) and is added to the block's
-    diagonal in ``packed``, so each factor is that of its packed block.
+    all components (see the ``JITTER_*`` constants) and is added to the
+    block's diagonal in ``packed``, so each factor is that of its packed
+    block.
 
     Raises:
         NumericalError: some block is not positive definite within budget.
@@ -208,7 +186,7 @@ def factor_blocks(index: CovarianceIndex, packed: np.ndarray,
     out = []
     for _, size, offset in index.spans:
         block = packed[offset:offset + size * size].reshape(size, size)
-        chol, jitter = _factor_with_jitter(block, scale, policy, dpotrf)
+        chol, jitter = _factor_with_jitter(block, scale, dpotrf)
         if jitter:
             block[np.diag_indices(size)] += jitter
         out.append((chol, jitter))
@@ -266,8 +244,7 @@ class PriorCovariance:
         return dense
 
 
-def prior_cov_psi(design: DesignMatrix, hypers,
-                  policy: JitterPolicy = DEFAULT_JITTER) -> PriorCovariance:
+def prior_cov_psi(design: DesignMatrix, hypers) -> PriorCovariance:
     """The prior covariance of the effects, certified positive definite.
 
     ``hypers`` supplies one StrandHyperParams per strand, in the design's
@@ -282,7 +259,7 @@ def prior_cov_psi(design: DesignMatrix, hypers,
     if len(hypers) != index.n_strands:
         raise ValueError(f"expected {index.n_strands} strand hyperparameters, got {len(hypers)}")
     packed = assemble_blocks(index, *hyper_arrays(hypers))
-    factors, jitters = zip(*factor_blocks(index, packed, policy))
+    factors, jitters = zip(*factor_blocks(index, packed))
     return PriorCovariance(index, packed, factors, max(jitters))
 
 

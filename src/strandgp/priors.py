@@ -25,8 +25,6 @@ import numpy as np
 from .data import DesignMatrix
 from .errors import ConfigError, DataError, NumericalError
 from .kernels import (
-    DEFAULT_JITTER,
-    JitterPolicy,
     StrandHyperParams,
     assemble_blocks,
     factor_blocks,
@@ -167,24 +165,6 @@ def empirical_bayes_delta2(z: np.ndarray) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Log densities (plain formulas; the sampling target folds the same terms
-# into precomputed constants, and tests compare the two)
-# ---------------------------------------------------------------------------
-
-def log_invgamma_pdf(x, shape: float, scale: float):
-    from scipy.special import gammaln
-
-    x = np.asarray(x, dtype=float)
-    return shape * math.log(scale) - gammaln(shape) - (shape + 1.0) * np.log(x) - scale / x
-
-
-def log_lognormal_pdf(x, mu, sigma):
-    x = np.asarray(x, dtype=float)
-    logx = np.log(x)
-    return -logx - np.log(sigma) - 0.5 * LOG2PI - (logx - mu) ** 2 / (2.0 * np.asarray(sigma) ** 2)
-
-
-# ---------------------------------------------------------------------------
 # Hyperprior specification
 # ---------------------------------------------------------------------------
 
@@ -257,36 +237,6 @@ class HyperPriorSpec:
     def n_strands(self) -> int:
         return len(self.rho_priors)
 
-    # -- densities ---------------------------------------------------------
-
-    def log_density_varrho2(self, varrho2):
-        a, b = self.varrho2_prior
-        varrho2 = np.asarray(varrho2, dtype=float)
-        if self.varrho_prior_on == "varrho":
-            varrho = np.sqrt(varrho2)
-            return log_invgamma_pdf(varrho, a, b) - np.log(2.0 * varrho)
-        return log_invgamma_pdf(varrho2, a, b)
-
-    def log_density_nu(self, nu):
-        mu, sigma = self.nu_prior
-        return log_lognormal_pdf(nu, mu, sigma)
-
-    def log_density_rho(self, rho):
-        mus = np.array([p[0] for p in self.rho_priors])
-        sigmas = np.array([p[1] for p in self.rho_priors])
-        return log_lognormal_pdf(rho, mus, sigmas)
-
-    def log_density_delta2(self, delta2):
-        a, b = self.delta2_prior
-        return log_invgamma_pdf(delta2, a, b)
-
-    def log_density_hypers(self, varrho2s, nus, rhos) -> float:
-        return float(
-            np.sum(self.log_density_varrho2(varrho2s))
-            + np.sum(self.log_density_nu(nus))
-            + np.sum(self.log_density_rho(rhos))
-        )
-
     # -- draws -------------------------------------------------------------
 
     def draw_hyper_arrays(self, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -301,10 +251,6 @@ class HyperPriorSpec:
             math.exp(m_ + s_ * rng.standard_normal()) for m_, s_ in self.rho_priors
         ])
         return varrho2, nus, rhos
-
-    def draw_delta2(self, rng) -> float:
-        a, b = self.delta2_prior
-        return float(1.0 / rng.gamma(a, 1.0 / b))
 
     # -- moments and initial values ----------------------------------------
 
@@ -353,19 +299,6 @@ class HyperPriorSpec:
             "varrho_prior_on": self.varrho_prior_on,
             "rho_prior_variance_scale": self.rho_prior_variance_scale,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "HyperPriorSpec":
-        return cls(
-            varrho2_prior=tuple(d["varrho2_prior"]),
-            nu_prior=tuple(d["nu_prior"]),
-            rho_priors=tuple(tuple(p) for p in d["rho_priors"]),
-            delta2_prior=tuple(d["delta2_prior"]),
-            dof=int(d["dof"]),
-            varrho_prior_on=d.get("varrho_prior_on", "varrho2"),
-            rho_prior_variance_scale=d.get("rho_prior_variance_scale", "natural"),
-        )
-
 
 # ---------------------------------------------------------------------------
 # Model state
@@ -447,7 +380,7 @@ class _PosteriorTarget:
     """
 
     def __init__(self, z: np.ndarray, design: DesignMatrix, priors: HyperPriorSpec,
-                 include_likelihood: bool, policy: JitterPolicy):
+                 include_likelihood: bool):
         from scipy.linalg.lapack import dpotrf, dtrtrs
         from scipy.special import gammaln
 
@@ -461,7 +394,6 @@ class _PosteriorTarget:
             raise DataError(f"priors cover {priors.n_strands} strands, design has {k}")
         self.index = design.covariance_index
         self.include_likelihood = include_likelihood
-        self.policy = policy
         self.zzt = self.z @ self.z.T
         self.eye = np.eye(self.n)
         self.dof = priors.dof
@@ -519,7 +451,7 @@ class _PosteriorTarget:
         dtrtrs = self.dtrtrs
         y = psi[index.unit_order]
         diag = np.empty(self.m)
-        for (start, size, _), (chol, _) in zip(index.spans, factor_blocks(index, packed, self.policy)):
+        for (start, size, _), (chol, _) in zip(index.spans, factor_blocks(index, packed)):
             seg = slice(start, start + size)
             y[seg] = dtrtrs(chol, y[seg], lower=1)[0]
             diag[seg] = chol.diagonal()
@@ -538,33 +470,8 @@ class _PosteriorTarget:
         return float(lp)
 
 
-def log_posterior(state: ModelState, z: np.ndarray, design: DesignMatrix,
-                  priors: HyperPriorSpec,
-                  policy: JitterPolicy = DEFAULT_JITTER) -> float:
-    """Joint log posterior of (psi, hyperparameters, delta2), error covariance
-    integrated out, up to one additive constant fixed per dataset.
-
-    Determinants and quadratic forms go through Cholesky factorizations: the
-    prior term on each component block of the m x m effect covariance, the
-    likelihood term on the n x n Gram form (n << m).  A positive-definiteness
-    failure beyond the jitter budget or a non-finite result returns -inf,
-    which a sampler treats as certain rejection.  Evaluated by the same
-    target that ``make_posterior_model`` builds.
-    """
-    target = _PosteriorTarget(z, design, priors, include_likelihood=True, policy=policy)
-    nat = np.concatenate([*hyper_arrays(state.hypers), [state.delta2]])
-    with np.errstate(divide="ignore"):
-        lognat = np.log(nat)
-    try:
-        lp = target.evaluate(state.psi, nat, lognat)
-    except NumericalError:
-        return -math.inf
-    return lp if math.isfinite(lp) else -math.inf
-
-
 def make_posterior_model(z: np.ndarray, design: DesignMatrix, priors: HyperPriorSpec,
-                         include_likelihood: bool = True,
-                         policy: JitterPolicy = DEFAULT_JITTER) -> TargetModel:
+                         include_likelihood: bool = True) -> TargetModel:
     """Bundle the posterior into an unconstrained sampling target.
 
     The target vector is [psi, log varrho2 (k), log nu (k), log rho (k),
@@ -578,7 +485,7 @@ def make_posterior_model(z: np.ndarray, design: DesignMatrix, priors: HyperPrior
     Initial point: psi at the column means of z (zeros without likelihood),
     hyperparameters at their prior modes, delta2 at its prior mean.
     """
-    target = _PosteriorTarget(z, design, priors, include_likelihood, policy)
+    target = _PosteriorTarget(z, design, priors, include_likelihood)
     m, k, zmat = target.m, target.k, target.z
 
     modal = priors.modal_hypers()

@@ -68,10 +68,10 @@ class TargetModel:
 class SamplerConfig:
     """Chain length, thinning, and adaptation settings.
 
-    ``scales`` overrides the model's per-coordinate base scales when given.
-    Acceptance is steered into ``target_acceptance`` during burn-in by
-    multiplicative Robbins-Monro updates applied to one block per
-    ``adaptation_window`` iterations.
+    Proposal scales are the model's per-coordinate base scales times one
+    factor per block.  Acceptance is steered into ``target_acceptance``
+    during burn-in by multiplicative Robbins-Monro updates of the factors,
+    one window of ``adaptation_window`` iterations at a time.
     """
 
     n_iterations: int
@@ -80,9 +80,6 @@ class SamplerConfig:
     seed: int = 0
     target_acceptance: tuple = (0.20, 0.35)
     adaptation_window: int = 200
-    adapt_rate: float = 1.0
-    initial_factor: float | None = None
-    scales: np.ndarray | None = None
 
     def __post_init__(self):
         if self.n_iterations < 0 or self.burn_in < 0:
@@ -167,18 +164,18 @@ class _Adaptation:
     A shared epsilon makes the acceptance rate a joint function of every
     block's scale, so tuning starts with a global phase (all factors move
     together, fixing the overall magnitude quickly) before round-robin
-    per-block refinement with decaying steps.
+    per-block refinement with decaying steps.  Every factor starts at
+    2.4 / sqrt(d), the random-walk Metropolis rule of thumb in d dimensions.
     """
 
     GLOBAL_WINDOWS = 12
+    RATE = 1.0  # Robbins-Monro gain on the log factors
 
-    def __init__(self, blocks, d, window, target, rate, initial_factor):
+    def __init__(self, blocks, d, window, target):
         self.blocks = blocks
         self.window = window
         self.mid = 0.5 * (target[0] + target[1])
-        self.rate = rate
-        init = initial_factor if initial_factor is not None else 2.4 / math.sqrt(d)
-        self.log_factors = [math.log(init)] * len(blocks)
+        self.log_factors = [math.log(2.4 / math.sqrt(d))] * len(blocks)
         self.windows_done = 0
         self.visits = [0] * len(blocks)
         self.active = 0
@@ -201,7 +198,7 @@ class _Adaptation:
         acc = self.accepted / self.seen
         self.windows_done += 1
         if self.windows_done <= self.GLOBAL_WINDOWS or len(self.blocks) == 1:
-            step = self.rate / math.sqrt(self.windows_done)
+            step = self.RATE / math.sqrt(self.windows_done)
             delta = step * (acc - self.mid)
             self.log_factors = [float(np.clip(lf + delta, -30.0, 30.0))
                                 for lf in self.log_factors]
@@ -214,7 +211,7 @@ class _Adaptation:
             # factors freeze regardless, preserving the Markov property.
             b = self.active
             self.visits[b] += 1
-            step = self.rate / math.sqrt(min(self.visits[b], 16))
+            step = self.RATE / math.sqrt(min(self.visits[b], 16))
             self.log_factors[b] = float(np.clip(self.log_factors[b] + step * (acc - self.mid),
                                                 -30.0, 30.0))
             self.history.append({"block": b, "acceptance": acc,
@@ -242,11 +239,8 @@ def run_chain(model: TargetModel, config: SamplerConfig, rng=None) -> PosteriorS
         raise NumericalError("initial state has non-finite log target")
 
     d = x.size
-    base = np.asarray(config.scales, dtype=float) if config.scales is not None else model.base_scales
-    if base.shape != (d,):
-        raise ValueError("scales must have one entry per coordinate")
-    adapt = _Adaptation(model.blocks, d, config.adaptation_window,
-                        config.target_acceptance, config.adapt_rate, config.initial_factor)
+    base = model.base_scales
+    adapt = _Adaptation(model.blocks, d, config.adaptation_window, config.target_acceptance)
     scales = base * adapt.factors(d)
 
     n_stored = max(0, (config.n_iterations - config.burn_in) // config.thin)

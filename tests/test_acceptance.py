@@ -19,6 +19,7 @@ import pytest
 from scipy import integrate, stats
 from scipy.special import gammaln
 
+from oracles import log_posterior, matern_cov
 from strandgp import (
     ExpressionDataset,
     GroupStructure,
@@ -32,17 +33,15 @@ from strandgp import (
     build_design_matrix,
     calibrate_beta,
     hypothesis_indicators,
-    log_posterior,
     make_posterior_model,
-    matern_cov,
     optimize_decisions,
     overall_coverage,
     prior_cov_psi,
     run_chain,
     run_loo,
-    sample_psi_prior,
 )
 from strandgp.data import GenomeAnnotation, StrandRecord
+from strandgp.kernels import sample_psi_prior
 from strandgp.simulate import simulate_dataset
 
 mp.mp.dps = 40

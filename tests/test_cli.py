@@ -1,3 +1,6 @@
+import ast
+import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -8,6 +11,7 @@ import numpy as np
 import pytest
 
 from strandgp.cli import RunConfig, main, read_samples, write_samples
+from strandgp.decisions import ComponentReport
 from strandgp.errors import ConfigError
 from strandgp.tmcmc import PosteriorSamples, SamplerConfig
 
@@ -248,6 +252,13 @@ class TestPipeline:
         fold_file = out / f"cv_{summary['folds'][0]}.csv"
         assert fold_file.exists()
 
+    def test_cv_repeated_fold_exits_2(self, pipeline, capsys):
+        # Each fold has its own RNG stream; a repeat would rerun the fold on
+        # a used stream and count it twice in the pooled coverage.
+        capsys.readouterr()
+        assert main(["cv", "--config", pipeline["config"], "--folds", "2,1,2"]) == 2
+        assert "fold indices repeated: [2]" in capsys.readouterr().err
+
     def test_report_command(self, pipeline):
         assert main(["report", "--config", pipeline["config"]]) == 0
         lines = (pipeline["out"] / "comparison.csv").read_text().strip().splitlines()
@@ -309,6 +320,28 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
             "main(['report', '--config', sys.argv[1]])]; print(codes, end=' '); " + report_any)
     assert last_line(code, config) == "[0, 0] []"
     assert (tmp_path / "out2" / "comparison.csv").exists()
+
+
+def test_benchmark_hooks_resolve():
+    # perfbench/tracing.py wraps each (module, attribute) of WRAPPED with a
+    # plain getattr and reads each solved component's indices and exact
+    # flag, and perfbench/workloads.py imports names from strandgp:
+    # removing or renaming any of them stops the benchmark.
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", os.path.join(root, "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, attr, _ in tracing.WRAPPED:
+        assert hasattr(importlib.import_module(module), attr), (module, attr)
+    assert {"indices", "exact"} <= {f.name for f in dataclasses.fields(ComponentReport)}
+    with open(os.path.join(root, "workloads.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = [(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "strandgp"
+                for alias in node.names]
+    assert ("strandgp", "make_posterior_model") in imported
+    for module, name in imported:
+        assert hasattr(importlib.import_module(module), name), (module, name)
 
 
 def test_test_command_runs_at_study_shape_under_default_priors(tmp_path):
@@ -399,6 +432,56 @@ seed = 0
         draws, _ = read_samples(tmp_path / "out" / "samples.bin")
         assert draws.shape[0] == 0
         assert main(["test", "--config", str(config)]) == 2
+
+
+class TestAnnotationChecks:
+    """``fit`` refuses, with exit 2 naming the file and line, a coordinate or
+    a chromosome length that is not finite, and a chromosome given two
+    lengths."""
+
+    @pytest.fixture
+    def run(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        assert main(["simulate", "--out", str(data_dir), "--m", "4", "--n", "5",
+                     "--strands", "2", "--seed", "0"]) == 0
+        config = tmp_path / "run.ini"
+        write_config(config, data_dir, tmp_path / "out")
+        config.write_text(config.read_text().replace(
+            "output_dir =", f"lengths = {data_dir}/lengths.csv\noutput_dir ="))
+        (data_dir / "lengths.csv").write_text("chromosome,length\nChr1,1e6\nChr2,1e6\n")
+        capsys.readouterr()
+
+        def fit():
+            code = main(["fit", "--config", str(config)])
+            assert not (tmp_path / "out" / "samples.bin").exists()
+            return code, capsys.readouterr().err
+        return data_dir, fit
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_coordinate(self, run, value):
+        data_dir, fit = run
+        path = data_dir / "annotation.csv"
+        lines = path.read_text().splitlines()
+        lines[2] = ",".join(lines[2].split(",")[:3] + [value])
+        path.write_text("\n".join(lines) + "\n")
+        code, err = fit()
+        assert code == 2
+        assert f"annotation.csv:3: non-finite coordinate '{value}'" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_length(self, run, value):
+        data_dir, fit = run
+        (data_dir / "lengths.csv").write_text(f"chromosome,length\nChr1,1e6\nChr2,{value}\n")
+        code, err = fit()
+        assert code == 2
+        assert f"lengths.csv:3: non-finite length '{value}'" in err
+
+    def test_repeated_chromosome_length(self, run):
+        data_dir, fit = run
+        (data_dir / "lengths.csv").write_text("chromosome,length\nChr1,1e6\nChr2,1e6\nChr1,5e5\n")
+        code, err = fit()
+        assert code == 2
+        assert "lengths.csv:4: second length for chromosome 'Chr1'" in err
 
 
 class TestSamplesChecks:

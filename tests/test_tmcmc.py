@@ -217,9 +217,10 @@ class TestRunChain:
             return math.log(0.7 * math.exp(-0.5 * ((v + 1.0) / 0.5) ** 2)
                             + 0.3 * math.exp(-0.5 * ((v - 1.5) / 1.0) ** 2))
 
-        model = TargetModel(log_target=log_target, x0=np.zeros(1), names=["x"])
-        cfg = SamplerConfig(n_iterations=200000, burn_in=0, thin=1, seed=17,
-                            initial_factor=1.0)
+        # Without burn-in the scale stays at base_scales * 2.4 / sqrt(d), here 1.
+        model = TargetModel(log_target=log_target, x0=np.zeros(1), names=["x"],
+                            base_scales=np.array([1.0 / 2.4]))
+        cfg = SamplerConfig(n_iterations=200000, burn_in=0, thin=1, seed=17)
         samples = run_chain(model, cfg)
         chain = samples.draws[:, 0]
         edges = np.linspace(-3.0, 4.0, 8)
