@@ -19,15 +19,17 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .data import CovarianceIndex, DesignMatrix
+from .data import SERIES_TERMS, CovarianceIndex, DesignMatrix, PairLayout
 from .errors import NumericalError
 from .util import spawn_rngs, worker_count
 
 @cache
 def _scipy():
     """(dpotrf, gammaln, kv), imported on first use so that importing the
-    package loads no scipy module.  Public functions look them up once per
-    call and hand them down, never once per block or pair."""
+    package loads no scipy module.  ``factor_blocks`` calls dpotrf once per
+    block; gammaln and kv serve only the pairs that the Matern series leaves
+    to the Bessel function (see ``_pair_correlations``), so an evaluation
+    whose scaled distances all lie in the series' range calls neither."""
     from scipy.linalg.lapack import dpotrf
     from scipy.special import gammaln, kv
 
@@ -69,20 +71,208 @@ JITTER_GROWTH = 2.0
 JITTER_MAXIMUM = 1e-6
 _LOG2 = np.log(2.0)
 
+# The Matern correlation at scaled distance x = sqrt(2 nu) d / rho is
+# 2^(1-nu) x^nu K_nu(x) / Gamma(nu).  Pairs with SERIES_X_MIN <= x <=
+# SERIES_X_MAX take Temme's series for K_mu and K_(mu+1), mu = nu - round(nu)
+# (Temme 1975, J. Comput. Phys. 19; Numerical Recipes' ``bessik``), carried
+# to order nu by the upward recurrence; the others take scipy's kv.  So do
+# all pairs of a strand whose round(nu) exceeds SERIES_MAX_ORDER or whose
+# largest x exceeds SERIES_SCALE_MAX (below it every slot of the series
+# stays finite), and all pairs of a design with fewer than SERIES_MIN_PAIRS
+# pairs: the series costs some thirty array operations per evaluation
+# whatever the number of pairs, kv about half a microsecond per pair.
+SERIES_X_MIN = 1e-100
+SERIES_X_MAX = 2.0
+SERIES_MAX_ORDER = 8
+SERIES_SCALE_MAX = 16.0
+SERIES_MIN_PAIRS = 64
 
-def _matern_at(x, nu, lead, kv) -> np.ndarray:
-    """Matern correlation at scaled distances ``x = sqrt(2 nu) d``, with
-    ``lead = (1 - nu) log 2 - log Gamma(nu)``; ``nu`` and ``lead`` are
-    scalars or arrays shaped like ``x``; ``kv`` is scipy's Bessel K."""
+# Taylor coefficients of 1/Gamma(1 + z) at 0 (Abramowitz & Stegun 6.1.34);
+# these 24 reach double precision for |z| <= 1/2.
+_RGAMMA_TAYLOR = np.array([
+    1.0, 0.57721566490153286061, -0.65587807152025388108, -0.042002635034095235529,
+    0.1665386113822914895, -0.042197734555544336748, -0.0096219715278769735621,
+    0.0072189432466630995424, -0.0011651675918590651121, -0.00021524167411495097282,
+    0.00012805028238811618615, -0.000020134854780788238656, -1.2504934821426706573e-6,
+    1.1330272319816958824e-6, -2.0563384169776071035e-7, 6.1160951044814158179e-9,
+    5.0020076444692229301e-9, -1.1812745704870201446e-9, 1.0434267116911005105e-10,
+    7.782263439905071254e-12, -3.6968056186422057082e-12, 5.100370287454475979e-13,
+    -2.0583260535665067832e-14, -5.3481225394230179824e-15,
+])
+_MU_DEGREE = 28
+_DEGREES = np.arange(_MU_DEGREE, dtype=float)
+_TERMS = np.arange(SERIES_TERMS, dtype=float)
+_FACTORIALS = np.cumprod(np.maximum(_TERMS, 1.0))
+_LOG4 = np.log(4.0)
+
+
+def _series_tables(mu) -> np.ndarray:
+    """Temme's series at orders ``mu`` (|mu| <= 1/2) as coefficients of
+    s_i u^(2i), i < SERIES_TERMS, where u is a pair's normalized distance,
+    c the scale of x = c u and s_i = (c^2/4)^i / i!.  Returns
+    (mu.size, SERIES_MAX_ORDER + 1, 2, SERIES_TERMS): for each order n, a
+    row A and a row B with
+
+        sum_i s_i u^(2i) (A_i + y B_i) = H_n = x^(mu+n) K_(mu+n)(x) / (2^(mu+n-1) Gamma(mu+n)),
+        y = expm1(2 mu log(x/2)) / mu,
+
+    H_n being the correlation at smoothness mu + n; for n = 0 the rows hold
+    H_0 / (4 mu (mu + 1)), which the caller multiplies out, so that the
+    fitted polynomials keep their relative accuracy as mu -> 0.
+
+    The series sums c_i f_i for K_mu and c_i (p_i - i f_i) for x K_(mu+1) / 2,
+    with c_i = (x^2/4)^i / i! and f_i, p_i, q_i from a recurrence that is
+    linear in (f_0, p_0, q_0), with coefficients that depend on mu alone:
+    p_i = p_0 P_i, P_i = 1 / prod_(l<=i) (l - mu), likewise q_i with l + mu,
+    and f_i = a_i (f_0 + p_0 S_i + q_0 R_i), a_i = i! P_i Q_i, S_i and R_i
+    cumulative sums.  Times x^mu, f_0, p_0 and q_0 depend on x only through
+    y.  From H_1 and H_0 / (4 mu (mu + 1)), the recurrence H_(n+1) = H_n +
+    x^2 H_(n-1) / (4 (mu+n) (mu+n-1)) runs on the coefficients (x^2 s_i
+    u^(2i) = 4 (i+1) s_(i+1) u^(2i+2)).
+    """
+    mu = np.asarray(mu, dtype=float)
+    terms = _TERMS[1:]
+    even = mu[:, None] ** np.arange(0, 24, 2)
+    gam1, gam2 = -even @ _RGAMMA_TAYLOR[1::2], even @ _RGAMMA_TAYLOR[0::2]
+    rgamma_plus = gam2 - mu * gam1           # 1 / Gamma(1 + mu)
+    fact = 1.0 / np.sinc(mu)                 # mu pi / sin(mu pi)
+    m1, m2 = fact * gam1, fact * gam2
+    m3, m4 = 0.5 / rgamma_plus, 0.5 / (gam2 + mu * gam1)
+    pq = np.ones((2, mu.size, SERIES_TERMS))
+    pq[..., 1:] = np.cumprod(1.0 / (terms + np.array([-1.0, 1.0])[:, None, None] * mu[:, None]),
+                             axis=-1)
+    factorial = np.concatenate(([1.0], np.cumprod(terms)))
+    a = factorial * pq[0] * pq[1]
+    steps = 1.0 / (factorial[1:] * pq[::-1, :, :-1])
+    f_sum = np.concatenate((m1[:, None], m3[:, None] * steps[0] + m4[:, None] * steps[1]), axis=1)
+    y_sum = np.concatenate((0.5 * (mu * m1 - m2)[:, None], (mu * m4)[:, None] * steps[1]), axis=1)
+    f_sum, y_sum = a * f_sum.cumsum(axis=1), a * y_sum.cumsum(axis=1)
+    scale0 = (rgamma_plus / (2.0 * (mu + 1.0)))[:, None]
+    scale1 = -2.0 * rgamma_plus[:, None] * _TERMS
+    prev = np.stack([scale0 * f_sum, scale0 * y_sum], axis=1)    # H_0 / (4 mu (mu + 1))
+    cur = np.stack([pq[0] + scale1 * f_sum, scale1 * y_sum], axis=1)  # H_1
+
+    out = np.empty((mu.size, SERIES_MAX_ORDER + 1, 2, SERIES_TERMS))
+    out[:, 0] = prev
+    out[:, 1] = cur
+    for n in range(1, SERIES_MAX_ORDER):
+        kappa = 1.0 if n == 1 else 0.25 / ((mu + n) * (mu + n - 1.0))[:, None, None]
+        shifted = np.zeros_like(prev)
+        shifted[..., 1:] = 4.0 * terms * prev[..., :-1]
+        prev, cur = cur, cur + kappa * shifted
+        out[:, n + 1] = cur
+    return out
+
+
+@cache
+def _series_polynomials() -> np.ndarray:
+    """``_series_tables`` over i! (the B rows times 2) as Chebyshev series
+    of degree < _MU_DEGREE in 2 mu, shape (_MU_DEGREE, (SERIES_MAX_ORDER +
+    1) * 2 * SERIES_TERMS), order by order: interpolated at Chebyshev
+    points, within 4e-15 of each entry's largest value.  One product of the
+    Chebyshev polynomials at each strand's 2 mu with it replaces some fifty
+    small array operations per evaluation."""
+    n = np.arange(_MU_DEGREE)
+    angles = np.pi * (n + 0.5) / _MU_DEGREE
+    values = _series_tables(0.5 * np.cos(angles)) / _FACTORIALS
+    values[:, :, 1] *= 2.0  # the B rows are divided by 2 mu, not mu
+    coef = (2.0 / _MU_DEGREE) * np.cos(np.outer(n, angles)) @ values.reshape(_MU_DEGREE, -1)
+    coef[0] *= 0.5
+    return coef
+
+
+def _series(layout: PairLayout, nus, order, cs, lowest, highest) -> np.ndarray:
+    """Matern correlations of ``layout``'s pairs by the series, for
+    per-strand smoothness ``nus``, ``order`` = round(nus) between ``lowest``
+    and ``highest``, and scales ``cs``.  One product of per-strand tables
+    with the layout's powers gives, per slot, the two sums of
+    ``_series_tables`` and 2 mu log(x/2) (from log(u/2))."""
+    k, rows = nus.size, layout.row_strand
+    mu = nus - order
+    # 2 mu, but where mu is 0 or a positive nu below 1e-84, so that
+    # y = expm1(2 mu log(x/2)) / mu takes its limit 2 log(x/2) there.
+    twice = mu * 2.0
+    twice += 2e-100
+    log_cs = np.log(cs)
+    chebyshev = np.cos(np.multiply.outer(np.arccos(twice), _DEGREES))
+    # The tables of every order from lowest to highest, then each strand's.
+    width = 2 * SERIES_TERMS
+    coef = chebyshev @ _series_polynomials()[:, int(lowest) * width:(int(highest) + 1) * width]
+    if lowest != highest:
+        coef = coef.reshape(k, -1, width)[np.arange(k), (order - lowest).astype(np.intp)]
+    if lowest == 0.0:  # nu <= 1/2
+        coef *= np.where(order == 0.0, 4.0 * mu * (mu + 1.0), 1.0)[:, None]
+    tables = np.zeros((k, 3, SERIES_TERMS + 1))
+    scale = np.exp(np.multiply.outer(log_cs, 2.0 * _TERMS) - _LOG4 * _TERMS)   # (c^2/4)^i
+    np.multiply(coef.reshape(k, 2, SERIES_TERMS), scale[:, None, :], out=tables[:, :2, :-1])
+    tables[:, 1] /= twice[:, None]
+    np.multiply(twice, log_cs, out=tables[:, 2, 0])
+    tables[:, 2, -1] = twice
+    slots = np.matmul(tables[rows], layout.powers)        # (rows, 3, width)
+    corr = np.expm1(slots[:, 2])
+    corr *= slots[:, 1]
+    corr += slots[:, 0]
+    corr = corr.take(layout.slot)
+    return np.minimum(corr, 1.0, out=corr)
+
+
+def _pair_correlations(layout: PairLayout, nus, cs) -> np.ndarray:
+    """Matern correlation of every pair of ``layout``, in its pair order, for
+    per-strand smoothness ``nus`` and scales ``cs = sqrt(2 nus) * span /
+    rho`` (a pair's scaled distance is x = cs[strand] * u).
+
+    Raises:
+        NumericalError: a smoothness is not positive and finite, or a scale
+            is NaN.
+    """
+    if not layout.u.size:
+        return np.empty(0)
+    if layout.design_pairs < SERIES_MIN_PAIRS:
+        return _bessel(cs[layout.strand] * layout.u, nus[layout.strand])
+    order = np.rint(nus)
+    orders = order.tolist()
+    lowest, highest = min(orders), max(orders)
+    # A smoothness that is NaN, zero or negative makes its cs NaN or 0,
+    # which fails the test.
+    smallest = SERIES_X_MIN / layout.u_min
+    if highest <= SERIES_MAX_ORDER and all(smallest <= c <= SERIES_X_MAX for c in cs.tolist()):
+        return _series(layout, nus, order, cs, lowest, highest)
+
+    if not ((nus > 0.0).all() and (nus < np.inf).all()) or np.isnan(cs).any():
+        raise NumericalError(f"Matern evaluation left its numerical domain (nu={np.max(nus)})")
+    # The strands of ``whole`` run through the series at nu = 1 and scale 1;
+    # their pairs, and those outside the series' range, then take kv.
+    whole = (order > SERIES_MAX_ORDER) | (cs > SERIES_SCALE_MAX)
+    x = cs[layout.strand] * layout.u
+    bessel = whole[layout.strand] | (x > SERIES_X_MAX) | (x < SERIES_X_MIN)
+    if bessel.all():
+        corr = np.empty(x.size)
+    else:
+        order = np.where(whole, 1.0, order)
+        orders = order.tolist()
+        with np.errstate(over="ignore", invalid="ignore"):
+            corr = _series(layout, np.where(whole, 1.0, nus), order, np.where(whole, 1.0, cs),
+                           min(orders), max(orders))
+    corr[bessel] = _bessel(x[bessel], nus[layout.strand[bessel]])
+    return corr
+
+
+def _bessel(x, nu) -> np.ndarray:
+    """Matern correlation at scaled distances ``x`` and smoothness ``nu``
+    (one per distance) by scipy's kv, in log space."""
+    _, gammaln, kv = _scipy()
     out = np.ones(x.shape)
-    pos = x != 0.0  # a NaN (say from a NaN smoothness) goes on to the Bessel factor and raises
-    xp = x[pos]
-    if np.ndim(nu):
-        nu, lead = nu[pos], lead[pos]
+    pos = x != 0.0
+    xp, nu = x[pos], nu[pos]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         bessel = kv(nu, xp)
-        val = np.exp(lead + nu * np.log(xp) + np.log(bessel))
-    val[bessel == np.inf] = 1.0  # x -> 0 limit
+        val = np.exp((1.0 - nu) * _LOG2 - gammaln(nu) + nu * np.log(xp) + np.log(bessel))
+    # Where K_nu overflows, x is so small that 1 - x^2 / (4 (nu - 1)), the
+    # start of the correlation's expansion at 0, is within 1e-13 of it for
+    # nu <= 80 (at nu <= 2 it is 1); the error grows beyond, to 6e-11 at
+    # nu = 100 and 4e-7 at nu = 140.
+    over = bessel == np.inf
+    val[over] = 1.0 - xp[over] ** 2 / (4.0 * np.maximum(nu[over] - 1.0, 1.0))
     val[bessel == 0.0] = 0.0     # far-tail underflow
     if not np.isfinite(val).all():
         raise NumericalError(f"Matern evaluation left its numerical domain (nu={np.max(nu)})")
@@ -91,38 +281,26 @@ def _matern_at(x, nu, lead, kv) -> np.ndarray:
 
 
 def matern_correlation(d, nu: float) -> np.ndarray:
-    """Matern correlation (variance-free part) at distances ``d >= 0``.
+    """Matern correlation (variance-free part) at distances ``d >= 0`` (in
+    units of the correlation length), evaluated as one strand whose span is
+    the largest distance, by the method ``_pair_correlations`` picks for
+    that many pairs.
 
-    Evaluated in log space through the modified Bessel function of the
-    second kind.  Where the Bessel factor overflows (tiny scaled distance,
-    large smoothness) the correlation is 1 to double precision and is
-    returned as such; underflow of the far tail returns 0.
+    Raises:
+        NumericalError: the smoothness is not positive and finite.
     """
     d = np.asarray(d, dtype=float)
     if np.any(d < 0) or not np.all(np.isfinite(d)):
         raise ValueError("distances must be finite and nonnegative")
-    _, gammaln, kv = _scipy()
-    return _matern_at(np.sqrt(2.0 * nu) * d, nu, (1.0 - nu) * _LOG2 - gammaln(nu), kv)
-
-
-def cholesky_with_jitter(matrix: np.ndarray, scale: float) -> tuple[np.ndarray, float]:
-    """Cholesky factor of ``matrix``, adding escalating diagonal jitter on failure.
-
-    Every attempt, jittered or not, is one LAPACK ``dpotrf`` call, so one
-    library decides positive definiteness throughout.
-
-    Args:
-        matrix: symmetric matrix to factor (not modified).
-        scale: reference magnitude; jitter amounts are the ``JITTER_*`` fractions of it.
-
-    Returns:
-        (lower Cholesky factor, jitter actually added to the diagonal).
-
-    Raises:
-        NumericalError: factorization still fails at the jitter budget, or
-            the reference scale is not a positive finite number.
-    """
-    return _factor_with_jitter(matrix, scale, _scipy()[0])
+    out = np.ones(d.shape)
+    pos = d > 0
+    if pos.any():
+        dist = d[pos]
+        span = dist.max()
+        nus = np.array([nu], dtype=float)
+        layout = PairLayout.build(np.zeros(dist.size, dtype=np.intp), dist / span, 1, dist.size)
+        out[pos] = _pair_correlations(layout, nus, np.sqrt(2.0 * nus) * span)
+    return out
 
 
 def _factor_with_jitter(matrix, scale, dpotrf):
@@ -155,19 +333,16 @@ def assemble_blocks(index: CovarianceIndex, varrho2s, nus, rhos) -> np.ndarray:
     Raises:
         NumericalError: the Matern evaluation left its numerical domain.
     """
-    pairs = _pair_covariances(index, slice(None), varrho2s, nus, rhos)
+    pairs = _pair_covariances(index, index.pair_layout, varrho2s, nus, rhos)
     weights = np.concatenate((varrho2s[index.locus_strand], pairs, pairs))
     return np.bincount(index.targets, weights, minlength=index.packed_size)
 
 
-def _pair_covariances(index: CovarianceIndex, which, varrho2s, nus, rhos) -> np.ndarray:
-    """Matern covariance of the locus pairs ``which`` selects, each with its
-    strand's hyperparameters."""
-    _, gammaln, kv = _scipy()
-    s = index.pair_strand[which]
-    lead = (1.0 - nus) * _LOG2 - gammaln(nus)
-    x = np.sqrt(2.0 * nus)[s] * (index.pair_dist[which] / rhos[s])
-    return varrho2s[s] * _matern_at(x, nus[s], lead[s], kv)
+def _pair_covariances(index: CovarianceIndex, layout: PairLayout, varrho2s, nus, rhos) -> np.ndarray:
+    """Matern covariance of the locus pairs of ``layout`` (one of ``index``'s),
+    each with its strand's hyperparameters."""
+    corr = _pair_correlations(layout, nus, np.sqrt(2.0 * nus) * (index.strand_span / rhos))
+    return varrho2s[layout.strand] * corr
 
 
 def factor_blocks(index: CovarianceIndex, packed: np.ndarray) -> list:
@@ -205,7 +380,7 @@ def unit_variances(index: CovarianceIndex, varrho2s, nus, rhos) -> np.ndarray:
     units, weights = index.locus_unit, varrho2s[index.locus_strand]
     same = index.same_unit_pairs
     if same.size:
-        pairs = _pair_covariances(index, same, varrho2s, nus, rhos)
+        pairs = _pair_covariances(index, index.same_unit_layout, varrho2s, nus, rhos)
         owner = index.pair_units[same, 0]
         units = np.concatenate((units, owner, owner))
         weights = np.concatenate((weights, pairs, pairs))

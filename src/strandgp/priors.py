@@ -332,18 +332,6 @@ class ModelState:
         arrs.append(np.array([math.log(self.delta2)]))
         return np.concatenate(arrs)
 
-    @classmethod
-    def from_vector(cls, x: np.ndarray, m: int, k: int) -> "ModelState":
-        """Decode [psi, log varrho2 (k), log nu (k), log rho (k), log delta2]."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (m + 3 * k + 1,):
-            raise ValueError(f"expected vector of length {m + 3 * k + 1}, got {x.shape}")
-        with np.errstate(over="ignore"):
-            nat = np.exp(x[m:])
-        hypers = tuple(StrandHyperParams(v, n_, r_)
-                       for v, n_, r_ in zip(nat[:k], nat[k:2 * k], nat[2 * k:3 * k]))
-        return cls(psi=x[:m], hypers=hypers, delta2=float(nat[-1]))
-
 
 def vector_names(mirna_names, strand_ids) -> list[str]:
     names = [f"psi:{name}" for name in mirna_names]
@@ -484,9 +472,17 @@ def make_posterior_model(z: np.ndarray, design: DesignMatrix, priors: HyperPrior
 
     Initial point: psi at the column means of z (zeros without likelihood),
     hyperparameters at their prior modes, delta2 at its prior mean.
+
+    Raises:
+        DataError: with the likelihood, z has fewer than two rows, so the
+            effects' starting proposal scales (column standard errors) are
+            undefined.
     """
     target = _PosteriorTarget(z, design, priors, include_likelihood)
     m, k, zmat = target.m, target.k, target.z
+    if include_likelihood and target.n < 2:
+        raise DataError(f"z has {target.n} patient row; the effects' starting proposal scales "
+                        "need the column standard deviations of at least two")
 
     modal = priors.modal_hypers()
     psi0 = zmat.mean(axis=0) if include_likelihood else np.zeros(m)

@@ -55,13 +55,18 @@ class TargetModel:
         if self.base_scales is None:
             self.base_scales = np.ones(d)
         self.base_scales = np.asarray(self.base_scales, dtype=float)
-        if self.base_scales.shape != (d,) or np.any(self.base_scales <= 0):
-            raise ValueError("base_scales must be positive with one entry per coordinate")
+        if len(self.names) != d:
+            raise ValueError("names must have one entry per coordinate")
+        if self.base_scales.shape != (d,):
+            raise ValueError("base_scales must have one entry per coordinate")
+        bad = np.flatnonzero(~(np.isfinite(self.base_scales) & (self.base_scales > 0)))
+        if bad.size:
+            shown = ", ".join(f"{self.names[i]}={float(self.base_scales[i])!r}" for i in bad[:5])
+            more = f" and {bad.size - 5} more" if bad.size > 5 else ""
+            raise ValueError(f"base_scales must be positive and finite: {shown}{more}")
         if self.blocks is None:
             self.blocks = [np.arange(d)]
         self.blocks = [np.asarray(b, dtype=int) for b in self.blocks]
-        if len(self.names) != d:
-            raise ValueError("names must have one entry per coordinate")
 
 
 @dataclass(frozen=True)

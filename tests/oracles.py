@@ -3,8 +3,8 @@
 Plain formulas, written for clarity rather than speed: the Matern
 covariance at a distance, the hyperprior log densities with every constant
 kept, the group-coupled posterior probabilities w_i(d) recounted from the
-draws, and the log posterior of a ``ModelState`` read through the sampling
-target the pipeline builds.
+draws, the log posterior of a ``ModelState`` read through the sampling
+target the pipeline builds, and the ``ModelState`` of a sampler vector.
 """
 
 import math
@@ -12,8 +12,9 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from strandgp import make_posterior_model
+from strandgp import ModelState, StrandHyperParams
 from strandgp.kernels import matern_correlation
+from strandgp.priors import _PosteriorTarget
 
 LOG2PI = math.log(2.0 * math.pi)
 
@@ -29,9 +30,19 @@ def matern_cov(d, h):
 
 def log_posterior(state, z, design, priors):
     """Log posterior of ``state`` (error covariance integrated out, up to a
-    constant fixed per dataset): the pipeline's target less its Jacobian."""
+    constant fixed per dataset): the log target that ``make_posterior_model``
+    wraps, less its Jacobian; built directly, so one patient row will do."""
     x = state.to_vector()
-    return make_posterior_model(z, design, priors).log_target(x) - x[design.n_mirnas:].sum()
+    return _PosteriorTarget(z, design, priors, True)(x) - x[design.n_mirnas:].sum()
+
+
+def state_from_vector(x, m, k):
+    """The ``ModelState`` of a sampler vector [psi, log varrho2 (k), log nu
+    (k), log rho (k), log delta2]."""
+    nat = np.exp(x[m:])
+    hypers = tuple(StrandHyperParams(float(v), float(n), float(r))
+                   for v, n, r in zip(nat[:k], nat[k:2 * k], nat[2 * k:3 * k]))
+    return ModelState(psi=x[:m], hypers=hypers, delta2=float(nat[-1]))
 
 
 # -- hyperprior log densities ------------------------------------------------

@@ -262,7 +262,7 @@ class TestDesignMatrix:
             ["b", "Chr1", "+", "30"], ["c", "Chr2", "+", "40"],
         ])
         design = build_design_matrix(ann, ["a", "b", "c"])
-        np.testing.assert_array_equal(design.row_multiplicity(), [2, 1, 1])
+        np.testing.assert_array_equal(design.p.sum(axis=1), [2, 1, 1])
         np.testing.assert_array_equal(design.p.sum(axis=0), np.ones(4))
 
     def test_unannotated_unit_listed(self, tmp_path):

@@ -14,7 +14,6 @@ from strandgp.data import GenomeAnnotation, StrandRecord
 from strandgp import kernels
 from strandgp.kernels import (
     assemble_blocks,
-    cholesky_with_jitter,
     hyper_arrays,
     matern_correlation,
     sample_psi_prior,
@@ -54,12 +53,20 @@ def strand_cov(coords, h):
 
 def dense_congruence(design, hypers):
     """Reference P W P^T: each strand's Matern Gram matrix through its column
-    block of P, added strand by strand, then symmetrized."""
+    block of P, added strand by strand, then symmetrized.  The Gram matrices
+    hold the pair covariances of the kernel's own evaluation, so a comparison
+    checks the assembly by index, not the Matern values."""
+    index = design.covariance_index
+    pairs = kernels._pair_covariances(index, index.pair_layout, *hyper_arrays(hypers))
     p = design.p.astype(float)
     cov = np.zeros((design.n_mirnas, design.n_mirnas))
+    start = 0
     for strand, h, cols in zip(design.annotation.strands, hypers, design.strand_slices):
-        c = strand.coordinates
-        w = h.varrho2 * matern_correlation(np.abs(c[:, None] - c[None, :]) / h.rho, h.nu)
+        n = len(strand.loci)
+        a, b = np.triu_indices(n, 1)
+        w = np.diag(np.full(n, h.varrho2))
+        w[a, b] = w[b, a] = pairs[start:start + a.size]
+        start += a.size
         cov += p[:, cols] @ w @ p[:, cols].T
     return 0.5 * (cov + cov.T)
 
@@ -177,6 +184,132 @@ class TestMaternCov:
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
             matern_cov(-1.0, StrandHyperParams(1.0, 1.0, 1.0))
+
+
+def matern_correlation_oracle(x, nu):
+    """Matern correlation at scaled distance ``x`` by mpmath's Bessel K."""
+    x, nu = mp.mpf(x), mp.mpf(nu)
+    return float(2 ** (1 - nu) / mp.gamma(nu) * x ** nu * mp.besselk(nu, x))
+
+
+class TestMaternSeries:
+    # The series serves 1e-100 <= x <= 2 up to order 8 once a design has 64
+    # pairs; kv serves the rest.  Both must match mpmath to 1e-12.
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 8, 9, 17, 33, 50])
+    def test_against_mpmath(self, order):
+        xs = np.concatenate([np.geomspace(1e-8, 2.0, 61), [2.0 * (1.0 + 1e-12), 2.01, 3.0]])
+        assert xs.size == kernels.SERIES_MIN_PAIRS
+        for mu in (0.0, 1e-9, -1e-9, 0.5 - 1e-12, -(0.5 - 1e-12)):
+            nu = order + mu
+            if nu <= 0.0:
+                continue
+            d = xs / np.sqrt(2.0 * nu)
+            want = [matern_correlation_oracle(np.sqrt(2.0 * nu) * dv, nu) for dv in d]
+            for every in (1, 8):  # series (with hand-off), kv alone
+                got = matern_correlation(d[::every], nu)
+                for dv, value, exact in zip(d[::every], got, want[::every]):
+                    assert value == pytest.approx(exact, rel=1e-12, abs=0.0), (nu, dv, every)
+
+    def test_overflow_corner_and_far_tail(self):
+        h = StrandHyperParams(2.0, 50.0, 1.0)
+        want = 2.0 * matern_correlation_oracle(np.sqrt(100.0) * 1e-6, 50.0)
+        assert matern_cov(1e-6, h) == pytest.approx(want, rel=1e-12)
+        assert matern_cov(1e-6, h) == pytest.approx(2.0, rel=1e-12)
+        assert matern_correlation(np.array([800.0, 1e4]), 1.5).tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("nu", [np.nan, np.inf])
+    def test_invalid_smoothness_is_a_numerical_error(self, nu):
+        # Through kv (2 pairs) and through the series (64 or more).
+        for count in (2, kernels.SERIES_MIN_PAIRS):
+            with pytest.raises(NumericalError):
+                matern_correlation(np.linspace(0.1, 1.0, count), nu)
+        names = [f"u{i}" for i in range(14)]
+        wide = build_design_matrix(make_annotation([
+            ("Chr1+", 1e4, [(name, 300.0 * i + 7.0) for i, name in enumerate(names[:12])]),
+            ("Chr2+", 1e4, [(names[12], 50.0), (names[13], 90.0)]),
+        ]), names)
+        for index in (jitter_design().covariance_index, wide.covariance_index):
+            for first in (True, False):  # the bad strand first or last
+                nus = np.full(index.n_strands, 1.3)
+                nus[0 if first else -1] = nu
+                with pytest.raises(NumericalError):
+                    assemble_blocks(index, np.ones(index.n_strands), nus,
+                                    np.full(index.n_strands, 500.0))
+
+    def test_pairs_do_not_depend_on_their_company(self, monkeypatch):
+        # A pair's covariance is bit-identical whether all pairs are evaluated
+        # (assemble_blocks), only the same-unit pairs (unit_variances), or
+        # either inside the prior Monte Carlo on one or two threads; orders
+        # reach the recurrence and the Bessel hand-off.
+        rng = np.random.default_rng(31)
+        spec = [("Chr1+", 1e4, [(f"a{i}", 100.0 * i + 3.0) for i in range(40)] + [("a3", 4050.0)]),
+                ("Chr2+", 1e4, [(f"b{i}", 37.0 * i + 1.0) for i in range(9)] + [("b0", 800.0), ("b5", 9e3)]),
+                ("Chr3+", 1e4, [("c0", 10.0), ("c1", 20.0)])]
+        for entry in spec:
+            entry[2].sort(key=lambda t: t[1])
+        names = sorted({name for _, _, loci in spec for name, _ in loci})
+        design = build_design_matrix(make_annotation(spec), names)
+        index = design.covariance_index
+        same = index.same_unit_pairs
+        assert same.size == 3 and np.bincount(index.pair_layout.row_strand)[0] >= 2
+
+        def draw(rng):
+            return (rng.uniform(0.5, 3.0, 3), np.exp(rng.uniform(np.log(0.2), np.log(60.0), 3)),
+                    np.exp(rng.uniform(np.log(50.0), np.log(5e4), 3)))
+
+        def evaluate(acc, varrho2s, nus, rhos):
+            full = kernels._pair_covariances(index, index.pair_layout, varrho2s, nus, rhos)
+            acc.append((full, kernels._pair_covariances(index, index.same_unit_layout, varrho2s, nus, rhos),
+                        unit_variances(index, varrho2s, nus, rhos),
+                        assemble_blocks(index, varrho2s, nus, rhos)[index.unit_diag]))
+
+        results = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("STRANDGP_THREADS", threads)
+            chunks, used = kernels.prior_monte_carlo(draw, 300, 9, list, evaluate)
+            assert used == 300
+            results[threads] = [row for chunk in chunks for row in chunk]
+        handed_off = 0
+        for one, two in zip(results["1"], results["2"]):
+            full, subset, diag, assembled = one
+            assert np.array_equal(full[same], subset)
+            np.testing.assert_array_equal(diag, assembled)
+            for a, b in zip(one, two):
+                assert np.array_equal(a, b)
+        serial = []
+        for rng in spawn_rngs(9, 300):
+            hypers = draw(rng)
+            evaluate(serial, *hypers)
+            nus, rhos = hypers[1], hypers[2]
+            x = np.sqrt(2.0 * nus)[index.pair_strand] * index.pair_dist / rhos[index.pair_strand]
+            handed_off += bool(np.any(x > kernels.SERIES_X_MAX))
+        assert 0 < handed_off < 300
+        for one, ref in zip(results["1"], serial):
+            for a, b in zip(one, ref):
+                assert np.array_equal(a, b)
+
+    def test_fold_shaped_fit_calls_no_bessel_function(self, monkeypatch):
+        # At the cross-validation fold's shape the sampler's scaled distances
+        # all lie in the series' range: scipy's kv is never called.
+        from strandgp import HyperPriorSpec, make_posterior_model
+        from strandgp.simulate import simulate_dataset
+        from strandgp.tmcmc import SamplerConfig, run_chain
+
+        sim = simulate_dataset(m=150, n=18, k=13, seed=4, varrho2=2.0, nu=1.5, rho_fraction=0.3)
+        design = build_design_matrix(sim.annotation, sim.mirna_names)
+        z = sim.z[1:]
+        model = make_posterior_model(z, design, HyperPriorSpec.from_data(design, z))
+        calls = []
+        dpotrf, gammaln, kv = kernels._scipy()
+
+        def counted_kv(*args):
+            calls.append(1)
+            return kv(*args)
+
+        monkeypatch.setattr(kernels, "_scipy", lambda: (dpotrf, gammaln, counted_kv))
+        samples = run_chain(model, SamplerConfig(n_iterations=400, burn_in=100, thin=10, seed=2))
+        assert samples.acceptance_rate > 0.05
+        assert calls == []
 
 
 class TestStrandCov:
@@ -305,7 +438,7 @@ class TestCovarianceIndex:
         rng = np.random.default_rng(21)
         for trial in range(5):
             design = random_design(rng, n_strands=6, singles=2, shared=3)
-            assert np.any(design.row_multiplicity() > 1)
+            assert np.any(design.p.sum(axis=1) > 1)
             for _ in range(4):
                 hypers = random_hypers(rng, design.n_strands)
                 pc = prior_cov_psi(design, hypers)
@@ -459,8 +592,10 @@ class TestPriorDraws:
         assert np.max(np.abs(sample_corr - target_corr)) < 0.03
 
     def test_component_factors_reproduce_the_certified_blocks(self):
+        # At this correlation length the first strand's correlations round
+        # to 1, so its block is singular and needs jitter.
         design = jitter_design()
-        hypers = [StrandHyperParams(1.0, 2.5, 5e3), StrandHyperParams(2.0, 1.0, 500.0),
+        hypers = [StrandHyperParams(1.0, 2.5, 1e9), StrandHyperParams(2.0, 1.0, 500.0),
                   StrandHyperParams(1.0, 0.7, 200.0)]
         pc = prior_cov_psi(design, hypers)
         assert pc.jitter_used > 0.0
@@ -592,19 +727,24 @@ class TestEstimatePriorCorrelation:
 
 
 class TestCholeskyWithJitter:
+    # Through _factor_with_jitter, the routine factor_blocks runs per block.
+    @staticmethod
+    def factor(matrix, scale):
+        return kernels._factor_with_jitter(matrix, scale, kernels._scipy()[0])
+
     def test_pd_matrix_untouched(self):
         mat = np.array([[2.0, 0.5], [0.5, 1.0]])
-        chol, jitter = cholesky_with_jitter(mat, 2.0)
+        chol, jitter = self.factor(mat, 2.0)
         assert jitter == 0.0
         np.testing.assert_allclose(chol @ chol.T, mat, rtol=1e-14)
 
     def test_singular_matrix_gets_jitter(self):
         mat = np.ones((3, 3))
-        chol, jitter = cholesky_with_jitter(mat, 1.0)
+        chol, jitter = self.factor(mat, 1.0)
         assert jitter > 0.0
         np.testing.assert_allclose(chol @ chol.T, mat + jitter * np.eye(3), rtol=1e-12)
 
     def test_budget_exhaustion(self):
         mat = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
         with pytest.raises(NumericalError):
-            cholesky_with_jitter(mat, 1.0)
+            self.factor(mat, 1.0)

@@ -14,6 +14,7 @@ from oracles import (
     log_density_varrho2,
     log_posterior,
     matern_cov,
+    state_from_vector,
 )
 from strandgp import (
     ConfigError,
@@ -253,10 +254,8 @@ class TestLogPosterior:
             return ModelState(psi=psi, hypers=hypers, delta2=float(rng.uniform(0.5, 2.0)))
         return one
 
-    # One patient: the sample sd that make_posterior_model uses for the
-    # chain's starting scales is undefined; only log_target is read here.
-    @pytest.mark.filterwarnings("ignore:Degrees of freedom <= 0:RuntimeWarning",
-                                "ignore:invalid value encountered in divide:RuntimeWarning")
+    # One patient: make_posterior_model refuses it (no starting scales), so
+    # the oracle reads the log target it would wrap.
     def test_quadrature_oracle_m1_n1(self):
         rng = np.random.default_rng(2)
         design = single_locus_design()
@@ -430,11 +429,25 @@ class TestLogPosterior:
         z = rng.normal(size=(5, 2))
         priors = make_priors(design, z)
         model = make_posterior_model(z, design, priors)
-        state = ModelState.from_vector(model.x0, 2, 1)
+        state = state_from_vector(model.x0, 2, 1)
         np.testing.assert_allclose(state.psi, z.mean(axis=0), rtol=1e-12)
         a, b = priors.varrho2_prior
         assert state.hypers[0].varrho2 == pytest.approx(b / (a + 1.0), rel=1e-12)
         assert state.delta2 == pytest.approx(priors.mean_delta2(), rel=1e-12)
+
+
+    def test_one_patient_is_refused(self):
+        # One row gives no column standard deviation, so the effects would
+        # start with NaN proposal scales and the chain would never move.
+        design = single_locus_design()
+        z = np.array([[0.8]])
+        priors = HyperPriorSpec(varrho2_prior=solve_ig(1.0, 100.0), nu_prior=solve_lognormal(1.0, 100.0),
+                                rho_priors=(solve_lognormal(100.0, 1000.0),), delta2_prior=(3.0, 2.0),
+                                dof=4)
+        with pytest.raises(DataError, match="at least two"):
+            make_posterior_model(z, design, priors)
+        prior_only = make_posterior_model(z, design, priors, include_likelihood=False)
+        assert np.all(np.isfinite(prior_only.base_scales))
 
 
 class NanSmoothness:

@@ -211,6 +211,14 @@ class TestRunChain:
         with pytest.raises(NumericalError):
             run_chain(model, SamplerConfig(n_iterations=10, seed=0))
 
+    def test_nonfinite_scales_rejected_by_name(self):
+        # NaN fails a "<= 0" test, so it needs its own check: a NaN scale
+        # would make every proposal NaN and the chain would never move.
+        for bad in (np.nan, np.inf, 0.0):
+            with pytest.raises(ValueError, match=r"psi:b=(nan|inf|0\.0)"):
+                TargetModel(log_target=lambda x: 0.0, x0=np.zeros(3), names=["psi:a", "psi:b", "s"],
+                            base_scales=np.array([1.0, bad, 0.5]))
+
     def test_detailed_balance_on_discretized_target(self):
         def log_target(x):
             v = x[0]
