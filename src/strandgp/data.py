@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -213,7 +213,7 @@ class CovarianceIndex:
         pair_strand, pair_dist: strand and distance of every locus pair
             sharing a strand (upper triangle, strand by strand).
         strand_span: largest pair distance of each strand (1 where a
-            strand has one locus), the unit of the pair layouts' distances.
+            strand has one locus).
         pair_units: (P, 2) units of each pair, smaller index first.
         same_unit_pairs: the pairs whose two loci belong to one unit.
         components: ascending unit indices of each component, ordered by
@@ -223,6 +223,9 @@ class CovarianceIndex:
         targets: packed position of every contribution (see above).
         unit_diag: packed position of each unit's variance, in unit order.
         packed_size: length of the packed buffer.
+        derived: values that another module computes from the index once
+            and keeps here under its own key (``kernels`` keeps its pair
+            layouts); not compared.
     """
 
     n_units: int
@@ -240,6 +243,7 @@ class CovarianceIndex:
     targets: np.ndarray
     unit_diag: np.ndarray
     packed_size: int
+    derived: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def from_design(cls, design: "DesignMatrix") -> "CovarianceIndex":
@@ -331,85 +335,6 @@ class CovarianceIndex:
     @property
     def largest_component(self) -> int:
         return max(size for _, size, _ in self.spans)
-
-    @cached_property
-    def pair_layout(self) -> "PairLayout":
-        """Every locus pair, laid out for the Matern evaluation; built on first use."""
-        return self._layout(slice(None))
-
-    @cached_property
-    def same_unit_layout(self) -> "PairLayout":
-        """The pairs of ``same_unit_pairs`` only, laid out like ``pair_layout``."""
-        return self._layout(self.same_unit_pairs)
-
-    def _layout(self, which) -> "PairLayout":
-        strand = self.pair_strand[which]
-        return PairLayout.build(strand, self.pair_dist[which] / self.strand_span[strand],
-                                self.n_strands, self.pair_dist.size)
-
-
-# The Matern series (``kernels``) is a polynomial of SERIES_TERMS terms in
-# u^2 per strand, u a pair's distance over its strand's span: 13 terms reach
-# double precision for scaled distances up to 2, and 4 more carry the
-# recurrence to order 8.  Rows of the pair layout hold PAIR_ROW_WIDTH pairs
-# of one strand.  Every layout has the same row width, so each row is one
-# product of the same shape, whichever pairs it holds.
-SERIES_TERMS = 17
-PAIR_ROW_WIDTH = 32
-
-
-@dataclass(frozen=True)
-class PairLayout:
-    """Locus pairs laid out for one batched Matern evaluation.
-
-    The pairs of each strand fill consecutive rows of ``PAIR_ROW_WIDTH``
-    slots in their given order; the last row of a strand is padded with
-    u = 1.  A pair is evaluated from its own slot only, so its value does
-    not depend on which other pairs a layout holds.
-
-    Attributes:
-        strand: strand of each pair (nondecreasing).
-        u: each pair's distance over its strand's span, in (0, 1].
-        u_min: smallest ``u`` (1 for an empty layout).
-        design_pairs: number of pairs of the design the layout belongs to
-            (the same for each of its layouts), which picks the method.
-        slot: flat slot of each pair, row * PAIR_ROW_WIDTH + column.
-        row_strand: strand of each row.
-        powers: (rows, SERIES_TERMS + 1, PAIR_ROW_WIDTH) slot values
-            u^(2j) for j < SERIES_TERMS, then log(u/2).
-    """
-
-    strand: np.ndarray
-    u: np.ndarray
-    u_min: float
-    design_pairs: int
-    slot: np.ndarray
-    row_strand: np.ndarray
-    powers: np.ndarray
-
-    @classmethod
-    def build(cls, strand: np.ndarray, u: np.ndarray, n_strands: int,
-              design_pairs: int) -> "PairLayout":
-        width = PAIR_ROW_WIDTH
-        counts = np.bincount(strand, minlength=n_strands)
-        rows_per = -(-counts // width)
-        rank = np.arange(strand.size) - (np.cumsum(counts) - counts)[strand]
-        slot = (np.cumsum(rows_per) - rows_per)[strand] * width + rank
-        slot_u = np.ones((int(rows_per.sum()), width))
-        slot_u.reshape(-1)[slot] = u
-        u2 = slot_u * slot_u
-        powers = np.empty((slot_u.shape[0], SERIES_TERMS + 1, width))
-        powers[:, 0] = 1.0
-        for j in range(1, SERIES_TERMS):
-            np.multiply(powers[:, j - 1], u2, out=powers[:, j])
-        np.log(0.5 * slot_u, out=powers[:, SERIES_TERMS])
-        layout = cls(strand=strand, u=u, u_min=float(u.min(initial=1.0)), design_pairs=design_pairs,
-                     slot=slot,
-                     row_strand=np.repeat(np.arange(n_strands), rows_per), powers=powers)
-        for value in vars(layout).values():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-        return layout
 
 
 def _read_rows(path) -> list[list[str]]:

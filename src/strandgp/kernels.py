@@ -19,7 +19,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .data import SERIES_TERMS, CovarianceIndex, DesignMatrix, PairLayout
+from .data import CovarianceIndex, DesignMatrix
 from .errors import NumericalError
 from .util import spawn_rngs, worker_count
 
@@ -78,14 +78,20 @@ _LOG2 = np.log(2.0)
 # to order nu by the upward recurrence; the others take scipy's kv.  So do
 # all pairs of a strand whose round(nu) exceeds SERIES_MAX_ORDER or whose
 # largest x exceeds SERIES_SCALE_MAX (below it every slot of the series
-# stays finite), and all pairs of a design with fewer than SERIES_MIN_PAIRS
-# pairs: the series costs some thirty array operations per evaluation
-# whatever the number of pairs, kv about half a microsecond per pair.
+# stays finite).
 SERIES_X_MIN = 1e-100
 SERIES_X_MAX = 2.0
 SERIES_MAX_ORDER = 8
 SERIES_SCALE_MAX = 16.0
-SERIES_MIN_PAIRS = 64
+
+# The series is a polynomial of SERIES_TERMS terms in u^2 per strand, u a
+# pair's distance over its strand's span: 13 terms reach double precision
+# for scaled distances up to 2, and 4 more carry the recurrence to order 8.
+# Rows of a pair layout hold PAIR_ROW_WIDTH pairs of one strand.  Every
+# layout has the same row width, so each row is one product of the same
+# shape, whichever pairs it holds.
+SERIES_TERMS = 17
+PAIR_ROW_WIDTH = 32
 
 # Taylor coefficients of 1/Gamma(1 + z) at 0 (Abramowitz & Stegun 6.1.34);
 # these 24 reach double precision for |z| <= 1/2.
@@ -103,7 +109,70 @@ _MU_DEGREE = 28
 _DEGREES = np.arange(_MU_DEGREE, dtype=float)
 _TERMS = np.arange(SERIES_TERMS, dtype=float)
 _FACTORIALS = np.cumprod(np.maximum(_TERMS, 1.0))
-_LOG4 = np.log(4.0)
+_TWICE_TERMS = 2.0 * _TERMS
+_LOG4_TERMS = np.log(4.0) * _TERMS
+
+
+@dataclass(frozen=True)
+class PairLayout:
+    """Locus pairs laid out for one batched Matern evaluation.
+
+    The pairs of each strand fill consecutive rows of ``PAIR_ROW_WIDTH``
+    slots in their given order; the last row of a strand is padded with
+    u = 1.  A pair is evaluated from its own slot only, so its value does
+    not depend on which other pairs a layout holds.
+
+    Attributes:
+        strand: strand of each pair (nondecreasing).
+        u: each pair's distance over its strand's span, in (0, 1].
+        u_min: smallest ``u`` (1 for an empty layout).
+        slot: flat slot of each pair, row * PAIR_ROW_WIDTH + column.
+        row_strand: strand of each row.
+        powers: (rows, SERIES_TERMS + 1, PAIR_ROW_WIDTH) slot values
+            u^(2j) for j < SERIES_TERMS, then log(u/2).
+    """
+
+    strand: np.ndarray
+    u: np.ndarray
+    u_min: float
+    slot: np.ndarray
+    row_strand: np.ndarray
+    powers: np.ndarray
+
+    @classmethod
+    def build(cls, strand: np.ndarray, u: np.ndarray, n_strands: int) -> "PairLayout":
+        width = PAIR_ROW_WIDTH
+        counts = np.bincount(strand, minlength=n_strands)
+        rows_per = -(-counts // width)
+        rank = np.arange(strand.size) - (np.cumsum(counts) - counts)[strand]
+        slot = (np.cumsum(rows_per) - rows_per)[strand] * width + rank
+        slot_u = np.ones((int(rows_per.sum()), width))
+        slot_u.reshape(-1)[slot] = u
+        u2 = slot_u * slot_u
+        powers = np.empty((slot_u.shape[0], SERIES_TERMS + 1, width))
+        powers[:, 0] = 1.0
+        for j in range(1, SERIES_TERMS):
+            np.multiply(powers[:, j - 1], u2, out=powers[:, j])
+        np.log(0.5 * slot_u, out=powers[:, SERIES_TERMS])
+        layout = cls(strand=strand, u=u, u_min=float(u.min(initial=1.0)), slot=slot,
+                     row_strand=np.repeat(np.arange(n_strands), rows_per), powers=powers)
+        for value in vars(layout).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        return layout
+
+
+def _layout(index: CovarianceIndex, same_unit: bool) -> PairLayout:
+    """The layout of ``index``'s pairs (only its ``same_unit_pairs`` if
+    ``same_unit``), built on first use and kept in ``index.derived``."""
+    key = ("matern_pair_layout", same_unit)
+    layout = index.derived.get(key)
+    if layout is None:
+        which = index.same_unit_pairs if same_unit else slice(None)
+        strand = index.pair_strand[which]
+        layout = index.derived.setdefault(key, PairLayout.build(
+            strand, index.pair_dist[which] / index.strand_span[strand], index.n_strands))
+    return layout
 
 
 def _series_tables(mu) -> np.ndarray:
@@ -171,13 +240,23 @@ def _series_polynomials() -> np.ndarray:
     1) * 2 * SERIES_TERMS), order by order: interpolated at Chebyshev
     points, within 4e-15 of each entry's largest value.  One product of the
     Chebyshev polynomials at each strand's 2 mu with it replaces some fifty
-    small array operations per evaluation."""
+    small array operations per evaluation.
+
+    The entries that are exact constants are set exactly: for n >= 1,
+    H_n = 1 + O(x^2) and its x^(2 mu + 2n) part starts at term n, so A_0 = 1
+    and B_i = 0 for i < n.  A pair near distance 0 then gets correlation 1
+    to the last bit, as with kv, not 1 - 2e-15."""
     n = np.arange(_MU_DEGREE)
     angles = np.pi * (n + 0.5) / _MU_DEGREE
     values = _series_tables(0.5 * np.cos(angles)) / _FACTORIALS
     values[:, :, 1] *= 2.0  # the B rows are divided by 2 mu, not mu
     coef = (2.0 / _MU_DEGREE) * np.cos(np.outer(n, angles)) @ values.reshape(_MU_DEGREE, -1)
     coef[0] *= 0.5
+    rows = coef.reshape(_MU_DEGREE, SERIES_MAX_ORDER + 1, 2, SERIES_TERMS)
+    rows[:, 1:, 0, 0] = 0.0
+    rows[0, 1:, 0, 0] = 1.0
+    for order in range(1, SERIES_MAX_ORDER + 1):
+        rows[:, order, 1, :order] = 0.0
     return coef
 
 
@@ -203,7 +282,7 @@ def _series(layout: PairLayout, nus, order, cs, lowest, highest) -> np.ndarray:
     if lowest == 0.0:  # nu <= 1/2
         coef *= np.where(order == 0.0, 4.0 * mu * (mu + 1.0), 1.0)[:, None]
     tables = np.zeros((k, 3, SERIES_TERMS + 1))
-    scale = np.exp(np.multiply.outer(log_cs, 2.0 * _TERMS) - _LOG4 * _TERMS)   # (c^2/4)^i
+    scale = np.exp(np.multiply.outer(log_cs, _TWICE_TERMS) - _LOG4_TERMS)   # (c^2/4)^i
     np.multiply(coef.reshape(k, 2, SERIES_TERMS), scale[:, None, :], out=tables[:, :2, :-1])
     tables[:, 1] /= twice[:, None]
     np.multiply(twice, log_cs, out=tables[:, 2, 0])
@@ -227,8 +306,6 @@ def _pair_correlations(layout: PairLayout, nus, cs) -> np.ndarray:
     """
     if not layout.u.size:
         return np.empty(0)
-    if layout.design_pairs < SERIES_MIN_PAIRS:
-        return _bessel(cs[layout.strand] * layout.u, nus[layout.strand])
     order = np.rint(nus)
     orders = order.tolist()
     lowest, highest = min(orders), max(orders)
@@ -280,29 +357,6 @@ def _bessel(x, nu) -> np.ndarray:
     return out
 
 
-def matern_correlation(d, nu: float) -> np.ndarray:
-    """Matern correlation (variance-free part) at distances ``d >= 0`` (in
-    units of the correlation length), evaluated as one strand whose span is
-    the largest distance, by the method ``_pair_correlations`` picks for
-    that many pairs.
-
-    Raises:
-        NumericalError: the smoothness is not positive and finite.
-    """
-    d = np.asarray(d, dtype=float)
-    if np.any(d < 0) or not np.all(np.isfinite(d)):
-        raise ValueError("distances must be finite and nonnegative")
-    out = np.ones(d.shape)
-    pos = d > 0
-    if pos.any():
-        dist = d[pos]
-        span = dist.max()
-        nus = np.array([nu], dtype=float)
-        layout = PairLayout.build(np.zeros(dist.size, dtype=np.intp), dist / span, 1, dist.size)
-        out[pos] = _pair_correlations(layout, nus, np.sqrt(2.0 * nus) * span)
-    return out
-
-
 def _factor_with_jitter(matrix, scale, dpotrf):
     chol, info = dpotrf(matrix, lower=1, clean=1)
     if not info:
@@ -333,7 +387,7 @@ def assemble_blocks(index: CovarianceIndex, varrho2s, nus, rhos) -> np.ndarray:
     Raises:
         NumericalError: the Matern evaluation left its numerical domain.
     """
-    pairs = _pair_covariances(index, index.pair_layout, varrho2s, nus, rhos)
+    pairs = _pair_covariances(index, _layout(index, False), varrho2s, nus, rhos)
     weights = np.concatenate((varrho2s[index.locus_strand], pairs, pairs))
     return np.bincount(index.targets, weights, minlength=index.packed_size)
 
@@ -380,7 +434,7 @@ def unit_variances(index: CovarianceIndex, varrho2s, nus, rhos) -> np.ndarray:
     units, weights = index.locus_unit, varrho2s[index.locus_strand]
     same = index.same_unit_pairs
     if same.size:
-        pairs = _pair_covariances(index, index.same_unit_layout, varrho2s, nus, rhos)
+        pairs = _pair_covariances(index, _layout(index, True), varrho2s, nus, rhos)
         owner = index.pair_units[same, 0]
         units = np.concatenate((units, owner, owner))
         weights = np.concatenate((weights, pairs, pairs))

@@ -13,10 +13,32 @@ import numpy as np
 from scipy.special import gammaln
 
 from strandgp import ModelState, StrandHyperParams
-from strandgp.kernels import matern_correlation
+from strandgp.kernels import PairLayout, _pair_correlations
 from strandgp.priors import _PosteriorTarget
 
 LOG2PI = math.log(2.0 * math.pi)
+
+
+def matern_correlation(d, nu):
+    """Matern correlation (variance-free part) at distances ``d >= 0`` (in
+    units of the correlation length), evaluated by the kernel as the pairs
+    of one strand whose span is the largest distance.
+
+    Raises:
+        NumericalError: the smoothness is not positive and finite.
+    """
+    d = np.asarray(d, dtype=float)
+    if np.any(d < 0) or not np.all(np.isfinite(d)):
+        raise ValueError("distances must be finite and nonnegative")
+    out = np.ones(d.shape)
+    pos = d > 0
+    if pos.any():
+        dist = d[pos]
+        span = dist.max()
+        nus = np.array([nu], dtype=float)
+        layout = PairLayout.build(np.zeros(dist.size, dtype=np.intp), dist / span, 1)
+        out[pos] = _pair_correlations(layout, nus, np.sqrt(2.0 * nus) * span)
+    return out
 
 
 def matern_cov(d, h):

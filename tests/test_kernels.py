@@ -2,7 +2,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from oracles import matern_cov
+from oracles import matern_correlation, matern_cov
 from strandgp import (
     NumericalError,
     StrandHyperParams,
@@ -15,7 +15,6 @@ from strandgp import kernels
 from strandgp.kernels import (
     assemble_blocks,
     hyper_arrays,
-    matern_correlation,
     sample_psi_prior,
     unit_variances,
 )
@@ -57,7 +56,7 @@ def dense_congruence(design, hypers):
     hold the pair covariances of the kernel's own evaluation, so a comparison
     checks the assembly by index, not the Matern values."""
     index = design.covariance_index
-    pairs = kernels._pair_covariances(index, index.pair_layout, *hyper_arrays(hypers))
+    pairs = kernels._pair_covariances(index, kernels._layout(index, False), *hyper_arrays(hypers))
     p = design.p.astype(float)
     cov = np.zeros((design.n_mirnas, design.n_mirnas))
     start = 0
@@ -193,22 +192,20 @@ def matern_correlation_oracle(x, nu):
 
 
 class TestMaternSeries:
-    # The series serves 1e-100 <= x <= 2 up to order 8 once a design has 64
-    # pairs; kv serves the rest.  Both must match mpmath to 1e-12.
+    # The series serves 1e-100 <= x <= 2 up to order 8; kv serves larger
+    # x and orders.  Both must match mpmath to 1e-12.
     @pytest.mark.parametrize("order", [0, 1, 2, 3, 8, 9, 17, 33, 50])
     def test_against_mpmath(self, order):
         xs = np.concatenate([np.geomspace(1e-8, 2.0, 61), [2.0 * (1.0 + 1e-12), 2.01, 3.0]])
-        assert xs.size == kernels.SERIES_MIN_PAIRS
         for mu in (0.0, 1e-9, -1e-9, 0.5 - 1e-12, -(0.5 - 1e-12)):
             nu = order + mu
             if nu <= 0.0:
                 continue
             d = xs / np.sqrt(2.0 * nu)
             want = [matern_correlation_oracle(np.sqrt(2.0 * nu) * dv, nu) for dv in d]
-            for every in (1, 8):  # series (with hand-off), kv alone
-                got = matern_correlation(d[::every], nu)
-                for dv, value, exact in zip(d[::every], got, want[::every]):
-                    assert value == pytest.approx(exact, rel=1e-12, abs=0.0), (nu, dv, every)
+            got = matern_correlation(d, nu)
+            for dv, value, exact in zip(d, got, want):
+                assert value == pytest.approx(exact, rel=1e-12, abs=0.0), (nu, dv)
 
     def test_overflow_corner_and_far_tail(self):
         h = StrandHyperParams(2.0, 50.0, 1.0)
@@ -217,12 +214,17 @@ class TestMaternSeries:
         assert matern_cov(1e-6, h) == pytest.approx(2.0, rel=1e-12)
         assert matern_correlation(np.array([800.0, 1e4]), 1.5).tolist() == [0.0, 0.0]
 
+    def test_near_zero_distance_gives_one(self):
+        # Where the exact correlation rounds to 1, the series gives 1 too,
+        # so coincident loci make a singular Gram matrix, as with kv.
+        for nu in (1.0, 1.5, 2.49, 4.5, 8.4):
+            got = matern_correlation(np.array([1e-17, 1e-16, 1.0]), nu)
+            assert got[:2].tolist() == [1.0, 1.0], nu
+
     @pytest.mark.parametrize("nu", [np.nan, np.inf])
     def test_invalid_smoothness_is_a_numerical_error(self, nu):
-        # Through kv (2 pairs) and through the series (64 or more).
-        for count in (2, kernels.SERIES_MIN_PAIRS):
-            with pytest.raises(NumericalError):
-                matern_correlation(np.linspace(0.1, 1.0, count), nu)
+        with pytest.raises(NumericalError):
+            matern_correlation(np.linspace(0.1, 1.0, 8), nu)
         names = [f"u{i}" for i in range(14)]
         wide = build_design_matrix(make_annotation([
             ("Chr1+", 1e4, [(name, 300.0 * i + 7.0) for i, name in enumerate(names[:12])]),
@@ -251,15 +253,15 @@ class TestMaternSeries:
         design = build_design_matrix(make_annotation(spec), names)
         index = design.covariance_index
         same = index.same_unit_pairs
-        assert same.size == 3 and np.bincount(index.pair_layout.row_strand)[0] >= 2
+        assert same.size == 3 and np.bincount(kernels._layout(index, False).row_strand)[0] >= 2
 
         def draw(rng):
             return (rng.uniform(0.5, 3.0, 3), np.exp(rng.uniform(np.log(0.2), np.log(60.0), 3)),
                     np.exp(rng.uniform(np.log(50.0), np.log(5e4), 3)))
 
         def evaluate(acc, varrho2s, nus, rhos):
-            full = kernels._pair_covariances(index, index.pair_layout, varrho2s, nus, rhos)
-            acc.append((full, kernels._pair_covariances(index, index.same_unit_layout, varrho2s, nus, rhos),
+            full = kernels._pair_covariances(index, kernels._layout(index, False), varrho2s, nus, rhos)
+            acc.append((full, kernels._pair_covariances(index, kernels._layout(index, True), varrho2s, nus, rhos),
                         unit_variances(index, varrho2s, nus, rhos),
                         assemble_blocks(index, varrho2s, nus, rhos)[index.unit_diag]))
 
