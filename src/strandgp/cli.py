@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import hashlib
 import json
 import math
@@ -44,7 +45,7 @@ from .priors import HyperPriorSpec, make_posterior_model, psi_draws
 from .priors import prior_exceedance as draw_prior_psi
 from .simulate import simulate_dataset, write_simulated
 from .tmcmc import PosteriorSamples, SamplerConfig, export_trace, run_chain
-from .util import THREADS_ENV
+from .util import THREADS_ENV, write_csv, write_json
 
 SAMPLES_MAGIC = "#strandgp-samples v1"
 _DEFAULTS = {
@@ -273,7 +274,7 @@ def _load_inputs(config: RunConfig):
     return dataset, design
 
 
-def _write_manifest(config: RunConfig, outdir: str, extra: dict) -> str:
+def _write_manifest(config: RunConfig, outdir: str, extra: dict) -> None:
     manifest = {
         "package": "strandgp",
         "version": __version__,
@@ -283,11 +284,7 @@ def _write_manifest(config: RunConfig, outdir: str, extra: dict) -> str:
         "rng": "numpy PCG64; task streams via SeedSequence.spawn",
         **extra,
     }
-    path = os.path.join(outdir, "manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    write_json(os.path.join(outdir, "manifest.json"), manifest)
 
 
 def _samples_path(config: RunConfig, override=None) -> str:
@@ -420,18 +417,15 @@ def cmd_cv(args) -> int:
     for summary in summaries:
         summary.write_csv(os.path.join(outdir, f"cv_{summary.patient_id}.csv"))
     coverage = overall_coverage(summaries)
-    with open(os.path.join(outdir, "cv_summary.json"), "w", encoding="utf-8") as fh:
-        json.dump({"level": float(sec["level"]), "overall_coverage": coverage,
-                   "folds": [s.patient_id for s in summaries]}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(outdir, "cv_summary.json"),
+               {"level": float(sec["level"]), "overall_coverage": coverage,
+                "folds": [s.patient_id for s in summaries]})
     print(f"cv: coverage {coverage:.3f} at level {float(sec['level']):.2f} "
           f"over {len(summaries)} folds")
     return 0
 
 
 def cmd_report(args) -> int:
-    import csv as _csv
-
     config = RunConfig.from_file(args.config)
     outdir = config.output_dir()
     decisions_path = os.path.join(outdir, "decisions.csv")
@@ -440,26 +434,25 @@ def cmd_report(args) -> int:
         if not os.path.exists(p):
             raise DataError(f"missing {p}; run the test/lrbh commands first")
     with open(decisions_path, newline="", encoding="utf-8") as fh:
-        nmd_rows = {row["mirna"]: row for row in _csv.DictReader(fh)}
+        nmd_rows = {row["mirna"]: row for row in csv.DictReader(fh)}
     with open(lrbh_path, newline="", encoding="utf-8") as fh:
-        lrbh_rows = {row["mirna"]: row for row in _csv.DictReader(fh)}
+        lrbh_rows = {row["mirna"]: row for row in csv.DictReader(fh)}
     out_path = os.path.join(outdir, "comparison.csv")
     n_common = 0
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["mirna", "method", "direction", "psi_hat", "ci_low", "ci_high",
-                         "bayes_factor", "zeta", "p_value"])
-        for name, row in nmd_rows.items():
-            in_nmd = row["decision"] == "1"
-            in_lrbh = name in lrbh_rows and lrbh_rows[name]["rejected"] == "1"
-            if not (in_nmd or in_lrbh):
-                continue
-            method = "NMD, LRBH" if (in_nmd and in_lrbh) else ("NMD" if in_nmd else "LRBH")
-            n_common += int(in_nmd and in_lrbh)
-            lrow = lrbh_rows.get(name, {})
-            writer.writerow([name, method, row["direction"], row["psi_hat"],
-                             row["ci_low"], row["ci_high"], row["bayes_factor"],
-                             lrow.get("zeta", ""), lrow.get("p_value", "")])
+    rows = []
+    for name, row in nmd_rows.items():
+        in_nmd = row["decision"] == "1"
+        in_lrbh = name in lrbh_rows and lrbh_rows[name]["rejected"] == "1"
+        if not (in_nmd or in_lrbh):
+            continue
+        method = "NMD, LRBH" if (in_nmd and in_lrbh) else ("NMD" if in_nmd else "LRBH")
+        n_common += int(in_nmd and in_lrbh)
+        lrow = lrbh_rows.get(name, {})
+        rows.append([name, method, row["direction"], row["psi_hat"],
+                     row["ci_low"], row["ci_high"], row["bayes_factor"],
+                     lrow.get("zeta", ""), lrow.get("p_value", "")])
+    write_csv(out_path, ["mirna", "method", "direction", "psi_hat", "ci_low", "ci_high",
+                         "bayes_factor", "zeta", "p_value"], rows)
     print(f"report: wrote {out_path} ({n_common} common discoveries)")
     return 0
 

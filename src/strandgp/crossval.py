@@ -12,7 +12,6 @@ with coverage of the held-out values.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ from .data import DesignMatrix, ExpressionDataset
 from .errors import DataError, NumericalError
 from .priors import HyperPriorSpec, delta2_draws, make_posterior_model, psi_draws
 from .tmcmc import SamplerConfig, run_chain
-from .util import spawn_rngs
+from .util import spawn_rngs, write_csv
 
 
 def _mixture_t_quantile(loc: np.ndarray, scale: np.ndarray, nu: float, p: float) -> np.ndarray:
@@ -94,12 +93,9 @@ class PredictiveSummary:
         return float(self.covered.mean())
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["mirna", "pred_low", "pred_high", "observed", "covered"])
-            for i, name in enumerate(self.mirna_names):
-                writer.writerow([name, repr(float(self.low[i])), repr(float(self.high[i])),
-                                 repr(float(self.observed[i])), int(self.covered[i])])
+        write_csv(path, ["mirna", "pred_low", "pred_high", "observed", "covered"],
+                  ([name, self.low[i], self.high[i], self.observed[i], int(self.covered[i])]
+                   for i, name in enumerate(self.mirna_names)))
 
 
 def loo_predictive(dataset: ExpressionDataset, design: DesignMatrix, patient_index: int,

@@ -24,6 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError
+from .util import write_csv
 
 _STRAND_SYMBOLS = {"+": "+", "-": "-", "−": "-", "–": "-"}
 
@@ -441,13 +442,10 @@ def load_expression(case_path, control_path, drop_incomplete_patients: bool = Fa
 
 
 def write_expression(dataset: ExpressionDataset, case_path, control_path) -> None:
-    """Write the dataset back to two wide CSVs (bit-exact round trip)."""
+    """Write the dataset as the wide CSVs ``load_expression`` reads (bit-exact)."""
     for path, matrix in ((case_path, dataset.case), (control_path, dataset.control)):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["patient", *dataset.mirna_names])
-            for pid, row in zip(dataset.patient_ids, matrix):
-                writer.writerow([pid, *(repr(float(v)) for v in row)])
+        write_csv(path, ["patient", *dataset.mirna_names],
+                  ([pid, *row] for pid, row in zip(dataset.patient_ids, matrix)))
 
 
 def load_annotation(path, lengths_path=None) -> GenomeAnnotation:
@@ -521,6 +519,14 @@ def load_annotation(path, lengths_path=None) -> GenomeAnnotation:
             raise DataError(f"non-positive length for strand {strand_id}")
         records.append(StrandRecord(strand_id=strand_id, length=length, loci=tuple(loci)))
     return GenomeAnnotation(strands=tuple(records))
+
+
+def write_annotation(annotation: GenomeAnnotation, path) -> None:
+    """Write the loci as the CSV ``load_annotation`` reads.  Lengths are not
+    written: read back, a strand's length is its largest coordinate."""
+    write_csv(path, ["mirna", "chromosome", "strand", "coordinate"],
+              ([name, strand.strand_id[:-1], strand.strand_id[-1], coord]
+               for strand in annotation.strands for name, coord in strand.loci))
 
 
 def build_design_matrix(annotation: GenomeAnnotation, mirna_names) -> DesignMatrix:

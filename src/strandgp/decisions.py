@@ -17,14 +17,13 @@ false discovery rate meets a target.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
+from .util import write_csv, write_json
 
 
 def hypothesis_indicators(psi_draws: np.ndarray, threshold: float = 1.0) -> np.ndarray:
@@ -521,22 +520,14 @@ class DecisionReport:
         }
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["mirna", "decision", "direction", "psi_hat",
-                             "ci_low", "ci_high", "bayes_factor", "group_members"])
-            for i, name in enumerate(self.mirna_names):
-                writer.writerow([
-                    name, int(self.d[i]), self.direction[i],
-                    repr(float(self.psi_mean[i])), repr(float(self.ci_low[i])),
-                    repr(float(self.ci_high[i])), repr(float(self.bayes_factor[i])),
-                    ";".join(self.group_members[i]),
-                ])
+        write_csv(path, ["mirna", "decision", "direction", "psi_hat",
+                         "ci_low", "ci_high", "bayes_factor", "group_members"],
+                  ([name, int(self.d[i]), self.direction[i], self.psi_mean[i], self.ci_low[i],
+                    self.ci_high[i], self.bayes_factor[i], ";".join(self.group_members[i])]
+                   for i, name in enumerate(self.mirna_names)))
 
     def write_summary_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.summary_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.summary_dict())
 
 
 def build_decision_report(mirna_names, psi_draws: np.ndarray, calibration: CalibrationResult,

@@ -344,17 +344,29 @@ def _bessel(x, nu) -> np.ndarray:
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         bessel = kv(nu, xp)
         val = np.exp((1.0 - nu) * _LOG2 - gammaln(nu) + nu * np.log(xp) + np.log(bessel))
-    # Where K_nu overflows, x is so small that 1 - x^2 / (4 (nu - 1)), the
-    # start of the correlation's expansion at 0, is within 1e-13 of it for
-    # nu <= 80 (at nu <= 2 it is 1); the error grows beyond, to 6e-11 at
-    # nu = 100 and 4e-7 at nu = 140.
-    over = bessel == np.inf
-    val[over] = 1.0 - xp[over] ** 2 / (4.0 * np.maximum(nu[over] - 1.0, 1.0))
+        over = bessel == np.inf
+        val[over] = _near_zero(xp[over], nu[over])
     val[bessel == 0.0] = 0.0     # far-tail underflow
     if not np.isfinite(val).all():
         raise NumericalError(f"Matern evaluation left its numerical domain (nu={np.max(nu)})")
     out[pos] = np.minimum(val, 1.0)
     return out
+
+
+def _near_zero(x, nu) -> np.ndarray:
+    """Matern correlation where K_nu(x) overflows: its expansion at 0, the sum
+    of (-x^2/4)^j Gamma(nu - j) / (j! Gamma(nu)) to terms below 1e-17, within
+    4e-14 of mpmath up to nu = 500 (the terms cancel beyond).  Overflow at
+    nu < 2 needs x < 1e-150, where flooring nu - j at 1 changes nothing.  A
+    sum that overflows ends the loop and fails the caller's check."""
+    q = -0.25 * x * x
+    term, total = np.ones(x.shape), np.ones(x.shape)
+    j = 0
+    while (np.abs(term) >= 1e-17).any() and np.isfinite(total).all():
+        j += 1
+        term *= q / (j * np.maximum(nu - j, 1.0))
+        total += term
+    return total
 
 
 def _factor_with_jitter(matrix, scale, dpotrf):

@@ -18,13 +18,12 @@ variant is kept behind a flag for comparison runs.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-from .util import spawn_rngs
+from .util import spawn_rngs, write_csv
 
 
 @dataclass(frozen=True)
@@ -213,11 +212,9 @@ class BaselineReport:
         return int(self.rejected.sum())
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["mirna", "zeta", "p_value", "rejected"])
-            for name, zeta, p, r in zip(self.mirna_names, self.zeta, self.p_values, self.rejected):
-                writer.writerow([name, repr(float(zeta)), repr(float(p)), int(r)])
+        write_csv(path, ["mirna", "zeta", "p_value", "rejected"],
+                  ([name, zeta, p, int(r)] for name, zeta, p, r
+                   in zip(self.mirna_names, self.zeta, self.p_values, self.rejected)))
 
 
 def run_baseline(z: np.ndarray, mirna_names, q: float = 0.10, n_boot: int = 10000,

@@ -490,7 +490,7 @@ def make_posterior_model(z: np.ndarray, design: DesignMatrix, priors: HyperPrior
 
     sds = priors.log_scale_sds()
     index = target.index
-    modal_var = assemble_blocks(index, *hyper_arrays(modal))[index.unit_diag]
+    modal_var = unit_variances(index, *hyper_arrays(modal))
     psi_scale = np.sqrt(np.clip(modal_var, 1e-12, None))
     if include_likelihood:
         # The posterior concentrates near the column means at rate 1/sqrt(n);

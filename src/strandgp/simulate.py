@@ -8,14 +8,15 @@ difference reproduces the simulated differentials exactly.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import GenomeAnnotation, StrandRecord, build_design_matrix
+from .data import (ExpressionDataset, GenomeAnnotation, StrandRecord, build_design_matrix,
+                   write_annotation, write_expression)
 from .kernels import StrandHyperParams, prior_cov_psi, sample_psi_prior
+from .util import write_csv
 
 
 @dataclass(frozen=True)
@@ -119,22 +120,10 @@ def write_simulated(sim: SimulatedData, outdir) -> dict:
         "annotation": os.path.join(outdir, "annotation.csv"),
         "truth": os.path.join(outdir, "truth.csv"),
     }
-    for key, matrix in (("case", sim.case), ("control", sim.control)):
-        with open(paths[key], "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["patient", *sim.mirna_names])
-            for pid, row in zip(sim.patient_ids, matrix):
-                writer.writerow([pid, *(repr(float(v)) for v in row)])
-    with open(paths["annotation"], "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mirna", "chromosome", "strand", "coordinate"])
-        for strand in sim.annotation.strands:
-            chrom, sign = strand.strand_id[:-1], strand.strand_id[-1]
-            for name, coord in strand.loci:
-                writer.writerow([name, chrom, sign, repr(coord)])
-    with open(paths["truth"], "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mirna", "psi_true", "deregulated"])
-        for name, value, flag in zip(sim.mirna_names, sim.psi_true, sim.truly_deregulated):
-            writer.writerow([name, repr(float(value)), int(flag)])
+    dataset = ExpressionDataset(sim.patient_ids, sim.mirna_names, sim.case, sim.control, None)
+    write_expression(dataset, paths["case"], paths["control"])
+    write_annotation(sim.annotation, paths["annotation"])
+    write_csv(paths["truth"], ["mirna", "psi_true", "deregulated"],
+              ([name, value, int(flag)]
+               for name, value, flag in zip(sim.mirna_names, sim.psi_true, sim.truly_deregulated)))
     return paths

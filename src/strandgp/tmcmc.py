@@ -15,7 +15,6 @@ are frozen, so the stored portion of the chain is a true Markov chain.
 
 from __future__ import annotations
 
-import csv
 import warnings
 import math
 from dataclasses import dataclass, field
@@ -23,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .util import spawn_rngs
+from .util import spawn_rngs, write_csv
 
 
 @dataclass
@@ -369,9 +368,6 @@ def export_trace(samples: PosteriorSamples, path, parameters=None) -> None:
     """Write ``iteration,parameter,value`` rows for the requested parameters."""
     names = list(parameters) if parameters is not None else list(samples.names)
     cols = [samples.index(name) for name in names]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "parameter", "value"])
-        for i, row in enumerate(samples.draws):
-            for name, c in zip(names, cols):
-                writer.writerow([i, name, repr(float(row[c]))])
+    write_csv(path, ["iteration", "parameter", "value"],
+              ([i, name, row[c]] for i, row in enumerate(samples.draws)
+               for name, c in zip(names, cols)))

@@ -1,4 +1,4 @@
-"""Small shared helpers: RNG stream splitting and worker-count resolution.
+"""Small shared helpers: RNG streams, the worker count, the CSV and JSON writers.
 
 Reproducibility rule used throughout the package: a run owns one integer
 seed; independent tasks (Monte Carlo draws, chains, cross-validation folds)
@@ -8,6 +8,8 @@ results do not depend on scheduling or worker count.
 
 from __future__ import annotations
 
+import csv
+import json
 import os
 
 import numpy as np
@@ -29,3 +31,20 @@ def spawn_rngs(seed, n: int) -> list[np.random.Generator]:
     """Derive ``n`` independent generators from one seed via SeedSequence.spawn."""
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     return [np.random.default_rng(child) for child in seq.spawn(n)]
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a UTF-8 CSV of ``header`` and ``rows``.  Floats (Python or numpy)
+    are written as ``repr(float(v))``, which reads back to the same double."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, (float, np.floating)) else v
+                          for v in row] for row in rows)
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` as UTF-8 JSON, indented by 2, keys sorted, newline-ended."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")

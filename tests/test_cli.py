@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+import strandgp
 from strandgp.cli import RunConfig, main, read_samples, write_samples
 from strandgp.decisions import ComponentReport
 from strandgp.errors import ConfigError
@@ -342,6 +343,19 @@ def test_benchmark_hooks_resolve():
     assert ("strandgp", "make_posterior_model") in imported
     for module, name in imported:
         assert hasattr(importlib.import_module(module), name), (module, name)
+
+
+def test_files_have_one_writer():
+    # util.write_csv and util.write_json fix the dialect and the number
+    # format of every CSV and JSON file the package writes.
+    package = os.path.dirname(os.path.abspath(strandgp.__file__))
+    found = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name != "util.py":
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                text = fh.read()
+            found += [(name, call) for call in ("csv.writer(", "json.dump(") if call in text]
+    assert found == []
 
 
 def test_test_command_runs_at_study_shape_under_default_priors(tmp_path):

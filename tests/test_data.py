@@ -5,11 +5,14 @@ import pytest
 
 from strandgp import (
     DataError,
+    GenomeAnnotation,
+    StrandRecord,
     build_design_matrix,
     load_annotation,
     load_expression,
     write_expression,
 )
+from strandgp.data import write_annotation
 
 
 def write_csv(path, rows):
@@ -211,6 +214,18 @@ class TestLoadAnnotation:
                 ["mir-a", "Chr1", "+", "10"],
                 ["mir-b", "Chr1", "+", "10"],
             ]))
+
+    def test_round_trip(self, tmp_path):
+        # Both strand signs, a chromosome name that sorts before a shorter
+        # one, and a unit with loci on two strands; each length is the
+        # strand's largest coordinate, which is what reading back assigns.
+        annotation = GenomeAnnotation(strands=(
+            StrandRecord("Chr1-", 0.1 + 0.2, (("a", 1e-3), ("b", 0.1 + 0.2))),
+            StrandRecord("Chr10+", 1234.5, (("c", 7.0), ("b", 1234.5))),
+            StrandRecord("Chr2+", 5e8, (("d", 5e8),)),
+        ))
+        write_annotation(annotation, tmp_path / "ann.csv")
+        assert load_annotation(tmp_path / "ann.csv") == annotation
 
     def test_lengths_table(self, tmp_path):
         ann_path = write_csv(tmp_path / "ann.csv", [

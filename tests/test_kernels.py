@@ -214,6 +214,17 @@ class TestMaternSeries:
         assert matern_cov(1e-6, h) == pytest.approx(2.0, rel=1e-12)
         assert matern_correlation(np.array([800.0, 1e4]), 1.5).tolist() == [0.0, 0.0]
 
+    @pytest.mark.parametrize("nu, x", [(100.0, 0.06647), (140.0, 0.68949)])
+    def test_where_kv_overflows(self, nu, x):
+        # Just below the largest x at which K_nu overflows, the correlation
+        # comes from its expansion at 0, whose first term alone is 6e-11 and
+        # 4e-7 off there.
+        from scipy.special import kv
+
+        assert kv(nu, x) == np.inf
+        got = matern_correlation(np.array([x / np.sqrt(2.0 * nu)]), nu)[0]
+        assert got == pytest.approx(matern_correlation_oracle(x, nu), rel=1e-12, abs=0.0)
+
     def test_near_zero_distance_gives_one(self):
         # Where the exact correlation rounds to 1, the series gives 1 too,
         # so coincident loci make a singular Gram matrix, as with kv.
