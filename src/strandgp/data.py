@@ -521,9 +521,26 @@ def load_annotation(path, lengths_path=None) -> GenomeAnnotation:
     return GenomeAnnotation(strands=tuple(records))
 
 
+def write_lengths(annotation: GenomeAnnotation, path) -> None:
+    """Write the strand lengths as the lengths CSV ``load_annotation`` reads
+    (``chromosome,length``), one row per chromosome in strand order.
+
+    Raises:
+        ValueError: the two strands of a chromosome differ in length, which
+            one row cannot hold.
+    """
+    lengths = {}
+    for strand in annotation.strands:
+        chrom = strand.strand_id[:-1]
+        if lengths.setdefault(chrom, strand.length) != strand.length:
+            raise ValueError(f"the strands of chromosome {chrom!r} differ in length")
+    write_csv(path, ["chromosome", "length"], lengths.items())
+
+
 def write_annotation(annotation: GenomeAnnotation, path) -> None:
     """Write the loci as the CSV ``load_annotation`` reads.  Lengths are not
-    written: read back, a strand's length is its largest coordinate."""
+    written here (see ``write_lengths``): read back without a lengths file,
+    a strand's length is its largest coordinate."""
     write_csv(path, ["mirna", "chromosome", "strand", "coordinate"],
               ([name, strand.strand_id[:-1], strand.strand_id[-1], coord]
                for strand in annotation.strands for name, coord in strand.loci))

@@ -8,12 +8,13 @@ of unit effects is the congruence ``P W P^T`` with the incidence matrix P.
 It is assembled by index from the Matern covariances of the locus pairs
 (``data.CovarianceIndex``) into packed component blocks and, where a draw
 of effects is needed, factored one component at a time.  The prior Monte
-Carlo reads the assembled blocks or the unit variances only; it factors
-nothing.
+Carlo reads the pair covariances and the unit variances only, for a pass of
+hyperparameter draws at a time; it assembles and factors nothing.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -23,17 +24,14 @@ from .data import CovarianceIndex, DesignMatrix
 from .errors import NumericalError
 from .util import spawn_rngs, worker_count
 
-@cache
-def _scipy():
-    """(dpotrf, gammaln, kv), imported on first use so that importing the
-    package loads no scipy module.  ``factor_blocks`` calls dpotrf once per
-    block; gammaln and kv serve only the pairs that the Matern series leaves
-    to the Bessel function (see ``_pair_correlations``), so an evaluation
-    whose scaled distances all lie in the series' range calls neither."""
-    from scipy.linalg.lapack import dpotrf
-    from scipy.special import gammaln, kv
 
-    return dpotrf, gammaln, kv
+@cache
+def _dpotrf():
+    """LAPACK's dpotrf, imported on first use: only ``factor_blocks`` calls
+    it, so a command that factors nothing loads no scipy module."""
+    from scipy.linalg.lapack import dpotrf
+
+    return dpotrf
 
 
 @dataclass(frozen=True)
@@ -69,13 +67,12 @@ class StrandHyperParams:
 JITTER_INITIAL = 1e-10
 JITTER_GROWTH = 2.0
 JITTER_MAXIMUM = 1e-6
-_LOG2 = np.log(2.0)
 
 # The Matern correlation at scaled distance x = sqrt(2 nu) d / rho is
 # 2^(1-nu) x^nu K_nu(x) / Gamma(nu).  Pairs with SERIES_X_MIN <= x <=
 # SERIES_X_MAX take Temme's series for K_mu and K_(mu+1), mu = nu - round(nu)
 # (Temme 1975, J. Comput. Phys. 19; Numerical Recipes' ``bessik``), carried
-# to order nu by the upward recurrence; the others take scipy's kv.  So do
+# to order nu by the upward recurrence; the others take ``_bessel``.  So do
 # all pairs of a strand whose round(nu) exceeds SERIES_MAX_ORDER or whose
 # largest x exceeds SERIES_SCALE_MAX (below it every slot of the series
 # stays finite).
@@ -83,6 +80,28 @@ SERIES_X_MIN = 1e-100
 SERIES_X_MAX = 2.0
 SERIES_MAX_ORDER = 8
 SERIES_SCALE_MAX = 16.0
+
+# ``_bessel`` sums the integral of K_nu by the trapezoidal rule over the
+# stretch where the integrand is above exp(-_BESSEL_TAIL) of its peak, cut
+# into (_BESSEL_NODES - 1) 2^j equal steps, j the least that keeps the step
+# below _BESSEL_STEP / sqrt(kappa + 4), kappa the integrand's curvature at
+# its peak.  Against mpmath, the largest step that keeps 3e-15 is 0.18-0.33
+# / sqrt(kappa) up to kappa = 9 and 0.7 / sqrt(kappa) beyond, which this
+# bound stays 15-25% below.  The pairs that the series leaves aside, at the
+# x and nu of the prior Monte Carlo, need 30-47 steps, so they take j = 0:
+# one array pass.
+_BESSEL_STEP = 0.55
+_BESSEL_TAIL = 36.0
+_BESSEL_NODES = 49
+# Stirling's series for log Gamma beyond nu = 100, coefficients of
+# nu^(1-2j): the first omitted term is below 3e-17 from nu = 10 on.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+# Arrays of one pass (pairs times nodes, draws times packed entries) hold at
+# most about _PASS_ENTRIES numbers, whatever the design: a fixed bound on
+# memory that does not change any result.
+_PASS_ENTRIES = 1 << 16
 
 # The series is a polynomial of SERIES_TERMS terms in u^2 per strand, u a
 # pair's distance over its strand's span: 13 terms reach double precision
@@ -245,7 +264,7 @@ def _series_polynomials() -> np.ndarray:
     The entries that are exact constants are set exactly: for n >= 1,
     H_n = 1 + O(x^2) and its x^(2 mu + 2n) part starts at term n, so A_0 = 1
     and B_i = 0 for i < n.  A pair near distance 0 then gets correlation 1
-    to the last bit, as with kv, not 1 - 2e-15."""
+    to the last bit, as the exact value rounds, not 1 - 2e-15."""
     n = np.arange(_MU_DEGREE)
     angles = np.pi * (n + 0.5) / _MU_DEGREE
     values = _series_tables(0.5 * np.cos(angles)) / _FACTORIALS
@@ -260,13 +279,17 @@ def _series_polynomials() -> np.ndarray:
     return coef
 
 
-def _series(layout: PairLayout, nus, order, cs, lowest, highest) -> np.ndarray:
-    """Matern correlations of ``layout``'s pairs by the series, for
-    per-strand smoothness ``nus``, ``order`` = round(nus) between ``lowest``
-    and ``highest``, and scales ``cs``.  One product of per-strand tables
-    with the layout's powers gives, per slot, the two sums of
-    ``_series_tables`` and 2 mu log(x/2) (from log(u/2))."""
-    k, rows = nus.size, layout.row_strand
+def _series(layout: PairLayout, nus, order, cs) -> np.ndarray:
+    """Matern correlations of ``layout``'s pairs by the series, one row per
+    draw, for per-strand smoothness ``nus``, ``order`` = round(nus) and
+    scales ``cs`` (draws x strands).  Per draw, one product of the Chebyshev
+    polynomials at each strand's 2 mu with the tables of the draw's orders,
+    lowest to highest, gives each strand's coefficients; one product of the
+    per-strand tables with the layout's powers then gives, per slot, the
+    two sums of ``_series_tables`` and 2 mu log(x/2) (from log(u/2)).  Both
+    products have the shapes they have for the draw alone, so a draw's row
+    is the same bits in any batch of draws."""
+    draws, k = nus.shape
     mu = nus - order
     # 2 mu, but where mu is 0 or a positive nu below 1e-84, so that
     # y = expm1(2 mu log(x/2)) / mu takes its limit 2 log(x/2) there.
@@ -274,99 +297,201 @@ def _series(layout: PairLayout, nus, order, cs, lowest, highest) -> np.ndarray:
     twice += 2e-100
     log_cs = np.log(cs)
     chebyshev = np.cos(np.multiply.outer(np.arccos(twice), _DEGREES))
-    # The tables of every order from lowest to highest, then each strand's.
+    # The tables of every order from the draw's lowest to its highest, then
+    # each strand's.
     width = 2 * SERIES_TERMS
-    coef = chebyshev @ _series_polynomials()[:, int(lowest) * width:(int(highest) + 1) * width]
-    if lowest != highest:
-        coef = coef.reshape(k, -1, width)[np.arange(k), (order - lowest).astype(np.intp)]
-    if lowest == 0.0:  # nu <= 1/2
-        coef *= np.where(order == 0.0, 4.0 * mu * (mu + 1.0), 1.0)[:, None]
-    tables = np.zeros((k, 3, SERIES_TERMS + 1))
+    if draws == 1:
+        orders = order[0].tolist()
+        groups = {(min(orders), max(orders))}
+    else:
+        lowest, highest = order.min(axis=1), order.max(axis=1)
+        groups = set(zip(lowest.tolist(), highest.tolist()))
+    coef = None if len(groups) == 1 else np.empty((draws, k, width))
+    for low, high in groups:
+        sel = slice(None) if coef is None else np.flatnonzero((lowest == low) & (highest == high))
+        block = chebyshev[sel] @ _series_polynomials()[:, int(low) * width:(int(high) + 1) * width]
+        rows = block.shape[0] * k
+        if low != high:
+            own = (order[sel] - low).astype(np.intp).reshape(rows)
+            block = block.reshape(rows, -1, width)[np.arange(rows), own].reshape(-1, k, width)
+        if low == 0.0:  # nu <= 1/2
+            block *= np.where(order[sel] == 0.0, 4.0 * mu[sel] * (mu[sel] + 1.0), 1.0)[..., None]
+        if coef is None:
+            coef = block
+        else:
+            coef[sel] = block
+    tables = np.zeros((draws, k, 3, SERIES_TERMS + 1))
     scale = np.exp(np.multiply.outer(log_cs, _TWICE_TERMS) - _LOG4_TERMS)   # (c^2/4)^i
-    np.multiply(coef.reshape(k, 2, SERIES_TERMS), scale[:, None, :], out=tables[:, :2, :-1])
-    tables[:, 1] /= twice[:, None]
-    np.multiply(twice, log_cs, out=tables[:, 2, 0])
-    tables[:, 2, -1] = twice
-    slots = np.matmul(tables[rows], layout.powers)        # (rows, 3, width)
-    corr = np.expm1(slots[:, 2])
-    corr *= slots[:, 1]
-    corr += slots[:, 0]
-    corr = corr.take(layout.slot)
+    np.multiply(coef.reshape(draws, k, 2, SERIES_TERMS), scale[..., None, :],
+                out=tables[..., :2, :-1])
+    tables[..., 1, :] /= twice[..., None]
+    np.multiply(twice, log_cs, out=tables[..., 2, 0])
+    tables[..., 2, -1] = twice
+    slots = np.matmul(tables.take(layout.row_strand, axis=1), layout.powers)   # (draws, rows, 3, width)
+    corr = np.expm1(slots[:, :, 2])
+    corr *= slots[:, :, 1]
+    corr += slots[:, :, 0]
+    corr = corr.reshape(draws, -1).take(layout.slot, axis=1)
     return np.minimum(corr, 1.0, out=corr)
 
 
-def _pair_correlations(layout: PairLayout, nus, cs) -> np.ndarray:
+def _pair_correlations(layout: PairLayout, nus, cs) -> tuple[np.ndarray, np.ndarray]:
     """Matern correlation of every pair of ``layout``, in its pair order, for
-    per-strand smoothness ``nus`` and scales ``cs = sqrt(2 nus) * span /
-    rho`` (a pair's scaled distance is x = cs[strand] * u).
-
-    Raises:
-        NumericalError: a smoothness is not positive and finite, or a scale
-            is NaN.
+    each draw (row) of per-strand smoothness ``nus`` and scales ``cs =
+    sqrt(2 nus) * span / rho`` (draws x strands; a pair's scaled distance
+    is x = cs[strand] * u), and whether each draw stayed in the numerical
+    domain: smoothness positive and finite, no NaN scale, finite values.
+    A draw's row does not depend on the other draws.
     """
+    draws = nus.shape[0]
     if not layout.u.size:
-        return np.empty(0)
+        return np.empty((draws, 0)), np.ones(draws, dtype=bool)
     order = np.rint(nus)
-    orders = order.tolist()
-    lowest, highest = min(orders), max(orders)
     # A smoothness that is NaN, zero or negative makes its cs NaN or 0,
     # which fails the test.
     smallest = SERIES_X_MIN / layout.u_min
-    if highest <= SERIES_MAX_ORDER and all(smallest <= c <= SERIES_X_MAX for c in cs.tolist()):
-        return _series(layout, nus, order, cs, lowest, highest)
+    if order.max() <= SERIES_MAX_ORDER and smallest <= cs.min() and cs.max() <= SERIES_X_MAX:
+        return _series(layout, nus, order, cs), np.ones(draws, dtype=bool)
 
-    if not ((nus > 0.0).all() and (nus < np.inf).all()) or np.isnan(cs).any():
-        raise NumericalError(f"Matern evaluation left its numerical domain (nu={np.max(nus)})")
+    ok = ((nus > 0.0) & np.isfinite(cs)).all(axis=1)
+    if not ok.all():  # evaluated at nu = 1, scale 1, and dropped
+        nus, cs = np.where(ok[:, None], nus, 1.0), np.where(ok[:, None], cs, 1.0)
+        order = np.rint(nus)
     # The strands of ``whole`` run through the series at nu = 1 and scale 1;
-    # their pairs, and those outside the series' range, then take kv.
+    # their pairs, and those outside the series' range, then take _bessel.
     whole = (order > SERIES_MAX_ORDER) | (cs > SERIES_SCALE_MAX)
-    x = cs[layout.strand] * layout.u
-    bessel = whole[layout.strand] | (x > SERIES_X_MAX) | (x < SERIES_X_MIN)
+    x = cs.take(layout.strand, axis=1) * layout.u
+    bessel = whole.take(layout.strand, axis=1) | (x > SERIES_X_MAX) | (x < SERIES_X_MIN)
     if bessel.all():
-        corr = np.empty(x.size)
+        corr = np.empty(x.shape)
     else:
-        order = np.where(whole, 1.0, order)
-        orders = order.tolist()
+        series = (nus, order, cs)
+        if whole.any():
+            series = (np.where(whole, 1.0, values) for values in series)
         with np.errstate(over="ignore", invalid="ignore"):
-            corr = _series(layout, np.where(whole, 1.0, nus), order, np.where(whole, 1.0, cs),
-                           min(orders), max(orders))
-    corr[bessel] = _bessel(x[bessel], nus[layout.strand[bessel]])
-    return corr
+            corr = _series(layout, *series)
+    draw, pair = np.nonzero(bessel)
+    strands = layout.strand[pair]
+    values = _bessel(x[bessel], nus[draw, strands], _log_gamma_gap(nus)[draw, strands])
+    corr[bessel] = values
+    finite = np.isfinite(values)
+    if not finite.all():
+        ok[draw[~finite]] = False
+    return corr, ok
 
 
-def _bessel(x, nu) -> np.ndarray:
-    """Matern correlation at scaled distances ``x`` and smoothness ``nu``
-    (one per distance) by scipy's kv, in log space."""
-    _, gammaln, kv = _scipy()
-    out = np.ones(x.shape)
-    pos = x != 0.0
-    xp, nu = x[pos], nu[pos]
+def _bessel(x, nu, lead) -> np.ndarray:
+    """Matern correlation 2^(1-nu) x^nu K_nu(x) / Gamma(nu) at scaled
+    distances ``x`` > 0 and smoothness ``nu`` (one per distance), in log
+    space, given ``lead`` = ``_log_gamma_gap(nu)``: NaN or inf where it
+    leaves floating point.
+
+    K_nu(x) is half the integral of exp(nu t - x cosh t) over the real line.
+    Its peak is at t* = log((nu + kappa) / x), kappa = hypot(nu, x), where
+    the exponent has curvature -kappa and falls, w past the peak, by
+
+        phi(w) = -2 g sinh(w/2)^2 - nu (expm1(w) - w),   g = kappa - nu,
+
+    so the correlation is exp(L(nu) + nu log1p(g / (2 nu)) - g) times the
+    integral of exp(phi), with L(nu) = nu log nu - nu - log Gamma(nu).  The
+    integrand is analytic and falls doubly exponentially on both sides, so
+    the trapezoidal rule converges geometrically in the inverse step
+    (Trefethen & Weideman 2014, SIAM Rev. 56); see the ``_BESSEL_*``
+    constants.  Within 3e-13 of mpmath for x up to 700 and orders up to
+    1000, and 6e-14 at nu = 2e4, x = 5000.  Below SERIES_X_MIN the
+    correlation comes from ``_tiny_distances``.
+    """
+    tiny = x < SERIES_X_MIN
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        bessel = kv(nu, xp)
-        val = np.exp((1.0 - nu) * _LOG2 - gammaln(nu) + nu * np.log(xp) + np.log(bessel))
-        over = bessel == np.inf
-        val[over] = _near_zero(xp[over], nu[over])
-    val[bessel == 0.0] = 0.0     # far-tail underflow
-    if not np.isfinite(val).all():
-        raise NumericalError(f"Matern evaluation left its numerical domain (nu={np.max(nu)})")
-    out[pos] = np.minimum(val, 1.0)
+        if not tiny.any():
+            return _trapezoid(x, nu, lead)
+        out = np.empty(x.shape)
+        out[tiny] = _tiny_distances(x[tiny], nu[tiny])
+        out[~tiny] = _trapezoid(x[~tiny], nu[~tiny], lead[~tiny])
+        return out
+
+
+def _trapezoid(x, nu, lead) -> np.ndarray:
+    """``_bessel`` at x >= SERIES_X_MIN."""
+    kappa = np.hypot(nu, x)
+    gap = x * (x / (nu + kappa))                 # kappa - nu, without cancellation
+    # phi < -_BESSEL_TAIL below w = -left and beyond w = right, where one
+    # of its two terms alone gets there: 2 g sinh(w/2)^2, or nu (expm1(w) -
+    # w), whose root lies below reach + min(1, sqrt(2 reach)) for w < 0 and
+    # below each iterate of w = log1p(reach + w) from sqrt(2 reach) for
+    # w > 0 (reach = _BESSEL_TAIL / nu), or for w > 0 kappa (cosh w - 1).
+    reach = _BESSEL_TAIL / nu
+    root = np.sqrt(2.0 * reach)
+    left = np.minimum(np.arccosh(1.0 + _BESSEL_TAIL / gap), reach + np.minimum(root, 1.0))
+    right = np.minimum(np.log1p(reach + np.log1p(reach + root)), np.arccosh(1.0 + _BESSEL_TAIL / kappa))
+    span = left + right
+    steps = span * np.sqrt(kappa + 4.0)   # the least number of steps, times _BESSEL_STEP
+    if steps.max(initial=0.0) > (_BESSEL_NODES - 1) * _BESSEL_STEP:
+        steps = np.maximum(np.ceil(np.log2(steps / ((_BESSEL_NODES - 1) * _BESSEL_STEP))), 0.0)
+        steps = (_BESSEL_NODES - 1) * 2.0 ** steps
+        counts = sorted(set(steps.tolist()))
+    else:
+        steps, counts = _BESSEL_NODES - 1.0, [_BESSEL_NODES - 1.0]
+    step = span / steps
+    # Half the nodes w, from -left / 2 in steps of step / 2.
+    half, start, scale = 0.5 * step, -0.5 * left, -2.0 * gap
+    total = np.empty(x.shape)
+    for count in counts:
+        which = np.flatnonzero(steps == count) if len(counts) > 1 else None
+        size = x.size if which is None else which.size
+        nodes = np.arange(count + 1.0)
+        per_pass = max(1, _PASS_ENTRIES // nodes.size)
+        for first in range(0, size, per_pass):
+            sel = slice(first, first + per_pass) if which is None else which[first:first + per_pass]
+            w = np.multiply.outer(half[sel], nodes)
+            w += start[sel, None]
+            phi = np.sinh(w)
+            phi *= phi
+            phi *= scale[sel, None]
+            w += w
+            term = np.expm1(w)
+            term -= w
+            term *= nu[sel, None]
+            phi -= term
+            total[sel] = np.exp(phi, out=phi).sum(axis=1)
+    log_corr = lead - gap
+    log_corr += nu * np.log1p(gap / (2.0 * nu))
+    log_corr += np.log(step * total)
+    return np.minimum(np.exp(log_corr, out=log_corr), 1.0, out=log_corr)
+
+
+def _log_gamma_gap(nu) -> np.ndarray:
+    """nu log nu - nu - log Gamma(nu): by ``math.lgamma`` below nu = 100,
+    where the terms that cancel stay below 400, and by Stirling's series
+    beyond, where it is log sqrt(nu / 2 pi) less terms below 1/(12 nu)."""
+    small = nu < 100.0
+    if small.all():
+        lgamma = np.fromiter(map(math.lgamma, nu.ravel().tolist()), float, nu.size)
+        return nu * np.log(nu) - nu - lgamma.reshape(nu.shape)
+    out = np.empty(nu.shape)
+    out[small] = _log_gamma_gap(nu[small])
+    high = nu[~small]
+    inverse_square = 1.0 / (high * high)
+    series = np.full(high.shape, _STIRLING[-1])
+    for coefficient in _STIRLING[-2::-1]:
+        series *= inverse_square
+        series += coefficient
+    out[~small] = 0.5 * np.log(high) - _HALF_LOG_2PI - series / high
     return out
 
 
-def _near_zero(x, nu) -> np.ndarray:
-    """Matern correlation where K_nu(x) overflows: its expansion at 0, the sum
-    of (-x^2/4)^j Gamma(nu - j) / (j! Gamma(nu)) to terms below 1e-17, within
-    4e-14 of mpmath up to nu = 500 (the terms cancel beyond).  Overflow at
-    nu < 2 needs x < 1e-150, where flooring nu - j at 1 changes nothing.  A
-    sum that overflows ends the loop and fails the caller's check."""
-    q = -0.25 * x * x
-    term, total = np.ones(x.shape), np.ones(x.shape)
-    j = 0
-    while (np.abs(term) >= 1e-17).any() and np.isfinite(total).all():
-        j += 1
-        term *= q / (j * np.maximum(nu - j, 1.0))
-        total += term
-    return total
+def _tiny_distances(x, nu) -> np.ndarray:
+    """Matern correlation at x < SERIES_X_MIN: 1 - Gamma(1 - nu) (x/2)^(2 nu)
+    / Gamma(1 + nu), whose relative error is O(x^2) (Abramowitz & Stegun
+    9.6.2 and 9.6.10), for nu < 1; from nu = 1 on the correction is below
+    1e-199 and the correlation rounds to 1."""
+    out = np.ones(x.shape)
+    low = nu < 1.0
+    if low.any():
+        small = nu[low]
+        ratio = np.array([math.lgamma(1.0 - v) - math.lgamma(1.0 + v) for v in small.tolist()])
+        out[low] = -np.expm1(ratio + 2.0 * small * np.log(0.5 * x[low]))
+    return out
 
 
 def _factor_with_jitter(matrix, scale, dpotrf):
@@ -388,6 +513,27 @@ def _factor_with_jitter(matrix, scale, dpotrf):
     )
 
 
+def _one_draw(values, ok, nus) -> np.ndarray:
+    """The first row of a batch of one draw.
+
+    Raises:
+        NumericalError: the draw left the Matern evaluation's numerical domain.
+    """
+    if not ok[0]:
+        raise NumericalError(f"Matern evaluation left its numerical domain (nu={np.max(nus)})")
+    return values[0]
+
+
+def _scatter(targets, weights, size: int) -> np.ndarray:
+    """``np.bincount(targets, row, minlength=size)`` of each row of
+    ``weights``, as one bincount over the targets offset by size per row:
+    every bin adds its terms in the order one row alone would."""
+    draws = weights.shape[0]
+    if draws > 1:
+        targets = np.add.outer(np.arange(0, draws * size, size), targets)
+    return np.bincount(targets.ravel(), weights.ravel(), minlength=draws * size).reshape(draws, size)
+
+
 def assemble_blocks(index: CovarianceIndex, varrho2s, nus, rhos) -> np.ndarray:
     """The component blocks of ``P W P^T``, packed as ``index`` lays them out.
 
@@ -399,16 +545,18 @@ def assemble_blocks(index: CovarianceIndex, varrho2s, nus, rhos) -> np.ndarray:
     Raises:
         NumericalError: the Matern evaluation left its numerical domain.
     """
-    pairs = _pair_covariances(index, _layout(index, False), varrho2s, nus, rhos)
+    pairs = _one_draw(*_pair_covariances(index, _layout(index, False), varrho2s[None], nus[None],
+                                         rhos[None]), nus)
     weights = np.concatenate((varrho2s[index.locus_strand], pairs, pairs))
     return np.bincount(index.targets, weights, minlength=index.packed_size)
 
 
-def _pair_covariances(index: CovarianceIndex, layout: PairLayout, varrho2s, nus, rhos) -> np.ndarray:
-    """Matern covariance of the locus pairs of ``layout`` (one of ``index``'s),
-    each with its strand's hyperparameters."""
-    corr = _pair_correlations(layout, nus, np.sqrt(2.0 * nus) * (index.strand_span / rhos))
-    return varrho2s[layout.strand] * corr
+def _pair_covariances(index: CovarianceIndex, layout: PairLayout, varrho2s, nus, rhos):
+    """Matern covariance of the locus pairs of ``layout`` (one of ``index``'s)
+    for each draw (row) of per-strand hyperparameters, and which draws
+    stayed in the numerical domain."""
+    corr, ok = _pair_correlations(layout, nus, np.sqrt(2.0 * nus) * (index.strand_span / rhos))
+    return varrho2s.take(layout.strand, axis=1) * corr, ok
 
 
 def factor_blocks(index: CovarianceIndex, packed: np.ndarray) -> list:
@@ -422,7 +570,7 @@ def factor_blocks(index: CovarianceIndex, packed: np.ndarray) -> list:
     Raises:
         NumericalError: some block is not positive definite within budget.
     """
-    dpotrf = _scipy()[0]
+    dpotrf = _dpotrf()
     scale = float(packed[index.unit_diag].max())
     out = []
     for _, size, offset in index.spans:
@@ -434,23 +582,37 @@ def factor_blocks(index: CovarianceIndex, packed: np.ndarray) -> list:
     return out
 
 
+def _unit_sums(index: CovarianceIndex, varrho2s, same_pairs) -> np.ndarray:
+    """Each unit's locus variances plus twice the covariance of each pair of
+    its loci on one strand, per draw (row): ``same_pairs`` holds the
+    covariances of ``index.same_unit_pairs``.  The sums are those of
+    ``assemble_blocks``, so the result equals the diagonal of its blocks bit
+    for bit."""
+    units, weights = index.locus_unit, varrho2s.take(index.locus_strand, axis=1)
+    if same_pairs.shape[1]:
+        owner = index.pair_units[index.same_unit_pairs, 0]
+        units = np.concatenate((units, owner, owner))
+        weights = np.concatenate((weights, same_pairs, same_pairs), axis=1)
+    return _scatter(units, weights, index.n_units)
+
+
+def unit_variance_draws(index: CovarianceIndex, varrho2s, nus, rhos) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal of ``P W P^T`` for each draw (row) of per-strand arrays,
+    and which draws stayed in the Matern evaluation's numerical domain.
+    Only the pairs of one unit's loci on one strand are evaluated."""
+    if not index.same_unit_pairs.size:
+        return _unit_sums(index, varrho2s, varrho2s[:, :0]), np.ones(varrho2s.shape[0], dtype=bool)
+    pairs, ok = _pair_covariances(index, _layout(index, True), varrho2s, nus, rhos)
+    return _unit_sums(index, varrho2s, pairs), ok
+
+
 def unit_variances(index: CovarianceIndex, varrho2s, nus, rhos) -> np.ndarray:
-    """The diagonal of ``P W P^T``: each unit's locus variances plus twice the
-    Matern covariance of each pair of its loci on one strand.  Only those
-    pairs are evaluated, and the sums are those of ``assemble_blocks``, so
-    the result equals the diagonal of its blocks bit for bit.
+    """``unit_variance_draws`` for one draw of per-strand arrays.
 
     Raises:
         NumericalError: the Matern evaluation left its numerical domain.
     """
-    units, weights = index.locus_unit, varrho2s[index.locus_strand]
-    same = index.same_unit_pairs
-    if same.size:
-        pairs = _pair_covariances(index, _layout(index, True), varrho2s, nus, rhos)
-        owner = index.pair_units[same, 0]
-        units = np.concatenate((units, owner, owner))
-        weights = np.concatenate((weights, pairs, pairs))
-    return np.bincount(units, weights, minlength=index.n_units)
+    return _one_draw(*unit_variance_draws(index, varrho2s[None], nus[None], rhos[None]), nus)
 
 
 def hyper_arrays(hypers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -514,29 +676,40 @@ def sample_psi_prior(prior_cov: PriorCovariance, n_draws: int, rng) -> np.ndarra
     return out
 
 
-def prior_monte_carlo(draw_hypers, n_draws: int, seed, start, add,
-                      max_skip_fraction: float = 0.01) -> tuple[list, int]:
-    """Fold ``n_draws`` hyperparameter draws into one ``start()`` accumulator
-    per chunk of 256 draws by ``add(acc, varrho2s, nus, rhos)``, where the
-    per-strand arrays are ``draw_hypers(rng)`` of the i-th child stream of
-    ``seed`` for draw i; chunks run on ``worker_count()`` threads.  A draw
-    whose ``add`` raises NumericalError (a Matern evaluation out of its
-    numerical domain; ``add`` must not have touched ``acc``) is skipped, and
-    more than ``max_skip_fraction`` of them raises NumericalError.  Returns
-    (accumulators in order, draws used).
+def prior_monte_carlo(draw_hypers, n_draws: int, seed, evaluate, width: int,
+                      max_skip_fraction: float = 0.01) -> tuple[np.ndarray, int]:
+    """Sum ``evaluate``'s rows over ``n_draws`` hyperparameter draws, draw i
+    taking the per-strand arrays ``draw_hypers(rng)`` of the i-th child
+    stream of ``seed``.
+
+    Draws run in chunks of 256 on ``worker_count()`` threads, and each
+    chunk in passes of at most ``_PASS_ENTRIES // width`` draws:
+    ``evaluate(varrho2s, nus, rhos)`` takes a pass's (draws x strands)
+    arrays and returns its (draws x ``width``) rows and which draws stayed
+    in the Matern evaluation's numerical domain.  A chunk adds the rows of
+    those draws in draw order; a draw that left the domain is skipped, and
+    more than ``max_skip_fraction`` of them raises NumericalError.  Both
+    sizes are fixed, so results do not depend on the worker count.
+
+    Returns:
+        (the chunks' sums added in chunk order, draws used).
     """
     from concurrent.futures import ThreadPoolExecutor
 
     rngs = spawn_rngs(seed, n_draws)
-    chunk = 256  # fixed, so that results do not depend on the worker count
+    chunk = 256
+    per_pass = max(1, _PASS_ENTRIES // max(width, 1))
 
     def run_chunk(first):
-        acc, failed = start(), 0
-        for rng in rngs[first:first + chunk]:
-            try:
-                add(acc, *draw_hypers(rng))
-            except NumericalError:
-                failed += 1
+        hypers = [np.array(column) for column in zip(*map(draw_hypers, rngs[first:first + chunk]))]
+        acc, failed = np.zeros(width), 0
+        for start in range(0, hypers[0].shape[0], per_pass):
+            rows, ok = evaluate(*(h[start:start + per_pass] for h in hypers))
+            for row, used in zip(rows, ok.tolist()):
+                if used:
+                    acc += row
+                else:
+                    failed += 1
         return acc, failed
 
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
@@ -545,7 +718,7 @@ def prior_monte_carlo(draw_hypers, n_draws: int, seed, start, add,
     if failed > max_skip_fraction * n_draws:
         raise NumericalError(f"{failed}/{n_draws} prior draws failed: the Matern evaluation "
                              f"left its numerical domain (> {max_skip_fraction:.0%})")
-    return [acc for acc, _ in results], n_draws - failed
+    return sum(acc for acc, _ in results), n_draws - failed
 
 
 def estimate_prior_correlation(design: DesignMatrix, draw_hypers, n_mc: int, seed,
@@ -553,30 +726,36 @@ def estimate_prior_correlation(design: DesignMatrix, draw_hypers, n_mc: int, see
     """Monte Carlo estimate of the prior correlation matrix of the effects.
 
     For each of ``n_mc`` draws (at least 1000, through ``prior_monte_carlo``)
-    the per-strand hyperparameter arrays come from ``draw_hypers(rng)``, the
-    induced covariance P W P^T is assembled (never factored) and converted
-    to a correlation matrix, clipped to [-1, 1], and the entrywise average
-    over draws is returned (correlations, not covariances, are averaged: the
-    group-formation threshold works on the correlation scale and the draws
-    have heterogeneous variances).  The average is kept on the packed blocks
-    and scattered once into the m x m result: unit diagonal, entries in
-    [-1, 1].
+    the per-strand hyperparameter arrays come from ``draw_hypers(rng)``, and
+    each locus pair's covariance is divided by the standard deviations of
+    its two units (``_unit_sums``; nothing is assembled or factored) and
+    clipped to [-1, 1].  These pair correlations are averaged over draws
+    (correlations, not covariances: the group-formation threshold works on
+    the correlation scale and the draws have heterogeneous variances) and
+    scattered once into the m x m result, an entry adding those of its
+    pairs: the average of the induced correlation matrices, with unit
+    diagonal and entries in [-1, 1].  An entry made by one pair, as most
+    are, is the average of that entry clipped per draw bit for bit.
     """
     if n_mc < 1000:
         raise ValueError("n_mc must be at least 1000 for a stable percentile threshold")
     index = design.covariance_index
-    rows, cols = _packed_units(index)
+    layout = _layout(index, False)
+    first, second = index.pair_units.T
 
-    def add(acc, varrho2s, nus, rhos):
-        packed = assemble_blocks(index, varrho2s, nus, rhos)
-        sd = np.sqrt(packed[index.unit_diag])
-        corr = packed / (sd[rows] * sd[cols])
-        corr[index.unit_diag] = 1.0
-        acc += np.clip(corr, -1.0, 1.0)
+    def evaluate(varrho2s, nus, rhos):
+        pairs, ok = _pair_covariances(index, layout, varrho2s, nus, rhos)
+        sd = np.sqrt(_unit_sums(index, varrho2s, pairs.take(index.same_unit_pairs, axis=1)))
+        scale = sd.take(first, axis=1)
+        scale *= sd.take(second, axis=1)
+        pairs /= scale
+        np.maximum(pairs, -1.0, out=pairs)
+        return np.minimum(pairs, 1.0, out=pairs), ok
 
-    chunks, used = prior_monte_carlo(draw_hypers, n_mc, seed, lambda: np.zeros(index.packed_size),
-                                     add, max_skip_fraction)
-    corr = np.zeros((index.n_units,) * 2)
-    corr[rows, cols] = sum(chunks) / used
+    total, used = prior_monte_carlo(draw_hypers, n_mc, seed, evaluate, first.size, max_skip_fraction)
+    m = index.n_units
+    mean = total / used
+    corr = np.bincount(np.concatenate((first * m + second, second * m + first)),
+                       np.concatenate((mean, mean)), minlength=m * m).reshape(m, m)
     np.fill_diagonal(corr, 1.0)
     return np.clip(corr, -1.0, 1.0)

@@ -30,6 +30,7 @@ from .kernels import (
     factor_blocks,
     hyper_arrays,
     prior_monte_carlo,
+    unit_variance_draws,
     unit_variances,
 )
 from .tmcmc import TargetModel
@@ -247,9 +248,9 @@ class HyperPriorSpec:
         varrho2 = base**2 if self.varrho_prior_on == "varrho" else base
         mu, sigma = self.nu_prior
         nus = np.exp(mu + sigma * rng.standard_normal(k))
-        rhos = np.array([
-            math.exp(m_ + s_ * rng.standard_normal()) for m_, s_ in self.rho_priors
-        ])
+        rho_mus, rho_sigmas = np.array(self.rho_priors, dtype=float).reshape(k, 2).T
+        rhos = np.fromiter(map(math.exp, (rho_mus + rho_sigmas * rng.standard_normal(k)).tolist()),
+                           float, k)
         return varrho2, nus, rhos
 
     # -- moments and initial values ----------------------------------------
@@ -532,18 +533,28 @@ def prior_exceedance(design: DesignMatrix, priors: HyperPriorSpec, n_draws: int,
     frequency of |psi_i| > t among effects drawn from the full prior
     (Casella & Robert 1996, Biometrika 83).  Nothing is factored, and the
     Matern covariance is evaluated only for pairs of one unit's loci on one
-    strand (``kernels.unit_variances``).
+    strand (``kernels.unit_variance_draws``).  Units whose loci lie on the
+    same strands in the same order, no two on one strand, have the same
+    variance bit for bit in every draw, so erfc runs once per such class.
     """
-    from scipy.special import erfc
-
     index = design.covariance_index
+    owners = set(index.pair_units[index.same_unit_pairs, 0].tolist())
+    strands = {}
+    for unit, strand in zip(index.locus_unit.tolist(), index.locus_strand.tolist()):
+        strands.setdefault(unit, []).append(strand)
+    classes = {}
+    members = np.array([classes.setdefault(unit if unit in owners else tuple(strands[unit]), unit)
+                        for unit in range(index.n_units)])
+    firsts, inverse = np.unique(members, return_inverse=True)
 
-    def add(acc, varrho2s, nus, rhos):
-        acc += erfc(threshold / np.sqrt(2.0 * unit_variances(index, varrho2s, nus, rhos)))
+    def evaluate(varrho2s, nus, rhos):
+        variances, ok = unit_variance_draws(index, varrho2s, nus, rhos)
+        limits = threshold / np.sqrt(2.0 * variances[:, firsts])
+        tails = np.fromiter(map(math.erfc, limits.ravel().tolist()), float, limits.size)
+        return tails.reshape(limits.shape)[:, inverse], ok
 
-    chunks, used = prior_monte_carlo(priors.draw_hyper_arrays, n_draws, seed,
-                                     lambda: np.zeros(index.n_units), add)
-    return sum(chunks) / used, used
+    total, used = prior_monte_carlo(priors.draw_hyper_arrays, n_draws, seed, evaluate, index.n_units)
+    return total / used, used
 
 
 def psi_draws(draws: np.ndarray, m: int) -> np.ndarray:

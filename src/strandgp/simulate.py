@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (ExpressionDataset, GenomeAnnotation, StrandRecord, build_design_matrix,
-                   write_annotation, write_expression)
+                   write_annotation, write_expression, write_lengths)
 from .kernels import StrandHyperParams, prior_cov_psi, sample_psi_prior
 from .util import write_csv
 
@@ -112,17 +112,21 @@ def simulate_dataset(m: int, n: int, k: int, seed: int = 0,
 
 
 def write_simulated(sim: SimulatedData, outdir) -> dict:
-    """Write case/control/annotation/truth CSVs; returns the path map."""
+    """Write case/control/annotation/lengths/truth CSVs; returns the path
+    map.  Read back with its lengths file, the annotation has the
+    generator's strand lengths."""
     os.makedirs(outdir, exist_ok=True)
     paths = {
         "case": os.path.join(outdir, "case.csv"),
         "control": os.path.join(outdir, "control.csv"),
         "annotation": os.path.join(outdir, "annotation.csv"),
+        "lengths": os.path.join(outdir, "lengths.csv"),
         "truth": os.path.join(outdir, "truth.csv"),
     }
     dataset = ExpressionDataset(sim.patient_ids, sim.mirna_names, sim.case, sim.control, None)
     write_expression(dataset, paths["case"], paths["control"])
     write_annotation(sim.annotation, paths["annotation"])
+    write_lengths(sim.annotation, paths["lengths"])
     write_csv(paths["truth"], ["mirna", "psi_true", "deregulated"],
               ([name, value, int(flag)]
                for name, value, flag in zip(sim.mirna_names, sim.psi_true, sim.truly_deregulated)))

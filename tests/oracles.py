@@ -12,7 +12,7 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from strandgp import ModelState, StrandHyperParams
+from strandgp import ModelState, NumericalError, StrandHyperParams
 from strandgp.kernels import PairLayout, _pair_correlations
 from strandgp.priors import _PosteriorTarget
 
@@ -35,9 +35,12 @@ def matern_correlation(d, nu):
     if pos.any():
         dist = d[pos]
         span = dist.max()
-        nus = np.array([nu], dtype=float)
+        nus = np.array([[nu]], dtype=float)
         layout = PairLayout.build(np.zeros(dist.size, dtype=np.intp), dist / span, 1)
-        out[pos] = _pair_correlations(layout, nus, np.sqrt(2.0 * nus) * span)
+        corr, ok = _pair_correlations(layout, nus, np.sqrt(2.0 * nus) * span)
+        if not ok[0]:
+            raise NumericalError(f"Matern evaluation left its numerical domain (nu={nu})")
+        out[pos] = corr[0]
     return out
 
 

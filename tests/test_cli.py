@@ -312,14 +312,15 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
     assert last_line(code, str(config)) == "[0, 0] []"
     assert (tmp_path / "out" / "cv_summary.json").exists()
     assert (tmp_path / "out" / "lrbh.csv").exists()
-    # The default baseline and report load no scipy module.
+    # The decisions, the default baseline and report load no scipy module:
+    # test factors nothing and evaluates the Bessel function in numpy.
     config = write_config(tmp_path / "default.ini", data_dir, tmp_path / "out2")
     assert main(["fit", "--config", config]) == 0
-    assert main(["test", "--config", config]) == 0
     code = ("import sys; from strandgp.cli import main; "
-            "codes = [main(['lrbh', '--config', sys.argv[1]]), "
-            "main(['report', '--config', sys.argv[1]])]; print(codes, end=' '); " + report_any)
-    assert last_line(code, config) == "[0, 0] []"
+            "codes = [main([command, '--config', sys.argv[1]]) for command in ('test', 'lrbh', 'report')]; "
+            "print(codes, end=' '); " + report_any)
+    assert last_line(code, config) == "[0, 0, 0] []"
+    assert (tmp_path / "out2" / "decisions.csv").exists()
     assert (tmp_path / "out2" / "comparison.csv").exists()
 
 

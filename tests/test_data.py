@@ -12,7 +12,8 @@ from strandgp import (
     load_expression,
     write_expression,
 )
-from strandgp.data import write_annotation
+from strandgp.data import write_annotation, write_lengths
+from strandgp.simulate import simulate_dataset, write_simulated
 
 
 def write_csv(path, rows):
@@ -237,6 +238,23 @@ class TestLoadAnnotation:
         ])
         ann = load_annotation(ann_path, lengths_path=len_path)
         assert ann.strands[0].length == 500.0
+
+    def test_simulated_files_carry_the_generator_lengths(self, tmp_path):
+        # Without the lengths file each strand would read back its largest
+        # coordinate (7032-9963 here), not the 1e4 the generator used.
+        sim = simulate_dataset(m=40, n=4, k=5, seed=4242, psi_mode="planted", planted=2)
+        paths = write_simulated(sim, tmp_path)
+        assert load_annotation(paths["annotation"], paths["lengths"]) == sim.annotation
+        assert {strand.length for strand in sim.annotation.strands} == {1e4}
+        assert all(strand.length < 1e4 for strand in load_annotation(paths["annotation"]).strands)
+
+    def test_lengths_of_a_chromosome_must_agree(self, tmp_path):
+        annotation = GenomeAnnotation(strands=(
+            StrandRecord("Chr1+", 100.0, (("a", 10.0),)),
+            StrandRecord("Chr1-", 200.0, (("b", 20.0),)),
+        ))
+        with pytest.raises(ValueError, match="Chr1"):
+            write_lengths(annotation, tmp_path / "len.csv")
 
 
 class TestDesignMatrix:

@@ -56,7 +56,8 @@ def dense_congruence(design, hypers):
     hold the pair covariances of the kernel's own evaluation, so a comparison
     checks the assembly by index, not the Matern values."""
     index = design.covariance_index
-    pairs = kernels._pair_covariances(index, kernels._layout(index, False), *hyper_arrays(hypers))
+    draw = [values[None] for values in hyper_arrays(hypers)]
+    pairs = kernels._pair_covariances(index, kernels._layout(index, False), *draw)[0][0]
     p = design.p.astype(float)
     cov = np.zeros((design.n_mirnas, design.n_mirnas))
     start = 0
@@ -191,9 +192,25 @@ def matern_correlation_oracle(x, nu):
     return float(2 ** (1 - nu) / mp.gamma(nu) * x ** nu * mp.besselk(nu, x))
 
 
+def matern_quadrature_oracle(x, nu):
+    """Matern correlation at scaled distance ``x`` from mpmath's quadrature
+    of K_nu(x) = (1/2) int exp(nu t - x cosh t) dt, split around the
+    integrand's peak.  mpmath's besselk loses every digit at large orders
+    (at nu = 826, x = 700 it returns a negative value at 40 digits)."""
+    with mp.workdps(30):
+        x, nu = mp.mpf(x), mp.mpf(nu)
+        kappa = mp.sqrt(nu * nu + x * x)
+        peak = mp.log((nu + kappa) / x)
+        top = nu * peak - kappa
+        width = 1 / mp.sqrt(kappa)
+        half = mp.quad(lambda t: mp.exp(nu * t - x * mp.cosh(t) - top),
+                       [peak + c * width for c in (-80, -20, -6, -2, 0, 2, 6, 20, 80)]) / 2
+        return float(mp.exp((1 - nu) * mp.log(2) - mp.loggamma(nu) + nu * mp.log(x) + top) * half)
+
+
 class TestMaternSeries:
-    # The series serves 1e-100 <= x <= 2 up to order 8; kv serves larger
-    # x and orders.  Both must match mpmath to 1e-12.
+    # The series serves 1e-100 <= x <= 2 up to order 8; the Bessel integral
+    # serves the other x and orders.  Both must match mpmath to 1e-12.
     @pytest.mark.parametrize("order", [0, 1, 2, 3, 8, 9, 17, 33, 50])
     def test_against_mpmath(self, order):
         xs = np.concatenate([np.geomspace(1e-8, 2.0, 61), [2.0 * (1.0 + 1e-12), 2.01, 3.0]])
@@ -216,18 +233,51 @@ class TestMaternSeries:
 
     @pytest.mark.parametrize("nu, x", [(100.0, 0.06647), (140.0, 0.68949)])
     def test_where_kv_overflows(self, nu, x):
-        # Just below the largest x at which K_nu overflows, the correlation
-        # comes from its expansion at 0, whose first term alone is 6e-11 and
-        # 4e-7 off there.
+        # Just below the largest x at which scipy's kv overflows, where the
+        # first term of the expansion at 0 is 6e-11 and 4e-7 off, the
+        # Bessel integral holds.
         from scipy.special import kv
 
         assert kv(nu, x) == np.inf
         got = matern_correlation(np.array([x / np.sqrt(2.0 * nu)]), nu)[0]
         assert got == pytest.approx(matern_correlation_oracle(x, nu), rel=1e-12, abs=0.0)
 
+    def test_where_kv_overflows_at_large_order(self):
+        # At nu = 800 kv overflows up to x = 239.7; the expansion at 0 that
+        # served there was 2e-2 off at its largest x.
+        from scipy.special import kv
+
+        lo, hi = 1.0, 1000.0
+        while np.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            lo, hi = (mid, hi) if kv(800.0, mid) == np.inf else (lo, mid)
+        assert kv(800.0, lo) == np.inf and 200.0 < lo < 300.0
+        got = matern_correlation(np.array([lo / np.sqrt(1600.0)]), 800.0)[0]
+        assert got == pytest.approx(matern_quadrature_oracle(lo, 800.0), rel=1e-12, abs=0.0)
+
+    def test_far_tail_at_huge_order(self):
+        # About 2e-135; a first-term or expansion-at-0 value is 1.0.
+        got = matern_correlation(np.array([5000.0 / np.sqrt(4e4)]), 2e4)[0]
+        exact = matern_quadrature_oracle(5000.0, 2e4)
+        assert 1e-136 < exact < 1e-134
+        assert got == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("nu", [0.3, 1.5, 8.6, 9.5, 33.0, 100.5, 300.0, 1000.0])
+    def test_bessel_grid_against_quadrature(self, nu):
+        for x in (2.0 * (1.0 + 1e-12), 2.5, 7.0, 30.0, 120.0, 400.0, 700.0):
+            got = matern_correlation(np.array([x / np.sqrt(2.0 * nu)]), nu)[0]
+            assert got == pytest.approx(matern_quadrature_oracle(x, nu), rel=1e-12, abs=0.0), (nu, x)
+
+    def test_quadrature_oracle_agrees_with_besselk(self):
+        for x, nu in ((2.5, 0.3), (7.0, 1.5), (30.0, 9.5), (3.0, 50.0)):
+            exact = matern_correlation_oracle(x, nu)
+            assert matern_quadrature_oracle(x, nu) == pytest.approx(exact, rel=1e-14, abs=0.0)
+
     def test_near_zero_distance_gives_one(self):
         # Where the exact correlation rounds to 1, the series gives 1 too,
-        # so coincident loci make a singular Gram matrix, as with kv.
+        # so coincident loci make a singular Gram matrix.
         for nu in (1.0, 1.5, 2.49, 4.5, 8.4):
             got = matern_correlation(np.array([1e-17, 1e-16, 1.0]), nu)
             assert got[:2].tolist() == [1.0, 1.0], nu
@@ -270,40 +320,45 @@ class TestMaternSeries:
             return (rng.uniform(0.5, 3.0, 3), np.exp(rng.uniform(np.log(0.2), np.log(60.0), 3)),
                     np.exp(rng.uniform(np.log(50.0), np.log(5e4), 3)))
 
-        def evaluate(acc, varrho2s, nus, rhos):
-            full = kernels._pair_covariances(index, kernels._layout(index, False), varrho2s, nus, rhos)
-            acc.append((full, kernels._pair_covariances(index, kernels._layout(index, True), varrho2s, nus, rhos),
-                        unit_variances(index, varrho2s, nus, rhos),
-                        assemble_blocks(index, varrho2s, nus, rhos)[index.unit_diag]))
+        def evaluate(varrho2s, nus, rhos):
+            full, ok = kernels._pair_covariances(index, kernels._layout(index, False), varrho2s, nus, rhos)
+            subset = kernels._pair_covariances(index, kernels._layout(index, True), varrho2s, nus, rhos)[0]
+            diag = kernels.unit_variance_draws(index, varrho2s, nus, rhos)[0]
+            return np.concatenate((full, subset, diag), axis=1), ok
 
-        results = {}
+        hypers = [np.array(column) for column in zip(*map(draw, spawn_rngs(9, 300)))]
+        batch, ok = evaluate(*hypers)
+        assert ok.all()
+        pairs, units = index.pair_dist.size, index.n_units
+        full, subset = batch[:, :pairs], batch[:, pairs:pairs + same.size]
+        assert np.array_equal(full[:, same], subset)
+        # Draw by draw, and in batches of seven, each row is the same bits,
+        # and so are the diagonals of the blocks one draw assembles.
+        serial = np.array([evaluate(*(h[i:i + 1] for h in hypers))[0][0] for i in range(300)])
+        assert np.array_equal(serial, batch)
+        sevens = np.concatenate([evaluate(*(h[i:i + 7] for h in hypers))[0] for i in range(0, 300, 7)])
+        assert np.array_equal(sevens, batch)
+        for i, row in enumerate(batch):
+            one = (hypers[0][i], hypers[1][i], hypers[2][i])
+            np.testing.assert_array_equal(kernels.assemble_blocks(index, *one)[index.unit_diag], row[-units:])
+            np.testing.assert_array_equal(kernels.unit_variances(index, *one), row[-units:])
+        # Inside the prior Monte Carlo, on one or two threads: the rows of
+        # each chunk of 256 draws added in order, then the chunks.
+        chunks = [np.zeros(batch.shape[1]) for _ in range(2)]
+        for i, row in enumerate(batch):
+            chunks[i // 256] += row
         for threads in ("1", "2"):
             monkeypatch.setenv("STRANDGP_THREADS", threads)
-            chunks, used = kernels.prior_monte_carlo(draw, 300, 9, list, evaluate)
+            total, used = kernels.prior_monte_carlo(draw, 300, 9, evaluate, batch.shape[1])
             assert used == 300
-            results[threads] = [row for chunk in chunks for row in chunk]
-        handed_off = 0
-        for one, two in zip(results["1"], results["2"]):
-            full, subset, diag, assembled = one
-            assert np.array_equal(full[same], subset)
-            np.testing.assert_array_equal(diag, assembled)
-            for a, b in zip(one, two):
-                assert np.array_equal(a, b)
-        serial = []
-        for rng in spawn_rngs(9, 300):
-            hypers = draw(rng)
-            evaluate(serial, *hypers)
-            nus, rhos = hypers[1], hypers[2]
-            x = np.sqrt(2.0 * nus)[index.pair_strand] * index.pair_dist / rhos[index.pair_strand]
-            handed_off += bool(np.any(x > kernels.SERIES_X_MAX))
+            assert np.array_equal(total, chunks[0] + chunks[1])
+        x = np.sqrt(2.0 * hypers[1])[:, index.pair_strand] * index.pair_dist / hypers[2][:, index.pair_strand]
+        handed_off = np.any(x > kernels.SERIES_X_MAX, axis=1).sum()
         assert 0 < handed_off < 300
-        for one, ref in zip(results["1"], serial):
-            for a, b in zip(one, ref):
-                assert np.array_equal(a, b)
 
     def test_fold_shaped_fit_calls_no_bessel_function(self, monkeypatch):
         # At the cross-validation fold's shape the sampler's scaled distances
-        # all lie in the series' range: scipy's kv is never called.
+        # all lie in the series' range: the Bessel integral is never evaluated.
         from strandgp import HyperPriorSpec, make_posterior_model
         from strandgp.simulate import simulate_dataset
         from strandgp.tmcmc import SamplerConfig, run_chain
@@ -313,13 +368,13 @@ class TestMaternSeries:
         z = sim.z[1:]
         model = make_posterior_model(z, design, HyperPriorSpec.from_data(design, z))
         calls = []
-        dpotrf, gammaln, kv = kernels._scipy()
+        bessel = kernels._bessel
 
-        def counted_kv(*args):
+        def counted_bessel(*args):
             calls.append(1)
-            return kv(*args)
+            return bessel(*args)
 
-        monkeypatch.setattr(kernels, "_scipy", lambda: (dpotrf, gammaln, counted_kv))
+        monkeypatch.setattr(kernels, "_bessel", counted_bessel)
         samples = run_chain(model, SamplerConfig(n_iterations=400, burn_in=100, thin=10, seed=2))
         assert samples.acceptance_rate > 0.05
         assert calls == []
@@ -578,8 +633,8 @@ class TestCovarianceIndex:
                 return fn(*args, **kwargs)
             return call
 
-        dpotrf, gammaln, kv = kernels._scipy()
-        monkeypatch.setattr(kernels, "_scipy", lambda: (counted("dpotrf", dpotrf), gammaln, kv))
+        dpotrf = kernels._dpotrf()
+        monkeypatch.setattr(kernels, "_dpotrf", lambda: counted("dpotrf", dpotrf))
         monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
         pc = prior_cov_psi(design, hypers)
         monkeypatch.undo()
@@ -718,6 +773,64 @@ class TestEstimatePriorCorrelation:
                                          n_mc, seed=5)
         np.testing.assert_array_equal(got, expected)
 
+    def test_bit_identical_for_one_and_two_threads(self, monkeypatch):
+        # Chunks of 256 draws, each evaluated in array passes of a fixed
+        # size, with pairs handed to the Bessel integral.
+        design = random_design(np.random.default_rng(8), 6, 2, 3)
+        k = design.n_strands
+
+        def draw(rng):
+            return (rng.uniform(0.5, 3.0, k), np.exp(rng.normal(0.5, 1.2, k)),
+                    np.exp(rng.uniform(np.log(300.0), np.log(3e4), k)))
+
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("STRANDGP_THREADS", threads)
+            runs.append(estimate_prior_correlation(design, draw, 1100, seed=3))
+        np.testing.assert_array_equal(runs[0], runs[1])
+        index = design.covariance_index
+        hypers = [np.array(column) for column in zip(*map(draw, spawn_rngs(3, 1100)))]
+        x = (np.sqrt(2.0 * hypers[1]) / hypers[2])[:, index.pair_strand] * index.pair_dist
+        assert np.any(x > kernels.SERIES_X_MAX, axis=1).mean() > 0.5
+
+    def test_a_failed_draw_is_skipped_alone(self):
+        # One draw in the middle of the second chunk has a NaN smoothness:
+        # that draw alone is skipped, and every other draw adds, in order,
+        # what it gives on its own.
+        design = jitter_design()
+        index = design.covariance_index
+        n_mc, bad = 1000, 300
+        marker = spawn_rngs(6, n_mc)[bad]
+        draw_jittery(marker)
+        marker = marker.random()
+
+        def draw(rng):
+            varrho2s, nus, rhos = hyper_arrays(draw_jittery(rng))
+            if rng.random() == marker:
+                nus = np.full_like(nus, np.nan)
+            return varrho2s, nus, rhos
+
+        rows, cols = kernels._packed_units(index)
+        chunks = [np.zeros((design.n_mirnas,) * 2) for _ in range(4)]
+        for i, rng in enumerate(spawn_rngs(6, n_mc)):
+            hypers = draw(rng)
+            if i == bad:
+                with pytest.raises(NumericalError):
+                    assemble_blocks(index, *hypers)
+                continue
+            cov = np.zeros_like(chunks[0])
+            cov[rows, cols] = assemble_blocks(index, *hypers)
+            sd = np.sqrt(np.diag(cov))
+            corr = cov / np.outer(sd, sd)
+            np.fill_diagonal(corr, 1.0)
+            chunks[i // 256] += np.clip(corr, -1.0, 1.0)
+        expected = sum(chunks) / (n_mc - 1)
+        np.fill_diagonal(expected, 1.0)
+        got = estimate_prior_correlation(design, draw, n_mc, seed=6)
+        np.testing.assert_array_equal(got, np.clip(expected, -1.0, 1.0))
+        with pytest.raises(NumericalError, match=f"1/{n_mc} prior draws failed"):
+            estimate_prior_correlation(design, draw, n_mc, seed=6, max_skip_fraction=0.0)
+
     def test_skip_limit(self):
         # A draw whose Matern evaluation leaves its numerical domain is
         # skipped; more than the allowed fraction of them is an error.
@@ -743,7 +856,7 @@ class TestCholeskyWithJitter:
     # Through _factor_with_jitter, the routine factor_blocks runs per block.
     @staticmethod
     def factor(matrix, scale):
-        return kernels._factor_with_jitter(matrix, scale, kernels._scipy()[0])
+        return kernels._factor_with_jitter(matrix, scale, kernels._dpotrf())
 
     def test_pd_matrix_untouched(self):
         mat = np.array([[2.0, 0.5], [0.5, 1.0]])

@@ -33,7 +33,7 @@ from strandgp import (
     solve_lognormal,
 )
 from strandgp.data import GenomeAnnotation, StrandRecord
-from strandgp.kernels import sample_psi_prior
+from strandgp.kernels import sample_psi_prior, unit_variances
 from strandgp.util import spawn_rngs
 
 
@@ -511,6 +511,25 @@ class TestPriorExceedance:
             assert probs[0] == pytest.approx(np.mean(2.0 * stats.norm.cdf(-t / sigmas)), rel=1e-13)
         probs, _ = prior_exceedance(design, priors, 1, seed=2)
         assert probs[0] == pytest.approx(2.0 * stats.norm.cdf(-1.0 / sigmas[0]), rel=1e-14)
+
+    def test_units_of_one_strand_set_share_their_tail(self):
+        # b and d sit alone on Chr1+, e and f each have a locus on Chr1+ and
+        # one on Chr2+: one erfc per class of units serves each member the
+        # value its own variance gives, draw by draw, added in order.
+        design = make_design([
+            ("Chr1+", 2e3, [("a", 100.0), ("b", 400.0), ("a", 500.0), ("d", 700.0),
+                            ("e", 800.0), ("f", 900.0)]),
+            ("Chr2+", 2e3, [("a", 50.0), ("c", 900.0), ("e", 1000.0), ("f", 1100.0)]),
+        ], ["a", "b", "c", "d", "e", "f"])
+        n = 300
+        chunks = np.zeros((2, 6))  # chunks of 256 draws
+        for i, rng in enumerate(spawn_rngs(5, n)):
+            variances = unit_variances(design.covariance_index, *self.priors.draw_hyper_arrays(rng))
+            chunks[i // 256] += [math.erfc(1.0 / math.sqrt(2.0 * v)) for v in variances]
+        probs, used = prior_exceedance(design, self.priors, n, seed=5)
+        assert used == n
+        np.testing.assert_array_equal(probs, (chunks[0] + chunks[1]) / n)
+        assert probs[1] == probs[3] and probs[4] == probs[5]
 
     def test_bit_identical_across_thread_counts(self, monkeypatch):
         monkeypatch.setenv("STRANDGP_THREADS", "1")
