@@ -24,6 +24,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,72 +49,111 @@ from .tmcmc import PosteriorSamples, SamplerConfig, export_trace, run_chain
 from .util import THREADS_ENV, write_csv, write_json
 
 SAMPLES_MAGIC = "#strandgp-samples v1"
-_DEFAULTS = {
+
+
+class _Key(NamedTuple):
+    default: str
+    kind: object  # str, int, float, bool, or a tuple of the allowed strings
+    accept: Callable | None = None
+    requirement: str = ""
+
+
+_AT_LEAST_0 = (lambda v: v >= 0, "be at least 0")
+_AT_LEAST_1 = (lambda v: v >= 1, "be at least 1")
+_IN_UNIT = (lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
+_POSITIVE = (lambda v: 0.0 < v < math.inf, "be positive and finite")
+# Every config key, declared once; a key absent from the INI file takes its
+# default, and the resolved strings are echoed into the manifest.
+_KEYS = {
     "data": {
-        "case": "", "control": "", "annotation": "", "lengths": "",
-        "output_dir": "out", "drop_incomplete_patients": "false",
+        "case": _Key("", str), "control": _Key("", str), "annotation": _Key("", str),
+        "lengths": _Key("", str), "output_dir": _Key("out", str),
+        "drop_incomplete_patients": _Key("false", bool),
     },
     "sampler": {
-        "iterations": "200000", "burn_in": "50000", "thin": "10",
-        "adaptation_window": "200", "target_low": "0.20", "target_high": "0.35",
+        "iterations": _Key("200000", int, *_AT_LEAST_0),
+        "burn_in": _Key("50000", int, *_AT_LEAST_0),
+        "thin": _Key("10", int, *_AT_LEAST_1),
+        "adaptation_window": _Key("200", int, *_AT_LEAST_1),
+        "target_low": _Key("0.20", float, *_IN_UNIT),
+        "target_high": _Key("0.35", float, *_IN_UNIT),
     },
     "priors": {
-        "varrho2_mode": "1.0", "varrho2_variance": "100.0",
-        "nu_mode": "1.0", "nu_variance": "100.0",
-        "rho_variance": "1000.0", "rho_prior_variance_scale": "natural",
-        "varrho_prior_on": "varrho2",
+        "varrho2_mode": _Key("1.0", float, *_POSITIVE),
+        "varrho2_variance": _Key("100.0", float, *_POSITIVE),
+        "nu_mode": _Key("1.0", float, *_POSITIVE),
+        "nu_variance": _Key("100.0", float, *_POSITIVE),
+        "rho_variance": _Key("1000.0", float, *_POSITIVE),
+        "rho_prior_variance_scale": _Key("natural", ("natural", "log")),
+        "varrho_prior_on": _Key("varrho2", ("varrho2", "varrho")),
     },
     "testing": {
-        "target_fdr": "0.10", "tolerance": "0.005", "cap": "5",
-        "percentile": "95.0", "component_enum_limit": "20",
-        "group_cap_includes_self": "false",
-        "prior_correlation_draws": "2000", "prior_psi_draws": "4000",
+        "target_fdr": _Key("0.10", float, *_IN_UNIT),
+        "tolerance": _Key("0.005", float, *_AT_LEAST_0),
+        "cap": _Key("5", int, *_AT_LEAST_1),
+        # The group threshold is a percentile of the estimated correlations.
+        "percentile": _Key("95.0", float, lambda v: 0.0 <= v <= 100.0, "lie in [0, 100]"),
+        "component_enum_limit": _Key("20", int, *_AT_LEAST_1),
+        "group_cap_includes_self": _Key("false", bool),
+        "prior_correlation_draws": _Key("2000", int, lambda v: v >= 1000, "be at least 1000"),
+        "prior_psi_draws": _Key("4000", int, *_AT_LEAST_1),
     },
-    "lrbh": {"bootstrap": "10000", "q": "0.10", "method": "lrbh"},
+    "lrbh": {
+        "bootstrap": _Key("10000", int, *_AT_LEAST_1),
+        "q": _Key("0.10", float, *_IN_UNIT),
+        "method": _Key("lrbh", ("lrbh", "median-sign")),
+    },
     "cv": {
-        "iterations": "30000", "burn_in": "10000", "thin": "10",
-        "level": "0.75", "per_state": "1",
+        "iterations": _Key("30000", int, *_AT_LEAST_0),
+        "burn_in": _Key("10000", int, *_AT_LEAST_0),
+        "thin": _Key("10", int, *_AT_LEAST_1),
+        "level": _Key("0.75", float, *_IN_UNIT),
+        "per_state": _Key("1", int, *_AT_LEAST_1),
     },
-    "run": {"seed": "0"},
+    "run": {"seed": _Key("0", int, *_AT_LEAST_0)},
 }
-# Checked while a config is read: (section, key, type, test, requirement).
-_RANGES = (
-    *((section, key, float, lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
-      for section, key in (("testing", "target_fdr"), ("lrbh", "q"), ("cv", "level"))),
-    *(("priors", key, float, lambda v: 0.0 < v < math.inf, "be positive and finite")
-      for key in ("varrho2_mode", "varrho2_variance", "nu_mode", "nu_variance", "rho_variance")),
-    # The group threshold is a percentile of the estimated correlations.
-    ("testing", "prior_correlation_draws", int, lambda v: v >= 1000, "be at least 1000"),
-    ("testing", "percentile", float, lambda v: 0.0 <= v <= 100.0, "lie in [0, 100]"),
-    ("testing", "tolerance", float, lambda v: v >= 0.0, "be at least 0"),
-    ("run", "seed", int, lambda v: v >= 0, "be at least 0"),
-    *((section, key, int, lambda v: v >= 1, "be at least 1")
-      for section, key in (("testing", "cap"), ("testing", "component_enum_limit"),
-                           ("testing", "prior_psi_draws"),
-                           ("lrbh", "bootstrap"), ("cv", "per_state"))),
-)
-_CHOICES = {
-    ("lrbh", "method"): ("lrbh", "median-sign"),
-    ("priors", "rho_prior_variance_scale"): ("natural", "log"),
-    ("priors", "varrho_prior_on"): ("varrho2", "varrho"),
-}
+_BOOLEANS = {"true": True, "1": True, "yes": True, "on": True,
+             "false": False, "0": False, "no": False, "off": False}
 
 
-def _as_bool(raw: str) -> bool:
-    value = raw.strip().lower()
-    if value in ("true", "1", "yes", "on"):
-        return True
-    if value in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {raw!r}")
+def _parse(section: str, key: str, raw: str):
+    """The typed value of one config string, or a ConfigError naming the key."""
+    spec = _KEYS[section][key]
+    if spec.kind is str:
+        return raw
+    if isinstance(spec.kind, tuple):
+        if raw not in spec.kind:
+            raise ConfigError(f"{section}.{key} must be one of {', '.join(spec.kind)}, got {raw!r}")
+        return raw
+    if spec.kind is bool:
+        value = _BOOLEANS.get(raw.strip().lower())
+        if value is None:
+            raise ConfigError(f"{section}.{key} must be a boolean "
+                              f"(true/false, yes/no, on/off, 1/0), got {raw!r}")
+        return value
+    try:
+        value = spec.kind(raw)
+    except ValueError:
+        what = "an integer" if spec.kind is int else "a number"
+        raise ConfigError(f"{section}.{key} must be {what}, got {raw!r}") from None
+    if spec.accept is not None and not spec.accept(value):
+        raise ConfigError(f"{section}.{key} must {spec.requirement}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved configuration (every default filled in and echoed)."""
+    """Fully resolved configuration (every default filled in and echoed).
+
+    ``values`` holds each key's string as read; ``get`` returns it parsed.
+    """
 
     values: dict = field(repr=False)
     base_dir: str = "."
+    _parsed: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.validate()
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -125,27 +165,42 @@ class RunConfig:
             raise ConfigError(f"malformed config file: {exc}") from None
         if not read:
             raise ConfigError(f"cannot read config file {path}")
-        for section, items in sections.items():
-            if section not in _DEFAULTS:
-                raise ConfigError(f"unknown config section [{section}]")
-            for key in items:
-                if key not in _DEFAULTS[section]:
-                    raise ConfigError(f"unknown key {key!r} in section [{section}]")
         return cls.from_defaults(sections, base_dir=os.path.dirname(os.path.abspath(path)))
 
     @classmethod
     def from_defaults(cls, overrides: dict | None = None, base_dir: str = ".") -> "RunConfig":
-        values = {section: dict(defaults) for section, defaults in _DEFAULTS.items()}
+        values = {section: {key: spec.default for key, spec in keys.items()}
+                  for section, keys in _KEYS.items()}
         for section, items in (overrides or {}).items():
-            values[section].update({k: str(v) for k, v in items.items()})
-        cfg = cls(values=values, base_dir=base_dir)
-        cfg.validate()
-        return cfg
+            values.setdefault(section, {}).update({k: str(v) for k, v in items.items()})
+        return cls(values=values, base_dir=base_dir)
+
+    def validate(self) -> None:
+        """Parse every key once; raise ConfigError on the first bad one."""
+        for section, items in self.values.items():
+            if section not in _KEYS:
+                raise ConfigError(f"unknown config section [{section}]")
+            for key in items:
+                if key not in _KEYS[section]:
+                    raise ConfigError(f"unknown key {key!r} in section [{section}]")
+        object.__setattr__(self, "_parsed", {
+            section: {key: _parse(section, key, raw) for key, raw in items.items()}
+            for section, items in self.values.items()})
+        # Rules that tie two keys together live in SamplerConfig.
+        for section in ("sampler", "cv"):
+            try:
+                self.sampler_config(section)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {exc}") from None
 
     # typed accessors -------------------------------------------------------
 
+    def get(self, section: str, key: str):
+        """The parsed value of ``section.key``: a str, int, float or bool."""
+        return self._parsed[section][key]
+
     def path(self, key: str, required: bool = True) -> str | None:
-        raw = self.values["data"][key].strip()
+        raw = self.get("data", key).strip()
         if not raw:
             if required:
                 raise ConfigError(f"config key data.{key} is required for this command")
@@ -156,52 +211,25 @@ class RunConfig:
         return resolved
 
     def output_dir(self) -> str:
-        raw = self.values["data"]["output_dir"]
+        raw = self.get("data", "output_dir")
         return raw if os.path.isabs(raw) else os.path.join(self.base_dir, raw)
 
     def seed(self) -> int:
-        return int(self.values["run"]["seed"])
+        return self.get("run", "seed")
 
     def sampler_config(self, section: str = "sampler") -> SamplerConfig:
-        sec = self.values[section]
         return SamplerConfig(
-            n_iterations=int(sec["iterations"]),
-            burn_in=int(sec["burn_in"]),
-            thin=int(sec["thin"]),
+            n_iterations=self.get(section, "iterations"),
+            burn_in=self.get(section, "burn_in"),
+            thin=self.get(section, "thin"),
             seed=self.seed(),
-            adaptation_window=int(self.values["sampler"]["adaptation_window"]),
-            target_acceptance=(float(self.values["sampler"]["target_low"]),
-                               float(self.values["sampler"]["target_high"])),
+            adaptation_window=self.get("sampler", "adaptation_window"),
+            target_acceptance=(self.get("sampler", "target_low"),
+                               self.get("sampler", "target_high")),
         )
 
     def prior_kwargs(self) -> dict:
-        return {key: raw if ("priors", key) in _CHOICES else float(raw)
-                for key, raw in self.values["priors"].items()}
-
-    def _number(self, section: str, key: str, kind=float):
-        raw = self.values[section][key]
-        try:
-            return kind(raw)
-        except ValueError:
-            what = "an integer" if kind is int else "a number"
-            raise ConfigError(f"{section}.{key} must be {what}, got {raw!r}") from None
-
-    def validate(self) -> None:
-        for section, key, kind, accept, requirement in _RANGES:
-            value = self._number(section, key, kind)
-            if not accept(value):
-                raise ConfigError(f"{section}.{key} must {requirement}, got {value}")
-        for (section, key), allowed in _CHOICES.items():
-            value = self.values[section][key]
-            if value not in allowed:
-                raise ConfigError(f"{section}.{key} must be one of {', '.join(allowed)}, got {value!r}")
-        try:
-            self.sampler_config()
-            self.sampler_config("cv")
-            _as_bool(self.values["data"]["drop_incomplete_patients"])
-            _as_bool(self.values["testing"]["group_cap_includes_self"])
-        except (ValueError, KeyError) as exc:
-            raise ConfigError(f"invalid configuration: {exc}") from exc
+        return dict(self._parsed["priors"])
 
     def semantic_hash(self) -> str:
         """Hash of every result-affecting field (output location excluded)."""
@@ -266,7 +294,7 @@ def read_samples(path) -> tuple[np.ndarray, dict]:
 def _load_inputs(config: RunConfig):
     dataset = load_expression(
         config.path("case"), config.path("control"),
-        drop_incomplete_patients=_as_bool(config.values["data"]["drop_incomplete_patients"]),
+        drop_incomplete_patients=config.get("data", "drop_incomplete_patients"),
     )
     annotation = load_annotation(config.path("annotation"),
                                  lengths_path=config.path("lengths", required=False))
@@ -297,8 +325,7 @@ def _samples_path(config: RunConfig, override=None) -> str:
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_fit(args) -> int:
-    config = RunConfig.from_file(args.config)
+def cmd_fit(config: RunConfig, args) -> int:
     outdir = config.output_dir()
     os.makedirs(outdir, exist_ok=True)
     dataset, design = _load_inputs(config)
@@ -331,8 +358,7 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def cmd_test(args) -> int:
-    config = RunConfig.from_file(args.config)
+def cmd_test(config: RunConfig, args) -> int:
     outdir = config.output_dir()
     os.makedirs(outdir, exist_ok=True)
     dataset, design = _load_inputs(config)
@@ -345,21 +371,22 @@ def cmd_test(args) -> int:
     if draws.shape[0] == 0:
         raise DataError("stored chain is empty; run fit with more iterations")
     priors = HyperPriorSpec.from_data(design, dataset.z, **config.prior_kwargs())
-    tst = config.values["testing"]
     corr_seed, prior_seed = (s for s in np.random.SeedSequence(config.seed()).spawn(2))
     correlation = estimate_prior_correlation(
-        design, priors.draw_hyper_arrays, n_mc=int(tst["prior_correlation_draws"]), seed=corr_seed)
+        design, priors.draw_hyper_arrays, n_mc=config.get("testing", "prior_correlation_draws"),
+        seed=corr_seed)
     np.savetxt(os.path.join(outdir, "prior_correlation.csv"), correlation,
                delimiter=",", header=",".join(dataset.mirna_names), comments="")
-    groups = form_groups(correlation, cap=int(tst["cap"]),
-                         percentile=float(tst["percentile"]),
-                         cap_includes_self=_as_bool(tst["group_cap_includes_self"]))
+    groups = form_groups(correlation, cap=config.get("testing", "cap"),
+                         percentile=config.get("testing", "percentile"),
+                         cap_includes_self=config.get("testing", "group_cap_includes_self"))
     indicators = hypothesis_indicators(psi_draws(draws, m))
     calibration = calibrate_beta(indicators, groups,
-                                 target_fdr=float(tst["target_fdr"]),
-                                 tol=float(tst["tolerance"]),
-                                 enum_limit=int(tst["component_enum_limit"]))
-    prior_probs, n_prior = draw_prior_psi(design, priors, int(tst["prior_psi_draws"]), prior_seed)
+                                 target_fdr=config.get("testing", "target_fdr"),
+                                 tol=config.get("testing", "tolerance"),
+                                 enum_limit=config.get("testing", "component_enum_limit"))
+    prior_probs, n_prior = draw_prior_psi(design, priors, config.get("testing", "prior_psi_draws"),
+                                          prior_seed)
     report = build_decision_report(dataset.mirna_names, psi_draws(draws, m),
                                    calibration, groups, prior_probs, n_prior)
     report.write_csv(os.path.join(outdir, "decisions.csv"))
@@ -377,22 +404,19 @@ def cmd_test(args) -> int:
     return 0
 
 
-def cmd_lrbh(args) -> int:
-    config = RunConfig.from_file(args.config)
+def cmd_lrbh(config: RunConfig, args) -> int:
     outdir = config.output_dir()
     os.makedirs(outdir, exist_ok=True)
     dataset, _ = _load_inputs(config)
-    sec = config.values["lrbh"]
-    report = run_baseline(dataset.z, dataset.mirna_names, q=float(sec["q"]),
-                          n_boot=int(sec["bootstrap"]), seed=config.seed(),
-                          method=sec["method"])
+    report = run_baseline(dataset.z, dataset.mirna_names, q=config.get("lrbh", "q"),
+                          n_boot=config.get("lrbh", "bootstrap"), seed=config.seed(),
+                          method=config.get("lrbh", "method"))
     report.write_csv(os.path.join(outdir, "lrbh.csv"))
     print(f"{report.method}: {report.n_discoveries} discoveries at q={report.q}")
     return 0
 
 
-def cmd_cv(args) -> int:
-    config = RunConfig.from_file(args.config)
+def cmd_cv(config: RunConfig, args) -> int:
     outdir = config.output_dir()
     os.makedirs(outdir, exist_ok=True)
     dataset, design = _load_inputs(config)
@@ -410,23 +434,21 @@ def cmd_cv(args) -> int:
             raise ConfigError(f"fold indices repeated: {repeated}")
     else:
         folds = None
-    sec = config.values["cv"]
+    level = config.get("cv", "level")
     summaries = run_loo(dataset, design, config.sampler_config("cv"),
-                        prior_kwargs=config.prior_kwargs(),
-                        level=float(sec["level"]), folds=folds)
+                        prior_kwargs=config.prior_kwargs(), level=level, folds=folds)
     for summary in summaries:
         summary.write_csv(os.path.join(outdir, f"cv_{summary.patient_id}.csv"))
     coverage = overall_coverage(summaries)
     write_json(os.path.join(outdir, "cv_summary.json"),
-               {"level": float(sec["level"]), "overall_coverage": coverage,
+               {"level": level, "overall_coverage": coverage,
                 "folds": [s.patient_id for s in summaries]})
-    print(f"cv: coverage {coverage:.3f} at level {float(sec['level']):.2f} "
+    print(f"cv: coverage {coverage:.3f} at level {level:.2f} "
           f"over {len(summaries)} folds")
     return 0
 
 
-def cmd_report(args) -> int:
-    config = RunConfig.from_file(args.config)
+def cmd_report(config: RunConfig, args) -> int:
     outdir = config.output_dir()
     decisions_path = os.path.join(outdir, "decisions.csv")
     lrbh_path = os.path.join(outdir, "lrbh.csv")
@@ -461,6 +483,11 @@ def cmd_simulate(args) -> int:
     if args.strands < 1 or args.m < args.strands:
         raise ConfigError(f"simulate needs --strands >= 1 and --m >= --strands "
                           f"(got --m {args.m}, --strands {args.strands})")
+    # The commands need at least two patients.
+    if args.n < 2:
+        raise ConfigError(f"simulate needs --n >= 2 (got --n {args.n})")
+    if args.planted < 0:
+        raise ConfigError(f"simulate needs --planted >= 0 (got --planted {args.planted})")
     sim = simulate_dataset(m=args.m, n=args.n, k=args.strands, seed=args.seed,
                            psi_mode="planted" if args.planted else "gp",
                            planted=args.planted, signal=args.signal)
@@ -524,6 +551,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "config" in args:
+            return args.func(RunConfig.from_file(args.config), args)
         return args.func(args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -358,6 +358,8 @@ def _parse_wide_expression(path) -> tuple[list[str], list[str], np.ndarray, np.n
         if name in seen:
             raise DataError(f"{path}: duplicate miRNA column {name!r}")
         seen.add(name)
+    if len(rows) < 2:
+        raise DataError(f"{path}: no patient rows below the header")
     patients, values, missing = [], [], []
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
@@ -399,8 +401,9 @@ def load_expression(case_path, control_path, drop_incomplete_patients: bool = Fa
             failing.
 
     Raises:
-        DataError: dimension mismatch, unparseable or missing cells,
-            duplicate names, or differing patient/miRNA sets.
+        DataError: dimension mismatch, a file without patient rows,
+            unparseable or missing cells, duplicate names, or differing
+            patient/miRNA sets.
     """
     case_pat, case_names, case_vals, case_miss = _parse_wide_expression(case_path)
     ctrl_pat, ctrl_names, ctrl_vals, ctrl_miss = _parse_wide_expression(control_path)

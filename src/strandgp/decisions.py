@@ -531,23 +531,23 @@ class DecisionReport:
 
 
 def build_decision_report(mirna_names, psi_draws: np.ndarray, calibration: CalibrationResult,
-                          groups: GroupStructure, prior_probs: np.ndarray, n_prior_draws: int,
-                          threshold: float = 1.0, ci_level: float = 0.95) -> DecisionReport:
+                          groups: GroupStructure, prior_probs: np.ndarray,
+                          n_prior_draws: int) -> DecisionReport:
     """Assemble the full per-unit report from the posterior draws and the
-    prior probabilities of deregulation at the same ``threshold``
+    prior probabilities of deregulation at the same threshold |psi| > 1
     (``priors.prior_exceedance``), which average ``n_prior_draws`` draws.
 
-    Point estimates are posterior means; intervals are central credible
-    intervals at ``ci_level``.  Discoveries are labeled 'up' when the
-    posterior mean difference is negative (fewer cycles: higher expression
-    in disease tissue) and 'down' when positive.
+    Point estimates are posterior means; intervals are central 95% credible
+    intervals.  Discoveries are labeled 'up' when the posterior mean
+    difference is negative (fewer cycles: higher expression in disease
+    tissue) and 'down' when positive.
     """
     psi_draws = np.asarray(psi_draws, dtype=float)
     names = tuple(mirna_names)
-    post_ind = hypothesis_indicators(psi_draws, threshold)
+    post_ind = hypothesis_indicators(psi_draws)
     bf = bayes_factors(marginal_probs(post_ind), prior_probs, post_ind.shape[0], n_prior_draws)
     mean = psi_draws.mean(axis=0)
-    alpha = 0.5 * (1.0 - ci_level)
+    alpha = 0.5 * (1.0 - 0.95)
     lowq, highq = np.quantile(psi_draws, [alpha, 1.0 - alpha], axis=0)
     direction = tuple(
         ("up" if mean[i] < 0 else "down") if calibration.d[i] else ""

@@ -218,12 +218,13 @@ class BaselineReport:
 
 
 def run_baseline(z: np.ndarray, mirna_names, q: float = 0.10, n_boot: int = 10000,
-                 seed: int = 0, method: str = "lrbh", ties: str = "conservative") -> BaselineReport:
+                 seed: int = 0, method: str = "lrbh") -> BaselineReport:
     """Full baseline pass over all units.
 
-    ``method="lrbh"`` (default) computes bootstrap LR p-values; each unit
-    uses its own child RNG stream of ``seed``, so results are independent
-    of evaluation order.  ``method="median-sign"`` uses the one-sided
+    ``method="lrbh"`` (default) computes bootstrap LR p-values with ties
+    counted as extreme (``bootstrap_pvalue``'s default); each unit uses its
+    own child RNG stream of ``seed``, so results are independent of
+    evaluation order.  ``method="median-sign"`` uses the one-sided
     t-test construction instead (zeta is still reported).
     """
     z = np.asarray(z, dtype=float)
@@ -236,7 +237,7 @@ def run_baseline(z: np.ndarray, mirna_names, q: float = 0.10, n_boot: int = 1000
     if method == "lrbh":
         rngs = spawn_rngs(seed, m)
         p = np.array([
-            bootstrap_pvalue(None, n_boot=n_boot, seed=rngs[i], result=results[i], ties=ties)
+            bootstrap_pvalue(None, n_boot=n_boot, seed=rngs[i], result=results[i])
             for i in range(m)
         ])
     elif method == "median-sign":

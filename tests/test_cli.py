@@ -118,6 +118,17 @@ class TestRunConfig:
         ("cv", "level", "most"),
         ("cv", "per_state", "0"),
         ("cv", "per_state", "1.5"),
+        ("sampler", "iterations", "abc"),
+        ("sampler", "burn_in", "-5"),
+        ("sampler", "thin", "1.5"),
+        ("sampler", "adaptation_window", "ten"),
+        ("sampler", "target_low", "0"),
+        ("sampler", "target_high", "1.2"),
+        ("cv", "iterations", "-1"),
+        ("cv", "burn_in", "many"),
+        ("cv", "thin", "2.5"),
+        ("data", "drop_incomplete_patients", "maybe"),
+        ("testing", "group_cap_includes_self", "sometimes"),
         # Malformed files: the whole text is given and the name the error
         # must carry stands in for the key.
         pytest.param(None, "priors", "[priors]\nnu_mode = 1\n[priors]\nnu_mode = 2\n",
@@ -130,13 +141,59 @@ class TestRunConfig:
         if section is None:
             path.write_text(value)
         else:
-            path.write_text(f"[data]\ncase = {tmp_path}/absent.csv\n[{section}]\n{key} = {value}\n")
+            header = "" if section == "data" else f"[{section}]\n"
+            path.write_text(f"[data]\ncase = {tmp_path}/absent.csv\n{header}{key} = {value}\n")
         with pytest.raises(ConfigError, match=key):
             RunConfig.from_file(path)
         # The range check fires while the config is read, before any input
         # is touched (the data paths here do not exist).
         assert main(["test", "--config", str(path)]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, text", [
+        ("sampler", "iterations = 10\nburn_in = 20"),
+        ("cv", "iterations = 10\nburn_in = 20"),
+        ("sampler", "target_low = 0.4\ntarget_high = 0.3"),
+    ])
+    def test_two_key_rule_names_the_section(self, tmp_path, section, text):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\n{text}\n")
+        with pytest.raises(ConfigError, match=rf"\[{section}\]"):
+            RunConfig.from_file(path)
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"testing": {"capp": 3}}, r"unknown key 'capp' in section \[testing\]"),
+        ({"tsting": {"cap": 3}}, r"unknown config section \[tsting\]"),
+    ])
+    def test_from_defaults_checks_keys_as_a_file_does(self, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            RunConfig.from_defaults(overrides)
+
+    def test_readme_table_lists_every_key_with_its_default(self):
+        # Rows read "| section | key / key | default / default | meaning |";
+        # one default may stand for several keys, and "(required)" and
+        # "(empty)" stand for the empty string.
+        readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            text = fh.read()
+        table = text.split("## Configuration reference", 1)[1].split("\n## ", 1)[0]
+        listed = {}
+        for line in table.splitlines():
+            cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+            if len(cells) != 4 or cells[0] in ("Section", "---"):
+                continue
+            keys, defaults = cells[1].split(" / "), cells[2].split(" / ")
+            defaults = ["" if d in ("(required)", "(empty)") else d for d in defaults]
+            if len(defaults) == 1:
+                defaults *= len(keys)
+            assert len(defaults) == len(keys), line
+            for key, default in zip(keys, defaults):
+                assert (cells[0], key) not in listed, line
+                listed[cells[0], key] = default
+        declared = {(section, key): default
+                    for section, items in RunConfig.from_defaults().values.items()
+                    for key, default in items.items()}
+        assert listed == declared
 
     def test_hash_ignores_output_dir_only(self, tmp_path):
         a = RunConfig.from_defaults({"data": {"output_dir": "x"}})
@@ -592,6 +649,13 @@ class TestSimulateCommand:
         assert main(["simulate", "--out", str(tmp_path / "sim"), "--m", "3",
                      "--strands", "5"]) == 2
         assert "--strands" in capsys.readouterr().err
+        assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--planted", "-1"), ("--n", "1"), ("--n", "0")])
+    def test_out_of_range_flag_exits_2(self, tmp_path, capsys, flag, value):
+        assert main(["simulate", "--out", str(tmp_path / "sim"), "--m", "4",
+                     "--strands", "2", flag, value]) == 2
+        assert flag in capsys.readouterr().err
         assert not (tmp_path / "sim").exists()
 
     def test_planted_truth_recorded(self, tmp_path):

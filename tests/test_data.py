@@ -99,6 +99,14 @@ class TestLoadExpression:
         with pytest.raises(DataError, match="duplicate miRNA"):
             load_expression(case, control)
 
+    @pytest.mark.parametrize("empty", ["case", "control"])
+    def test_header_without_patient_rows(self, tmp_path, empty):
+        full = [["patient", "a", "b"], ["p1", "1", "2"]]
+        case, control = expression_files(tmp_path, full[:1] if empty == "case" else full,
+                                         full[:1] if empty == "control" else full)
+        with pytest.raises(DataError, match=f"{empty}.csv: no patient rows"):
+            load_expression(case, control)
+
     def test_patient_sets_differ(self, tmp_path):
         case, control = expression_files(
             tmp_path,
