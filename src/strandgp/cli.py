@@ -486,8 +486,9 @@ def cmd_simulate(args) -> int:
     # The commands need at least two patients.
     if args.n < 2:
         raise ConfigError(f"simulate needs --n >= 2 (got --n {args.n})")
-    if args.planted < 0:
-        raise ConfigError(f"simulate needs --planted >= 0 (got --planted {args.planted})")
+    if not 0 <= args.planted <= args.m:
+        raise ConfigError(f"simulate needs 0 <= --planted <= --m "
+                          f"(got --planted {args.planted}, --m {args.m})")
     sim = simulate_dataset(m=args.m, n=args.n, k=args.strands, seed=args.seed,
                            psi_mode="planted" if args.planted else "gp",
                            planted=args.planted, signal=args.signal)

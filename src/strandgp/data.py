@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError
-from .util import write_csv
+from .util import connected_components, write_csv
 
 _STRAND_SYMBOLS = {"+": "+", "-": "-", "−": "-", "–": "-"}
 
@@ -255,26 +255,16 @@ class CovarianceIndex:
         sizes = [len(s.loci) for s in design.annotation.strands]
         locus_strand = np.repeat(np.arange(k), sizes)
 
-        # Union-find over strands: a unit's loci tie their strands together.
-        parent = list(range(k))
-
-        def find(s):
-            while parent[s] != s:
-                parent[s] = parent[parent[s]]
-                s = parent[s]
-            return s
-
-        home = {}
-        for u, s in zip(locus_unit.tolist(), locus_strand.tolist()):
-            if u in home:
-                parent[find(s)] = find(home[u])
-            else:
-                home[u] = s
-        label = {}
-        for s in range(k):
-            label.setdefault(find(s), len(label))
-        unit_comp = np.array([label[find(home[u])] for u in range(m)])
-        components = tuple(np.flatnonzero(unit_comp == c) for c in range(len(label)))
+        # A unit's loci tie their strands together: each unit's home strand
+        # (one of its loci's) is joined to the strand of each of its loci.
+        home = np.empty(m, dtype=np.intp)
+        home[locus_unit] = locus_strand
+        linked = connected_components(k, zip(home[locus_unit].tolist(), locus_strand.tolist()))
+        strand_comp = np.empty(k, dtype=np.intp)
+        for c, strands in enumerate(linked):
+            strand_comp[strands] = c
+        unit_comp = strand_comp[home]
+        components = tuple(np.flatnonzero(unit_comp == c) for c in range(len(linked)))
 
         local = np.empty(m, dtype=np.intp)
         offset = np.empty(m, dtype=np.intp)

@@ -17,13 +17,14 @@ false discovery rate meets a target.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
-from .util import write_csv, write_json
+from .util import connected_components, write_csv, write_json
 
 
 def hypothesis_indicators(psi_draws: np.ndarray, threshold: float = 1.0) -> np.ndarray:
@@ -141,31 +142,6 @@ def _w_tables(indicators: np.ndarray, groups: GroupStructure):
     return tables
 
 
-def _components(groups: GroupStructure) -> list:
-    m = groups.n_units
-    adjacency = [set() for _ in range(m)]
-    for i in range(m):
-        for j in groups.neighbors(i):
-            adjacency[i].add(int(j))
-            adjacency[j].add(i)
-    seen = np.zeros(m, dtype=bool)
-    comps = []
-    for start in range(m):
-        if seen[start]:
-            continue
-        stack, comp = [start], []
-        seen[start] = True
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in adjacency[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-        comps.append(np.array(sorted(comp)))
-    return comps
-
-
 @dataclass(frozen=True)
 class ComponentReport:
     indices: np.ndarray
@@ -175,40 +151,64 @@ class ComponentReport:
 
 @dataclass(frozen=True)
 class _ComponentSolution:
-    """Best decision of one component for every rejection count k = 0..c."""
+    """Best decision of one component for every rejection count k = 0..c,
+    and the upper concave hull of the points (k, A_k).
+
+    Vertex j of the hull is the optimum for beta in [breaks[j], breaks[j - 1]];
+    breaks do not increase.  Collinear points stay on the hull, so at a beta
+    equal to a break every tied count is a vertex.
+    """
 
     report: ComponentReport
+    t: int                 # draw count: A_k = scores[k] / t
     scores: tuple          # t A_k, integers
     decisions: np.ndarray  # (c + 1, c) lexicographically smallest argmax per k
-    weights: tuple         # per k: w of the rejected units, in component order
+    vertices: tuple        # hull vertex counts, ascending
+    breaks: tuple          # slope of the hull from vertex j to vertex j + 1
 
-    def pick(self, beta: float):
-        """Rejection count maximizing f_beta, summed unit by unit in
-        component order; exact ties go to the smallest decision tuple."""
-        best, best_f = 0, -math.inf
-        for k, w in enumerate(self.weights):
-            f = float(np.cumsum(w - beta)[-1]) if w.size else 0.0
-            if f > best_f or (f == best_f and tuple(self.decisions[k]) < tuple(self.decisions[best])):
-                best, best_f = k, f
-        return best, best_f
-
-    def hull(self, t: int):
-        """Upper concave hull of (k, A_k): vertex counts and the betas between them.
-
-        Vertex j is the optimum for beta between ``breaks[j]`` and
-        ``breaks[j - 1]``; breaks decrease.
-        """
-        a = self.scores
+    @classmethod
+    def solved(cls, report: ComponentReport, t: int, scores: tuple, decisions: np.ndarray):
         vertices = []
-        for k in range(len(a)):
+        for k in range(len(scores)):
             while len(vertices) >= 2:
                 p, q = vertices[-2:]
-                if (q - p) * (a[k] - a[p]) < (a[q] - a[p]) * (k - p):
+                if (q - p) * (scores[k] - scores[p]) <= (scores[q] - scores[p]) * (k - p):
                     break
                 vertices.pop()
             vertices.append(k)
-        breaks = [(a[q] - a[p]) / (t * (q - p)) for p, q in zip(vertices, vertices[1:])]
-        return vertices, breaks
+        breaks = tuple((scores[q] - scores[p]) / (t * (q - p))
+                       for p, q in zip(vertices, vertices[1:]))
+        return cls(report, t, scores, decisions, tuple(vertices), breaks)
+
+    def count(self, beta: float) -> int:
+        """Rejection count of the optimum at beta.
+
+        Each hull slope is compared with beta exactly, in integers.  On an
+        exact tie the count whose decision is lexicographically smallest
+        wins.
+        """
+        num, den = float(beta).as_integer_ratio()
+        a, v = self.scores, self.vertices
+
+        def gain(j):  # sign of f_beta(vertex j + 1) - f_beta(vertex j)
+            return (a[v[j + 1]] - a[v[j]]) * den - num * self.t * (v[j + 1] - v[j])
+
+        first = bisect.bisect_left(range(len(v) - 1), True, key=lambda j: gain(j) <= 0)
+        last = first
+        while last < len(v) - 1 and gain(last) == 0:
+            last += 1
+        return min(v[first:last + 1], key=lambda k: tuple(self.decisions[k]))
+
+
+def _optimum(solutions, beta: float, m: int):
+    """The optimal decision vector at beta and its score t A."""
+    d = np.zeros(m, dtype=np.int8)
+    score = 0
+    for sol in solutions:
+        k = sol.count(beta)
+        d[sol.report.indices] = sol.decisions[k]
+        score += sol.scores[k]
+    return d, score
 
 
 def _min_fill(scopes, c: int):
@@ -317,17 +317,9 @@ def _solve_component(comp, tables, t: int, enum_limit: int, cap: int) -> _Compon
     ties = [-value % (1 << c) for value in root]
     decisions = np.array([[(tie >> (c - 1 - p)) & 1 for p in range(c)] for tie in ties],
                          dtype=np.int8)
-    # draw counts t w_p of every unit under every decision
-    bits = decisions.astype(np.int64)
-    own = np.column_stack([
-        counts[p][sum((bits[:, q] << b for b, q in enumerate(nb)), np.zeros(c + 1, dtype=np.int64))]
-        for p, nb in enumerate(neighbors)])
-    return _ComponentSolution(
-        report=ComponentReport(indices=comp, exact=True, width=width),
-        scores=tuple((value + tie) >> c for value, tie in zip(root, ties)),
-        decisions=decisions,
-        weights=tuple(own[k, decisions[k] == 1] / t for k in range(c + 1)),
-    )
+    return _ComponentSolution.solved(
+        ComponentReport(indices=comp, exact=True, width=width), t,
+        tuple((value + tie) >> c for value, tie in zip(root, ties)), decisions)
 
 
 def _solve_components(indicators: np.ndarray, groups: GroupStructure, enum_limit: int) -> list:
@@ -337,8 +329,9 @@ def _solve_components(indicators: np.ndarray, groups: GroupStructure, enum_limit
     if groups.n_units != m:
         raise ValueError("groups and indicator matrix disagree on unit count")
     tables = _w_tables(indicators, groups)
+    edges = ((i, int(j)) for i in range(m) for j in groups.neighbors(i))
     return [_solve_component(comp, tables, t, enum_limit, groups.cap)
-            for comp in _components(groups)]
+            for comp in connected_components(m, edges)]
 
 
 @dataclass(frozen=True)
@@ -356,8 +349,8 @@ def optimize_decisions(indicators: np.ndarray, groups: GroupStructure, beta: flo
     The dependence graph (i adjacent to j when either's group contains the
     other) splits the objective into independent connected components.
     Each is solved exactly by bucket elimination; the optimum is read from
-    the best decision per rejection count, and ties go to the
-    lexicographically smallest vector.
+    the upper hull of its best score per rejection count, and exact ties go
+    to the lexicographically smallest vector.
 
     Args:
         indicators: (draws x units) deregulation indicator matrix, at least
@@ -367,8 +360,8 @@ def optimize_decisions(indicators: np.ndarray, groups: GroupStructure, beta: flo
         enum_limit: most units one elimination step may join.
 
     Returns:
-        OptimizeResult with the decision vector, the attained f value, and
-        per-component reports.
+        OptimizeResult with the decision vector, the attained f value (from
+        the integer draw-count scores), and per-component reports.
 
     Raises:
         NumericalError: a component's elimination width is ``enum_limit``
@@ -378,14 +371,10 @@ def optimize_decisions(indicators: np.ndarray, groups: GroupStructure, beta: flo
         raise ValueError("beta must lie in (0, 1)")
     indicators = np.asarray(indicators, dtype=bool)
     solutions = _solve_components(indicators, groups, enum_limit)
-    d = np.zeros(indicators.shape[1], dtype=np.int8)
-    total = 0.0
-    for sol in solutions:
-        k, f = sol.pick(beta)
-        d[sol.report.indices] = sol.decisions[k]
-        total += f
+    t, m = indicators.shape
+    d, score = _optimum(solutions, beta, m)
     reports = tuple(sol.report for sol in solutions)
-    return OptimizeResult(d=d, f_value=total, components=reports,
+    return OptimizeResult(d=d, f_value=score / t - beta * int(d.sum()), components=reports,
                           exact=all(r.exact for r in reports))
 
 
@@ -412,45 +401,27 @@ def calibrate_beta(indicators: np.ndarray, groups: GroupStructure,
     The optimal decision is piecewise constant in beta: the breakpoints of
     every component's hull split (0, 1) into open intervals, each with one
     decision vector, and rejections strictly grow as beta falls.  Every
-    interval is scanned (posterior FDR need not be monotone in beta), and
-    among decisions with posterior FDR at most ``target_fdr + tol`` and at
-    least one rejection the one with the most rejections wins.  The reported
-    beta is the midpoint of its interval, where ``optimize_decisions``
-    returns the same vector.  With no admissible decision the all-zero
-    vector is returned with ``feasible=False``.
+    interval is scanned at its midpoint (posterior FDR need not be monotone
+    in beta), where the decision is read out as ``optimize_decisions`` reads
+    it.  Among decisions with posterior FDR at most ``target_fdr + tol`` and
+    at least one rejection the one with the most rejections wins, and the
+    reported beta is its interval's midpoint.  With no admissible decision
+    the all-zero vector is returned with ``feasible=False``.
     """
     if not 0.0 < target_fdr < 1.0:
         raise ValueError("target_fdr must lie in (0, 1)")
     indicators = np.asarray(indicators, dtype=bool)
     solutions = _solve_components(indicators, groups, enum_limit)
-    t, m = indicators.shape
+    m = indicators.shape[1]
     v = marginal_probs(indicators)
 
-    # Walk beta down from 1 to 0: each component starts at the hull vertex
-    # optimal just below 1 and steps one vertex on at each of its breaks.
-    d = np.zeros(m, dtype=np.int8)
-    events = {}
-    walks = []
-    for s, sol in enumerate(solutions):
-        vertices, breaks = sol.hull(t)
-        skip = sum(b >= 1.0 for b in breaks)
-        walks.append(iter(vertices[skip:]))
-        d[sol.report.indices] = sol.decisions[next(walks[s])]
-        for b in breaks[skip:]:
-            if b <= 0.0:
-                break
-            events.setdefault(b, []).append(s)
-    edges = [1.0, *sorted(events, reverse=True), 0.0]
-    path = [d.copy()]
-    for b in edges[1:-1]:
-        for s in events[b]:
-            d[solutions[s].report.indices] = solutions[s].decisions[next(walks[s])]
-        path.append(d.copy())
+    breaks = sorted({b for sol in solutions for b in sol.breaks if 0.0 < b < 1.0}, reverse=True)
+    edges = [1.0, *breaks, 0.0]
+    betas = [0.5 * (hi + lo) for hi, lo in zip(edges, edges[1:])]  # descending
+    path = [_optimum(solutions, beta, m)[0] for beta in betas]
 
     fdrs = [posterior_fdr(x, v) for x in path]
-    evaluations = tuple(
-        (0.5 * (edges[n] + edges[n + 1]), int(x.sum()), fdr)
-        for n, (x, fdr) in enumerate(zip(path, fdrs)))[::-1]
+    evaluations = tuple(zip(betas, (int(x.sum()) for x in path), fdrs))[::-1]
     reports = tuple(sol.report for sol in solutions)
     admissible = [n for n, (x, fdr) in enumerate(zip(path, fdrs))
                   if fdr <= target_fdr + tol and x.sum() >= 1]
@@ -460,7 +431,7 @@ def calibrate_beta(indicators: np.ndarray, groups: GroupStructure,
                                  fnr=posterior_fnr(zeros, v), feasible=False,
                                  evaluations=evaluations, components=reports)
     n = admissible[-1]  # rejections grow along the path
-    return CalibrationResult(beta=0.5 * (edges[n] + edges[n + 1]), d=path[n], fdr=fdrs[n],
+    return CalibrationResult(beta=betas[n], d=path[n], fdr=fdrs[n],
                              fnr=posterior_fnr(path[n], v), feasible=True,
                              evaluations=evaluations, components=reports)
 

@@ -49,7 +49,8 @@ def simulate_dataset(m: int, n: int, k: int, seed: int = 0,
         m, n, k: unit, patient, and strand counts.
         psi_mode: "gp" draws effects from the strand-blocked prior at the
             fixed hyperparameters below; "planted" zeroes the effects except
-            for ``planted`` entries set to +-``signal`` (alternating sign).
+            for ``planted`` entries (at most m) set to +-``signal``
+            (alternating sign).
         varrho2, nu, rho_fraction: shared hyperparameters; the correlation
             length is ``rho_fraction * strand_length``.
         delta2: inverse-Wishart scale parameter of the error covariance.
@@ -58,6 +59,8 @@ def simulate_dataset(m: int, n: int, k: int, seed: int = 0,
     """
     if k < 1 or m < k:
         raise ValueError("need at least one strand and m >= k")
+    if psi_mode == "planted" and not 0 <= planted <= m:
+        raise ValueError(f"planted must lie in [0, m], got {planted} with m = {m}")
     from scipy import stats  # deferred: importing it costs every command about 0.6 s
 
     rng = np.random.default_rng(seed)
@@ -93,7 +96,7 @@ def simulate_dataset(m: int, n: int, k: int, seed: int = 0,
         psi = sample_psi_prior(pc, 1, rng)[0]
     elif psi_mode == "planted":
         psi = np.zeros(m)
-        chosen = rng.choice(m, size=min(planted, m), replace=False)
+        chosen = rng.choice(m, size=planted, replace=False)
         signs = np.where(np.arange(chosen.size) % 2 == 0, -1.0, 1.0)
         psi[chosen] = signs * signal
     else:

@@ -1,4 +1,5 @@
-"""Small shared helpers: RNG streams, the worker count, the CSV and JSON writers.
+"""Small shared helpers: RNG streams, the worker count, connected components,
+the CSV and JSON writers.
 
 Reproducibility rule used throughout the package: a run owns one integer
 seed; independent tasks (Monte Carlo draws, chains, cross-validation folds)
@@ -31,6 +32,26 @@ def spawn_rngs(seed, n: int) -> list[np.random.Generator]:
     """Derive ``n`` independent generators from one seed via SeedSequence.spawn."""
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     return [np.random.default_rng(child) for child in seq.spawn(n)]
+
+
+def connected_components(n: int, edges) -> list[np.ndarray]:
+    """Connected components of the graph on nodes 0..n-1 with the given
+    (a, b) edges.  Each component's nodes ascend, and components are ordered
+    by their smallest node."""
+    parent = list(range(n))
+
+    def root(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in edges:
+        ra, rb = root(a), root(b)
+        # the smaller root wins, so each root is its component's smallest node
+        parent[max(ra, rb)] = min(ra, rb)
+    roots = np.array([root(a) for a in range(n)], dtype=np.intp)
+    return [np.flatnonzero(roots == r) for r in np.unique(roots)]
 
 
 def write_csv(path, header, rows) -> None:

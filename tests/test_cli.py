@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import importlib.util
+import inspect
 import json
 import math
 import os
@@ -12,8 +13,11 @@ import pytest
 
 import strandgp
 from strandgp.cli import RunConfig, main, read_samples, write_samples
-from strandgp.decisions import ComponentReport
+from strandgp.crossval import loo_predictive, run_loo
+from strandgp.decisions import ComponentReport, calibrate_beta, form_groups, optimize_decisions
 from strandgp.errors import ConfigError
+from strandgp.lrbh import run_baseline
+from strandgp.priors import HyperPriorSpec
 from strandgp.tmcmc import PosteriorSamples, SamplerConfig
 
 
@@ -194,6 +198,33 @@ class TestRunConfig:
                     for section, items in RunConfig.from_defaults().values.items()
                     for key, default in items.items()}
         assert listed == declared
+
+    def test_library_defaults_match_config_defaults(self):
+        # A library call left at its defaults must do what a run on the
+        # default config does; perfbench's fit-study check, for one, calls
+        # HyperPriorSpec.from_data(design, z) against a fit on these defaults.
+        config = RunConfig.from_defaults()
+        keys = {
+            HyperPriorSpec.from_data: {key: ("priors", key) for key in config.values["priors"]},
+            form_groups: {"cap": ("testing", "cap"), "percentile": ("testing", "percentile"),
+                          "cap_includes_self": ("testing", "group_cap_includes_self")},
+            calibrate_beta: {"target_fdr": ("testing", "target_fdr"),
+                             "tol": ("testing", "tolerance"),
+                             "enum_limit": ("testing", "component_enum_limit")},
+            optimize_decisions: {"enum_limit": ("testing", "component_enum_limit")},
+            run_baseline: {"q": ("lrbh", "q"), "n_boot": ("lrbh", "bootstrap"),
+                           "method": ("lrbh", "method"), "seed": ("run", "seed")},
+            run_loo: {"level": ("cv", "level")},
+            loo_predictive: {"level": ("cv", "level")},
+        }
+        for function, params in keys.items():
+            signature = inspect.signature(function).parameters
+            for param, (section, key) in params.items():
+                assert signature[param].default == config.get(section, key), (function, param)
+        sampler = {f.name: f.default for f in dataclasses.fields(SamplerConfig)}
+        assert sampler["target_acceptance"] == (config.get("sampler", "target_low"),
+                                                config.get("sampler", "target_high"))
+        assert sampler["adaptation_window"] == config.get("sampler", "adaptation_window")
 
     def test_hash_ignores_output_dir_only(self, tmp_path):
         a = RunConfig.from_defaults({"data": {"output_dir": "x"}})
@@ -651,7 +682,8 @@ class TestSimulateCommand:
         assert "--strands" in capsys.readouterr().err
         assert not (tmp_path / "sim").exists()
 
-    @pytest.mark.parametrize("flag, value", [("--planted", "-1"), ("--n", "1"), ("--n", "0")])
+    @pytest.mark.parametrize("flag, value", [("--planted", "-1"), ("--planted", "5"),
+                                             ("--n", "1"), ("--n", "0")])
     def test_out_of_range_flag_exits_2(self, tmp_path, capsys, flag, value):
         assert main(["simulate", "--out", str(tmp_path / "sim"), "--m", "4",
                      "--strands", "2", flag, value]) == 2

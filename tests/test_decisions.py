@@ -324,6 +324,20 @@ class TestOptimizeDecisions:
             assert res.f_value == pytest.approx(expected_f, abs=1e-12)
             np.testing.assert_array_equal(res.d, expected_d)
 
+    def test_tie_on_a_collinear_hull_edge(self):
+        # One component, 64 draws.  The best scores per rejection count are
+        # 0, 22, 28 and 34 draws, so counts 1, 2 and 3 lie on one hull edge
+        # of slope 6/64 and tie at beta = 6/64.  The middle count's decision
+        # (0, 1, 1) is the lexicographically smallest of the three.
+        indicators = np.array([(1, 0, 0)] * 22 + [(0, 1, 1)] * 10 + [(1, 1, 1)] * 8
+                              + [(0, 0, 0)] * 24, dtype=bool)
+        groups = groups_from_lists([[0, 1], [0, 1, 2], [1, 2]])
+        assert _solve_components(indicators, groups, enum_limit=20)[0].scores == (0, 22, 28, 34)
+        res = optimize_decisions(indicators, groups, beta=6 / 64)
+        expected_d, expected_f = brute_force_argmax(indicators, groups, 6 / 64)
+        assert res.d.tolist() == expected_d.tolist() == [0, 1, 1]
+        assert res.f_value == expected_f == 16 / 64
+
     def test_invalid_beta(self):
         indicators = np.ones((4, 2), dtype=bool)
         with pytest.raises(ValueError):
@@ -445,6 +459,11 @@ class TestCalibrateBeta:
                           if d.sum() >= 1 and posterior_fdr(d, v) <= target + 0.005]
             result = calibrate_beta(indicators, groups, target_fdr=target, tol=0.005)
             assert [e[1] for e in result.evaluations] == [int(d.sum()) for _, d in path]
+            for beta, count, fdr in result.evaluations:
+                expected = configs[int(np.argmax((configs * (w - beta)).sum(axis=1)))]
+                d = optimize_decisions(indicators, groups, beta).d
+                np.testing.assert_array_equal(d, expected)
+                assert d.sum() == count and posterior_fdr(d, v) == fdr
             assert result.feasible == bool(admissible)
             if not admissible:
                 assert result.d.sum() == 0

@@ -18,7 +18,7 @@ from strandgp.kernels import (
     sample_psi_prior,
     unit_variances,
 )
-from strandgp.util import spawn_rngs
+from strandgp.util import connected_components, spawn_rngs
 
 mp.mp.dps = 50
 
@@ -565,6 +565,12 @@ class TestCovarianceIndex:
             assert {frozenset(c.tolist()) for c in index.components} == expected
             assert sorted(np.concatenate(index.components).tolist()) == list(range(design.n_mirnas))
             assert index.largest_component == max(len(g) for g in expected)
+
+    def test_connected_components_order(self):
+        # Nodes ascend within a component; components follow their smallest node.
+        components = connected_components(7, [(6, 1), (4, 0), (1, 5), (3, 3)])
+        assert [c.tolist() for c in components] == [[0, 4], [1, 5, 6], [2], [3]]
+        assert connected_components(0, []) == []
 
     def test_index_built_once_per_design(self):
         ann = make_annotation([("Chr1+", 100.0, [("a", 10.0), ("b", 60.0)])])
