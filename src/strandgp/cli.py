@@ -42,7 +42,7 @@ from .errors import ConfigError, DataError, NumericalError, StrandGPError
 from .kernels import estimate_prior_correlation
 from .lrbh import run_baseline
 from .priors import HyperPriorSpec, make_posterior_model, psi_draws
-# perfbench/tracing.py times the prior step under this name (ROADMAP item 6).
+# perfbench/tracing.py times the prior step under this name (ROADMAP item 1).
 from .priors import prior_exceedance as draw_prior_psi
 from .simulate import simulate_dataset, write_simulated
 from .tmcmc import PosteriorSamples, SamplerConfig, export_trace, run_chain
@@ -90,18 +90,17 @@ _KEYS = {
     "testing": {
         "target_fdr": _Key("0.10", float, *_IN_UNIT),
         "tolerance": _Key("0.005", float, *_AT_LEAST_0),
-        "cap": _Key("5", int, *_AT_LEAST_1),
+        # Partners per group, the unit itself not counted; 0 gives singletons.
+        "cap": _Key("5", int, *_AT_LEAST_0),
         # The group threshold is a percentile of the estimated correlations.
         "percentile": _Key("95.0", float, lambda v: 0.0 <= v <= 100.0, "lie in [0, 100]"),
         "component_enum_limit": _Key("20", int, *_AT_LEAST_1),
-        "group_cap_includes_self": _Key("false", bool),
         "prior_correlation_draws": _Key("2000", int, lambda v: v >= 1000, "be at least 1000"),
         "prior_psi_draws": _Key("4000", int, *_AT_LEAST_1),
     },
     "lrbh": {
         "bootstrap": _Key("10000", int, *_AT_LEAST_1),
         "q": _Key("0.10", float, *_IN_UNIT),
-        "method": _Key("lrbh", ("lrbh", "median-sign")),
     },
     "cv": {
         "iterations": _Key("30000", int, *_AT_LEAST_0),
@@ -229,7 +228,7 @@ class RunConfig:
         )
 
     def prior_kwargs(self) -> dict:
-        return dict(self._parsed["priors"])
+        return {key: self.get("priors", key) for key in _KEYS["priors"]}
 
     def semantic_hash(self) -> str:
         """Hash of every result-affecting field (output location excluded)."""
@@ -331,16 +330,17 @@ def cmd_fit(config: RunConfig, args) -> int:
     dataset, design = _load_inputs(config)
     priors = HyperPriorSpec.from_data(design, dataset.z, **config.prior_kwargs())
     model = make_posterior_model(dataset.z, design, priors)
+    if args.trace:
+        wanted = model.names if args.trace == "all" else args.trace.split(",")
+        unknown = [name for name in wanted if name not in model.names]
+        if unknown:
+            raise ConfigError(f"unknown trace parameters {unknown}; valid names are "
+                              f"the samples file's column names, or 'all'")
     start = time.perf_counter()
     samples = run_chain(model, config.sampler_config())
     elapsed = time.perf_counter() - start
     write_samples(_samples_path(config, args.samples_out), samples)
     if args.trace:
-        wanted = samples.names if args.trace == "all" else args.trace.split(",")
-        unknown = [name for name in wanted if name not in samples.names]
-        if unknown:
-            raise ConfigError(f"unknown trace parameters {unknown}; "
-                              f"see column names in the samples file")
         export_trace(samples, os.path.join(outdir, "trace.csv"), parameters=wanted)
     _write_manifest(config, outdir, {
         "command": "fit",
@@ -378,8 +378,7 @@ def cmd_test(config: RunConfig, args) -> int:
     np.savetxt(os.path.join(outdir, "prior_correlation.csv"), correlation,
                delimiter=",", header=",".join(dataset.mirna_names), comments="")
     groups = form_groups(correlation, cap=config.get("testing", "cap"),
-                         percentile=config.get("testing", "percentile"),
-                         cap_includes_self=config.get("testing", "group_cap_includes_self"))
+                         percentile=config.get("testing", "percentile"))
     indicators = hypothesis_indicators(psi_draws(draws, m))
     calibration = calibrate_beta(indicators, groups,
                                  target_fdr=config.get("testing", "target_fdr"),
@@ -409,10 +408,9 @@ def cmd_lrbh(config: RunConfig, args) -> int:
     os.makedirs(outdir, exist_ok=True)
     dataset, _ = _load_inputs(config)
     report = run_baseline(dataset.z, dataset.mirna_names, q=config.get("lrbh", "q"),
-                          n_boot=config.get("lrbh", "bootstrap"), seed=config.seed(),
-                          method=config.get("lrbh", "method"))
+                          n_boot=config.get("lrbh", "bootstrap"), seed=config.seed())
     report.write_csv(os.path.join(outdir, "lrbh.csv"))
-    print(f"{report.method}: {report.n_discoveries} discoveries at q={report.q}")
+    print(f"lrbh: {report.n_discoveries} discoveries at q={report.q}")
     return 0
 
 
@@ -486,6 +484,8 @@ def cmd_simulate(args) -> int:
     # The commands need at least two patients.
     if args.n < 2:
         raise ConfigError(f"simulate needs --n >= 2 (got --n {args.n})")
+    if args.seed < 0:
+        raise ConfigError(f"simulate needs --seed >= 0 (got --seed {args.seed})")
     if not 0 <= args.planted <= args.m:
         raise ConfigError(f"simulate needs 0 <= --planted <= --m "
                           f"(got --planted {args.planted}, --m {args.m})")

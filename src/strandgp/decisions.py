@@ -27,12 +27,12 @@ from .errors import NumericalError
 from .util import connected_components, write_csv, write_json
 
 
-def hypothesis_indicators(psi_draws: np.ndarray, threshold: float = 1.0) -> np.ndarray:
-    """Per-draw deregulation indicators: |effect| > threshold.  Rows are draws."""
+def hypothesis_indicators(psi_draws: np.ndarray) -> np.ndarray:
+    """Per-draw deregulation indicators: |effect| > 1.  Rows are draws."""
     psi_draws = np.asarray(psi_draws, dtype=float)
     if psi_draws.ndim != 2 or psi_draws.shape[0] == 0:
         raise ValueError("need a nonempty (draws x units) matrix")
-    return np.abs(psi_draws) > threshold
+    return np.abs(psi_draws) > 1.0
 
 
 def marginal_probs(indicators: np.ndarray) -> np.ndarray:
@@ -65,17 +65,18 @@ class GroupStructure:
         return cls(groups=tuple(np.array([i]) for i in range(m)), threshold=math.nan, cap=0)
 
 
-def form_groups(correlation: np.ndarray, cap: int = 5, percentile: float = 95.0,
-                cap_includes_self: bool = False) -> GroupStructure:
+def form_groups(correlation: np.ndarray, cap: int = 5,
+                percentile: float = 95.0) -> GroupStructure:
     """Build groups from a prior correlation matrix.
 
     The cutoff is the given percentile of the above-diagonal correlations.
     Group i then holds i plus the up-to-``cap`` highest-correlated units at
-    or above the cutoff (``cap_includes_self`` counts i itself against the
-    cap); units with no qualifying partner stay singletons.  A deregulation
-    coupling needs positive correlation, so nonpositive entries never
-    qualify even when the cutoff itself is nonpositive.  Ties at the cap
-    resolve toward smaller indices.
+    or above the cutoff, so a group has at most ``cap + 1`` members and
+    ``cap = 0`` gives singletons (the marginal rule); units with no
+    qualifying partner stay singletons.  A deregulation coupling needs
+    positive correlation, so nonpositive entries never qualify even when
+    the cutoff itself is nonpositive.  Ties at the cap resolve toward
+    smaller indices.
     """
     r = np.asarray(correlation, dtype=float)
     m = r.shape[0]
@@ -83,17 +84,18 @@ def form_groups(correlation: np.ndarray, cap: int = 5, percentile: float = 95.0,
         raise ValueError("correlation must be square with at least two units")
     if not np.allclose(np.diag(r), 1.0, atol=1e-8):
         raise ValueError("correlation matrix must have unit diagonal")
+    if cap < 0:
+        raise ValueError(f"cap must be at least 0, got {cap}")
     iu = np.triu_indices(m, k=1)
     cutoff = float(np.percentile(r[iu], percentile))
-    budget = max(0, cap - 1) if cap_includes_self else cap
     groups = []
     for i in range(m):
         row = r[i].copy()
         row[i] = -np.inf
         qualifying = np.flatnonzero((row >= cutoff) & (row > 0.0))
-        if qualifying.size > budget:
+        if qualifying.size > cap:
             order = np.argsort(-row[qualifying], kind="stable")
-            qualifying = qualifying[order[:budget]]
+            qualifying = qualifying[order[:cap]]
         members = np.sort(np.append(qualifying, i))
         groups.append(members.astype(int))
     return GroupStructure(groups=tuple(groups), threshold=cutoff, cap=cap)

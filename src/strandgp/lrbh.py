@@ -12,8 +12,8 @@ function of the sufficient statistics (mean, v) alone, and a mean inside
 the interval gives exactly zeta = 1.  The null distribution has no closed
 form, so p-values come from a parametric bootstrap at a null point; each
 replicate draws its mean and variance directly, which is exact in
-distribution (see ``bootstrap_pvalue``).  A sign-based one-sided t-test
-variant is kept behind a flag for comparison runs.
+distribution (see ``bootstrap_pvalue``).  The module needs numpy only: it
+loads no scipy module.
 """
 
 from __future__ import annotations
@@ -168,36 +168,6 @@ def bh_adjust(p_values, q: float = 0.10) -> np.ndarray:
     return reject
 
 
-def median_sign_pvalues(z: np.ndarray) -> np.ndarray:
-    """One-sided t-test p-values picked by the sample median's sign.
-
-    A positive median tests mean > 1; otherwise mean < -1 is tested.  Kept
-    for comparison only: splitting the composite test on the median's sign
-    has no formal justification.
-    """
-    from scipy.special import stdtr  # deferred: the default baseline never needs scipy
-
-    z = np.asarray(z, dtype=float)
-    n, m = z.shape
-    if n < 2:
-        raise DataError("need at least two observations per unit")
-    if not np.isfinite(z).all():
-        raise DataError("non-finite observation")
-    means = z.mean(axis=0)
-    sds = z.std(axis=0, ddof=1)
-    if np.any(sds <= 0):
-        raise DataError("zero sample variance")
-    medians = np.median(z, axis=0)
-    se = sds / np.sqrt(n)
-    p = np.empty(m)
-    upper = medians > 0
-    t_up = (means - 1.0) / se
-    t_dn = (means + 1.0) / se
-    p[upper] = stdtr(n - 1, -t_up[upper])
-    p[~upper] = stdtr(n - 1, t_dn[~upper])
-    return p
-
-
 @dataclass(frozen=True)
 class BaselineReport:
     mirna_names: tuple
@@ -205,7 +175,6 @@ class BaselineReport:
     p_values: np.ndarray
     rejected: np.ndarray
     q: float
-    method: str
 
     @property
     def n_discoveries(self) -> int:
@@ -218,32 +187,24 @@ class BaselineReport:
 
 
 def run_baseline(z: np.ndarray, mirna_names, q: float = 0.10, n_boot: int = 10000,
-                 seed: int = 0, method: str = "lrbh") -> BaselineReport:
-    """Full baseline pass over all units.
-
-    ``method="lrbh"`` (default) computes bootstrap LR p-values with ties
-    counted as extreme (``bootstrap_pvalue``'s default); each unit uses its
-    own child RNG stream of ``seed``, so results are independent of
-    evaluation order.  ``method="median-sign"`` uses the one-sided
-    t-test construction instead (zeta is still reported).
+                 seed: int = 0) -> BaselineReport:
+    """Full baseline pass over all units: bootstrap LR p-values with ties
+    counted as extreme (``bootstrap_pvalue``'s default), then the
+    Benjamini-Hochberg step-up at ``q``.  Each unit uses its own child RNG
+    stream of ``seed``, so results are independent of evaluation order.
     """
     z = np.asarray(z, dtype=float)
-    n, m = z.shape
+    _, m = z.shape
     names = tuple(mirna_names)
     if len(names) != m:
         raise DataError("name count does not match column count")
     results = [lr_stat(z[:, i]) for i in range(m)]
     zetas = np.array([r.zeta for r in results])
-    if method == "lrbh":
-        rngs = spawn_rngs(seed, m)
-        p = np.array([
-            bootstrap_pvalue(None, n_boot=n_boot, seed=rngs[i], result=results[i])
-            for i in range(m)
-        ])
-    elif method == "median-sign":
-        p = median_sign_pvalues(z)
-    else:
-        raise ValueError(f"unknown method {method!r} (expected 'lrbh' or 'median-sign')")
+    rngs = spawn_rngs(seed, m)
+    p = np.array([
+        bootstrap_pvalue(None, n_boot=n_boot, seed=rngs[i], result=results[i])
+        for i in range(m)
+    ])
     rejected = bh_adjust(p, q)
     return BaselineReport(mirna_names=names, zeta=zetas, p_values=p,
-                          rejected=rejected, q=q, method=method)
+                          rejected=rejected, q=q)

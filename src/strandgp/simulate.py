@@ -18,6 +18,8 @@ from .data import (ExpressionDataset, GenomeAnnotation, StrandRecord, build_desi
 from .kernels import StrandHyperParams, prior_cov_psi, sample_psi_prior
 from .util import write_csv
 
+_STRAND_LENGTH = 1e4  # bp; every simulated strand has this length
+
 
 @dataclass(frozen=True)
 class SimulatedData:
@@ -41,9 +43,11 @@ def simulate_dataset(m: int, n: int, k: int, seed: int = 0,
                      varrho2: float = 4.0, nu: float = 1.5,
                      rho_fraction: float = 0.3,
                      delta2: float = 1.0,
-                     multi_locus_fraction: float = 0.1,
-                     strand_length: float = 1e4) -> SimulatedData:
+                     multi_locus_fraction: float = 0.1) -> SimulatedData:
     """Generate one dataset from the model.
+
+    Every strand is 1e4 bp long, and the loci on a strand sit at distinct
+    integer coordinates in [1, 1e4).
 
     Args:
         m, n, k: unit, patient, and strand counts.
@@ -52,7 +56,7 @@ def simulate_dataset(m: int, n: int, k: int, seed: int = 0,
             for ``planted`` entries (at most m) set to +-``signal``
             (alternating sign).
         varrho2, nu, rho_fraction: shared hyperparameters; the correlation
-            length is ``rho_fraction * strand_length``.
+            length is ``rho_fraction`` times the strand length.
         delta2: inverse-Wishart scale parameter of the error covariance.
         multi_locus_fraction: fraction of units receiving a second locus on
             another strand.
@@ -83,13 +87,13 @@ def simulate_dataset(m: int, n: int, k: int, seed: int = 0,
     strands = []
     for sid in sorted(per_strand):
         members = per_strand[sid]
-        coords = np.sort(rng.choice(np.arange(1, int(strand_length)), size=len(members), replace=False)).astype(float)
+        coords = np.sort(rng.choice(np.arange(1, int(_STRAND_LENGTH)), size=len(members), replace=False)).astype(float)
         loci = tuple((name, float(c)) for name, c in zip(members, coords))
-        strands.append(StrandRecord(strand_id=sid, length=float(strand_length), loci=loci))
+        strands.append(StrandRecord(strand_id=sid, length=_STRAND_LENGTH, loci=loci))
     annotation = GenomeAnnotation(strands=tuple(strands))
     design = build_design_matrix(annotation, names)
 
-    hypers = tuple(StrandHyperParams(varrho2, nu, rho_fraction * strand_length)
+    hypers = tuple(StrandHyperParams(varrho2, nu, rho_fraction * _STRAND_LENGTH)
                    for _ in range(design.n_strands))
     if psi_mode == "gp":
         pc = prior_cov_psi(design, hypers)

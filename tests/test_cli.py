@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import strandgp
-from strandgp.cli import RunConfig, main, read_samples, write_samples
+from strandgp.cli import _KEYS, RunConfig, main, read_samples, write_samples
 from strandgp.crossval import loo_predictive, run_loo
 from strandgp.decisions import ComponentReport, calibrate_beta, form_groups, optimize_decisions
 from strandgp.errors import ConfigError
@@ -66,6 +66,15 @@ def pipeline(tmp_path_factory):
     return {"root": root, "data": data_dir, "out": out_dir, "config": config}
 
 
+@pytest.fixture(scope="module")
+def decided(pipeline):
+    """test and lrbh on the fitted pipeline, for the checks that read their
+    files; each such check passes when selected alone."""
+    assert main(["test", "--config", pipeline["config"]]) == 0
+    assert main(["lrbh", "--config", pipeline["config"]]) == 0
+    return pipeline
+
+
 class TestRunConfig:
     def test_defaults_resolve_and_hash(self, tmp_path):
         cfg = RunConfig.from_defaults()
@@ -101,7 +110,7 @@ class TestRunConfig:
         ("testing", "tolerance", "-0.01"),
         ("testing", "tolerance", "small"),
         ("testing", "cap", "abc"),
-        ("testing", "cap", "0"),
+        ("testing", "cap", "-1"),
         ("testing", "component_enum_limit", "0"),
         ("testing", "component_enum_limit", "2.5"),
         ("testing", "prior_psi_draws", "0"),
@@ -132,7 +141,9 @@ class TestRunConfig:
         ("cv", "burn_in", "many"),
         ("cv", "thin", "2.5"),
         ("data", "drop_incomplete_patients", "maybe"),
+        # Removed keys exit 2 as unknown keys.
         ("testing", "group_cap_includes_self", "sometimes"),
+        ("lrbh", "method", "median-sign"),
         # Malformed files: the whole text is given and the name the error
         # must carry stands in for the key.
         pytest.param(None, "priors", "[priors]\nnu_mode = 1\n[priors]\nnu_mode = 2\n",
@@ -206,14 +217,13 @@ class TestRunConfig:
         config = RunConfig.from_defaults()
         keys = {
             HyperPriorSpec.from_data: {key: ("priors", key) for key in config.values["priors"]},
-            form_groups: {"cap": ("testing", "cap"), "percentile": ("testing", "percentile"),
-                          "cap_includes_self": ("testing", "group_cap_includes_self")},
+            form_groups: {"cap": ("testing", "cap"), "percentile": ("testing", "percentile")},
             calibrate_beta: {"target_fdr": ("testing", "target_fdr"),
                              "tol": ("testing", "tolerance"),
                              "enum_limit": ("testing", "component_enum_limit")},
             optimize_decisions: {"enum_limit": ("testing", "component_enum_limit")},
             run_baseline: {"q": ("lrbh", "q"), "n_boot": ("lrbh", "bootstrap"),
-                           "method": ("lrbh", "method"), "seed": ("run", "seed")},
+                           "seed": ("run", "seed")},
             run_loo: {"level": ("cv", "level")},
             loo_predictive: {"level": ("cv", "level")},
         }
@@ -317,10 +327,10 @@ class TestPipeline:
         assert "non-marginal decisions" in console
         assert (out / "prior_correlation.csv").exists()
 
-    def test_discoveries_recover_planted_truth(self, pipeline):
-        truth_lines = (pipeline["data"] / "truth.csv").read_text().strip().splitlines()
+    def test_discoveries_recover_planted_truth(self, decided):
+        truth_lines = (decided["data"] / "truth.csv").read_text().strip().splitlines()
         planted = {row.split(",")[0] for row in truth_lines[1:] if row.split(",")[2] == "1"}
-        decision_lines = (pipeline["out"] / "decisions.csv").read_text().strip().splitlines()
+        decision_lines = (decided["out"] / "decisions.csv").read_text().strip().splitlines()
         discovered = {row.split(",")[0] for row in decision_lines[1:] if row.split(",")[1] == "1"}
         # strong planted signals (|effect| = 2.8, noise sd ~ 1) must all be found
         assert planted <= discovered
@@ -348,9 +358,9 @@ class TestPipeline:
         assert main(["cv", "--config", pipeline["config"], "--folds", "2,1,2"]) == 2
         assert "fold indices repeated: [2]" in capsys.readouterr().err
 
-    def test_report_command(self, pipeline):
-        assert main(["report", "--config", pipeline["config"]]) == 0
-        lines = (pipeline["out"] / "comparison.csv").read_text().strip().splitlines()
+    def test_report_command(self, decided):
+        assert main(["report", "--config", decided["config"]]) == 0
+        lines = (decided["out"] / "comparison.csv").read_text().strip().splitlines()
         assert lines[0].startswith("mirna,method")
         methods = {line.split(",")[1] for line in lines[1:]}
         assert methods <= {"NMD", "LRBH", '"NMD', "NMD, LRBH"} or len(lines) >= 1
@@ -369,6 +379,14 @@ class TestPipeline:
         assert all(line.split(",")[1] == "log_delta2" for line in lines[1:])
         assert main(["fit", "--config", config2, "--trace", "bogus"]) == 2
 
+    def test_unknown_trace_name_exits_2_before_sampling(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "out_typo"
+        config = write_config(tmp_path / "run.ini", pipeline["data"], out)
+        capsys.readouterr()
+        assert main(["fit", "--config", config, "--trace", "log_delta2,psi:nope"]) == 2
+        assert "psi:nope" in capsys.readouterr().err
+        assert not (out / "samples.bin").exists()
+
 
 def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
     report = "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])"
@@ -383,24 +401,20 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
 
     # Importing the command line loads no scipy module at all.
     assert last_line("import sys, strandgp.cli; " + report_any) == "[]"
-    # Nor do cv and the median-sign baseline load scipy.stats or
-    # scipy.optimize while they run.
+    # Nor does cv load scipy.stats or scipy.optimize while it runs.
     data_dir = tmp_path / "data"
     assert main(["simulate", "--out", str(data_dir), "--m", "6", "--n", "5",
                  "--strands", "2", "--seed", "0"]) == 0
     config = tmp_path / "run.ini"
     write_config(config, data_dir, tmp_path / "out")
     config.write_text(config.read_text()
-                      .replace("[cv]\niterations = 600", "[cv]\niterations = 300")
-                      .replace("[lrbh]\n", "[lrbh]\nmethod = median-sign\n"))
-    assert "method = median-sign" in config.read_text()
+                      .replace("[cv]\niterations = 600", "[cv]\niterations = 300"))
     code = ("import sys; from strandgp.cli import main; "
-            "codes = [main(['cv', '--config', sys.argv[1], '--folds', '0']), "
-            "main(['lrbh', '--config', sys.argv[1]])]; print(codes, end=' '); " + report)
-    assert last_line(code, str(config)) == "[0, 0] []"
+            "codes = [main(['cv', '--config', sys.argv[1], '--folds', '0'])]; "
+            "print(codes, end=' '); " + report)
+    assert last_line(code, str(config)) == "[0] []"
     assert (tmp_path / "out" / "cv_summary.json").exists()
-    assert (tmp_path / "out" / "lrbh.csv").exists()
-    # The decisions, the default baseline and report load no scipy module:
+    # The decisions, the baseline and report load no scipy module:
     # test factors nothing and evaluates the Bessel function in numpy.
     config = write_config(tmp_path / "default.ini", data_dir, tmp_path / "out2")
     assert main(["fit", "--config", config]) == 0
@@ -410,6 +424,35 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
     assert last_line(code, config) == "[0, 0, 0] []"
     assert (tmp_path / "out2" / "decisions.csv").exists()
     assert (tmp_path / "out2" / "comparison.csv").exists()
+
+
+def test_every_config_key_is_read(tmp_path, monkeypatch):
+    # A key no command reads is a setting that does nothing. Reads made while
+    # a config is validated do not count, only those the commands make.
+    loaded, read = [], set()
+    from_file, get = RunConfig.from_file.__func__, RunConfig.get
+
+    def loading(cls, path):
+        config = from_file(cls, path)
+        loaded.append(config)
+        return config
+
+    def reading(self, section, key):
+        if any(self is config for config in loaded):
+            read.add((section, key))
+        return get(self, section, key)
+
+    monkeypatch.setattr(RunConfig, "from_file", classmethod(loading))
+    monkeypatch.setattr(RunConfig, "get", reading)
+    data_dir = tmp_path / "data"
+    assert main(["simulate", "--out", str(data_dir), "--m", "4", "--n", "5",
+                 "--strands", "2", "--seed", "0", "--planted", "1"]) == 0
+    config = write_config(tmp_path / "run.ini", data_dir, tmp_path / "out")
+    for argv in (["fit"], ["test"], ["lrbh"], ["cv", "--folds", "0"], ["report"]):
+        assert main([*argv, "--config", config]) == 0, argv
+    declared = {(section, key) for section, keys in _KEYS.items() for key in keys}
+    # perfbench's loo-mid still writes [cv] per_state, which has no effect.
+    assert declared - read == {("cv", "per_state")}
 
 
 def test_benchmark_hooks_resolve():
@@ -683,7 +726,7 @@ class TestSimulateCommand:
         assert not (tmp_path / "sim").exists()
 
     @pytest.mark.parametrize("flag, value", [("--planted", "-1"), ("--planted", "5"),
-                                             ("--n", "1"), ("--n", "0")])
+                                             ("--n", "1"), ("--n", "0"), ("--seed", "-1")])
     def test_out_of_range_flag_exits_2(self, tmp_path, capsys, flag, value):
         assert main(["simulate", "--out", str(tmp_path / "sim"), "--m", "4",
                      "--strands", "2", flag, value]) == 2

@@ -203,12 +203,22 @@ class TestFormGroups:
             assert i in g
 
     def test_cap_includes_self_reading(self):
+        # A group size of 5 counting the unit itself is cap = 4.
         m = 7
         r = np.full((m, m), 0.8)
         np.fill_diagonal(r, 1.0)
-        groups = form_groups(r, cap=5, cap_includes_self=True)
+        groups = form_groups(r, cap=4)
         for g in groups.groups:
             assert g.size == 5
+
+    def test_cap_zero_gives_singletons(self):
+        m = 7
+        r = np.full((m, m), 0.8)
+        np.fill_diagonal(r, 1.0)
+        groups = form_groups(r, cap=0)
+        assert [g.tolist() for g in groups.groups] == [[i] for i in range(m)]
+        with pytest.raises(ValueError, match="cap"):
+            form_groups(r, cap=-1)
 
     def test_largest_correlations_win(self):
         r = np.eye(4)

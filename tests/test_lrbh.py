@@ -13,7 +13,7 @@ from strandgp import (
     lr_stat,
     run_baseline,
 )
-from strandgp.lrbh import _replicate_zetas, median_sign_pvalues
+from strandgp.lrbh import _replicate_zetas
 
 
 def _exact_lower_tail(z):
@@ -232,37 +232,6 @@ class TestBhAdjust:
             bh_adjust(np.array([np.nan, 0.01, 0.02]), 0.1)
 
 
-class TestMedianSign:
-    def test_strong_positive_shift_detected(self):
-        rng = np.random.default_rng(3)
-        z = rng.normal(3.0, 0.5, size=(10, 1))
-        p = median_sign_pvalues(z)
-        assert p[0] < 0.001
-
-    def test_matches_one_sided_t_construction(self):
-        rng = np.random.default_rng(4)
-        z = rng.normal(1.5, 1.0, size=(8, 1))
-        p = median_sign_pvalues(z)
-        mean, sd = z.mean(), z.std(ddof=1)
-        expected = stats.t.sf((mean - 1.0) / (sd / np.sqrt(8)), df=7)
-        assert p[0] == pytest.approx(expected, rel=1e-12)
-
-    def test_negative_median_branch(self):
-        rng = np.random.default_rng(5)
-        z = rng.normal(-2.0, 1.0, size=(9, 1))
-        p = median_sign_pvalues(z)
-        mean, sd = z.mean(), z.std(ddof=1)
-        expected = stats.t.cdf((mean + 1.0) / (sd / np.sqrt(9)), df=8)
-        assert p[0] == pytest.approx(expected, rel=1e-12)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_cell_rejected(self, bad):
-        z = np.random.default_rng(10).normal(size=(10, 4))
-        z[3, 2] = bad
-        with pytest.raises(DataError, match="non-finite"):
-            median_sign_pvalues(z)
-
-
 class TestRunBaseline:
     def test_end_to_end_discovers_planted_signal(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -286,20 +255,9 @@ class TestRunBaseline:
         b = run_baseline(z, list("abcde"), n_boot=300, seed=3)
         np.testing.assert_array_equal(a.p_values, b.p_values)
 
-    def test_median_sign_method_flag(self):
-        rng = np.random.default_rng(8)
-        z = rng.normal(size=(9, 5))
-        report = run_baseline(z, list("abcde"), method="median-sign")
-        assert report.method == "median-sign"
-        np.testing.assert_allclose(report.p_values, median_sign_pvalues(z))
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_cell_rejected(self, bad):
         z = np.random.default_rng(9).normal(size=(10, 4))
         z[3, 2] = bad
         with pytest.raises(DataError, match="non-finite"):
             run_baseline(z, list("abcd"), n_boot=100, seed=0)
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            run_baseline(np.ones((3, 2)) + np.eye(3, 2), ["a", "b"], method="bogus")
