@@ -418,7 +418,7 @@ def cmd_cv(config: RunConfig, args) -> int:
     outdir = config.output_dir()
     os.makedirs(outdir, exist_ok=True)
     dataset, design = _load_inputs(config)
-    if args.folds:
+    if args.folds is not None:
         try:
             folds = [int(tok) for tok in args.folds.split(",")]
         except ValueError:

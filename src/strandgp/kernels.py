@@ -14,7 +14,11 @@ hyperparameter draws at a time; it assembles and factors nothing.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -26,12 +30,43 @@ from .util import spawn_rngs, worker_count
 
 
 @cache
-def _dpotrf():
-    """LAPACK's dpotrf, imported on first use: only ``factor_blocks`` calls
-    it, so a command that factors nothing loads no scipy module."""
-    from scipy.linalg.lapack import dpotrf
+def lapack():
+    """scipy's compiled LAPACK wrappers (``dpotrf``, ``dtrtrs``, ...), loaded
+    on first use.
 
-    return dpotrf
+    The extension module ``scipy.linalg._flapack`` is loaded straight from
+    the file a normal import would use, so neither ``scipy/__init__`` nor
+    ``scipy/linalg/__init__`` runs: that costs a few milliseconds where
+    ``import scipy.linalg.lapack`` costs about a quarter of a second.  The
+    routines are the same objects, so results are bit-identical.  Where the
+    file cannot be found or loaded, ``scipy.linalg.lapack`` is imported.
+    """
+    try:
+        return _load_flapack()
+    except (ImportError, OSError):
+        from scipy.linalg import lapack as module
+
+        return module
+
+
+def _load_flapack():
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    root = importlib.util.find_spec("scipy")
+    if root is None or not root.submodule_search_locations:
+        raise ImportError("scipy is not installed as a package")
+    folder = os.path.join(root.submodule_search_locations[0], "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_flapack" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            # As a normal import would, so a later one reuses this module.
+            sys.modules[name] = module
+            return module
+    raise ImportError(f"no {name} extension under {folder}")
 
 
 @dataclass(frozen=True)
@@ -570,7 +605,7 @@ def factor_blocks(index: CovarianceIndex, packed: np.ndarray) -> list:
     Raises:
         NumericalError: some block is not positive definite within budget.
     """
-    dpotrf = _dpotrf()
+    dpotrf = lapack().dpotrf
     scale = float(packed[index.unit_diag].max())
     out = []
     for _, size, offset in index.spans:

@@ -29,6 +29,7 @@ from .kernels import (
     assemble_blocks,
     factor_blocks,
     hyper_arrays,
+    lapack,
     prior_monte_carlo,
     unit_variance_draws,
     unit_variances,
@@ -277,17 +278,15 @@ class HyperPriorSpec:
 
     def log_scale_sds(self) -> dict:
         """Prior standard deviations of the log-scale parameters (proposal scales)."""
-        from scipy.special import polygamma
-
         a, _ = self.varrho2_prior
-        sd_log_ig = math.sqrt(float(polygamma(1, a)))
+        sd_log_ig = math.sqrt(_trigamma(a))
         sd_varrho2 = 2.0 * sd_log_ig if self.varrho_prior_on == "varrho" else sd_log_ig
         ad, _ = self.delta2_prior
         return {
             "log_varrho2": sd_varrho2,
             "log_nu": self.nu_prior[1],
             "log_rho": np.array([s_ for _, s_ in self.rho_priors]),
-            "log_delta2": math.sqrt(float(polygamma(1, ad))),
+            "log_delta2": math.sqrt(_trigamma(ad)),
         }
 
     def to_dict(self) -> dict:
@@ -300,6 +299,45 @@ class HyperPriorSpec:
             "varrho_prior_on": self.varrho_prior_on,
             "rho_prior_variance_scale": self.rho_prior_variance_scale,
         }
+
+# Cephes' Euler-Maclaurin coefficients (2k)! / B_2k for the Hurwitz zeta.
+_ZETA_A = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9,
+           7.47242496e10, -2.950130727918164224e12, 1.1646782814350067249e14,
+           -4.5979787224074726105e15, 1.8152105401943546773e17, -7.1661652561756670113e18)
+_MACHEP = 1.11022302462515654042e-16
+
+
+def _trigamma(q: float) -> float:
+    """The trigamma function psi_1(q) = zeta(2, q) for q > 0: Cephes' Hurwitz
+    zeta (direct sum up to q + 9, then Euler-Maclaurin), step for step, so
+    the result has the bits of ``scipy.special.polygamma(1, q)``."""
+    if q > 1e8:
+        return (1.0 + 1.0 / (2.0 * q)) * q ** -1.0
+    s, a, b, i = q ** -2.0, q, 0.0, 0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = a ** -2.0
+        s += b
+        if abs(b / s) < _MACHEP:
+            return s
+    w = a
+    s += b * w
+    s -= 0.5 * b
+    a, k = 1.0, 0.0
+    for coef in _ZETA_A:
+        a *= 2.0 + k
+        b /= w
+        t = a * b / coef
+        s += t
+        if abs(t / s) < _MACHEP:
+            return s
+        k += 1.0
+        a *= 2.0 + k
+        b /= w
+        k += 1.0
+    return s
+
 
 # ---------------------------------------------------------------------------
 # Model state
@@ -370,10 +408,8 @@ class _PosteriorTarget:
 
     def __init__(self, z: np.ndarray, design: DesignMatrix, priors: HyperPriorSpec,
                  include_likelihood: bool):
-        from scipy.linalg.lapack import dpotrf, dtrtrs
-        from scipy.special import gammaln
-
-        self.dpotrf, self.dtrtrs = dpotrf, dtrtrs
+        routines = lapack()
+        self.dpotrf, self.dtrtrs = routines.dpotrf, routines.dtrtrs
         self.z = np.asarray(z, dtype=float)
         self.n, self.m = self.z.shape
         if self.m != design.n_mirnas:
@@ -402,9 +438,9 @@ class _PosteriorTarget:
         self.varrho2_scale, self.delta2_scale = b, bd
         self.log_mus = np.array([mu_nu] * k + [mu for mu, _ in priors.rho_priors])
         self.half_precisions = 1.0 / (2.0 * sigmas**2)
-        self.const = (k * (a * math.log(b) - float(gammaln(a))
+        self.const = (k * (a * math.log(b) - math.lgamma(a)
                            - (math.log(2.0) if self.root_varrho else 0.0))
-                      + ad * math.log(bd) - float(gammaln(ad))
+                      + ad * math.log(bd) - math.lgamma(ad)
                       - float(np.sum(np.log(sigmas))) - k * LOG2PI)
 
     def __call__(self, x: np.ndarray) -> float:

@@ -65,7 +65,7 @@ def simulate_dataset(m: int, n: int, k: int, seed: int = 0,
         raise ValueError("need at least one strand and m >= k")
     if psi_mode == "planted" and not 0 <= planted <= m:
         raise ValueError(f"planted must lie in [0, m], got {planted} with m = {m}")
-    from scipy import stats  # deferred: importing it costs every command about 0.6 s
+    from scipy import stats  # deferred: only simulate needs it, and its import takes about 1 s
 
     rng = np.random.default_rng(seed)
     names = tuple(f"mir-{i:04d}" for i in range(m))

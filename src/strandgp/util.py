@@ -15,17 +15,26 @@ import os
 
 import numpy as np
 
+from .errors import ConfigError
+
 THREADS_ENV = "STRANDGP_THREADS"
 
 
 def worker_count() -> int:
-    """Number of worker threads for parallel sections (env-controlled, >= 1)."""
+    """Number of worker threads for parallel sections: the positive integer
+    in ``STRANDGP_THREADS``, 1 when it is unset.
+
+    Raises:
+        ConfigError: the variable holds anything but a positive integer.
+    """
     raw = os.environ.get(THREADS_ENV, "1")
     try:
         n = int(raw)
     except ValueError:
-        return 1
-    return max(1, n)
+        n = 0
+    if n < 1:
+        raise ConfigError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
+    return n
 
 
 def spawn_rngs(seed, n: int) -> list[np.random.Generator]:

@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -19,6 +20,7 @@ from strandgp.errors import ConfigError
 from strandgp.lrbh import run_baseline
 from strandgp.priors import HyperPriorSpec
 from strandgp.tmcmc import PosteriorSamples, SamplerConfig
+from strandgp.util import worker_count
 
 
 def write_config(path, data_dir, outdir, seed=0, extra=""):
@@ -358,6 +360,12 @@ class TestPipeline:
         assert main(["cv", "--config", pipeline["config"], "--folds", "2,1,2"]) == 2
         assert "fold indices repeated: [2]" in capsys.readouterr().err
 
+    def test_cv_empty_folds_exits_2(self, pipeline, capsys):
+        # An empty list names no fold; it must not fall back to all of them.
+        capsys.readouterr()
+        assert main(["cv", "--config", pipeline["config"], "--folds", ""]) == 2
+        assert "--folds must be comma-separated integers, got ''" in capsys.readouterr().err
+
     def test_report_command(self, decided):
         assert main(["report", "--config", decided["config"]]) == 0
         lines = (decided["out"] / "comparison.csv").read_text().strip().splitlines()
@@ -389,8 +397,7 @@ class TestPipeline:
 
 
 def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
-    report = "print([m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules])"
-    report_any = "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    report = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
@@ -399,29 +406,31 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
                                 text=True, env=env, check=True, timeout=300)
         return result.stdout.strip().splitlines()[-1]
 
+    def run_commands(config, *argvs):
+        code = ("import sys, json; from strandgp.cli import main; "
+                "codes = [main(argv + ['--config', sys.argv[1]]) for argv in json.loads(sys.argv[2])]; "
+                "print(codes, end=' '); " + report)
+        return last_line(code, str(config), json.dumps(argvs))
+
     # Importing the command line loads no scipy module at all.
-    assert last_line("import sys, strandgp.cli; " + report_any) == "[]"
-    # Nor does cv load scipy.stats or scipy.optimize while it runs.
+    assert last_line("import sys, strandgp.cli; " + report) == "[]"
     data_dir = tmp_path / "data"
     assert main(["simulate", "--out", str(data_dir), "--m", "6", "--n", "5",
                  "--strands", "2", "--seed", "0"]) == 0
+    # fit and cv load scipy's compiled LAPACK module and no other scipy
+    # module: the t distribution, lgamma and trigamma are computed here.
+    config = write_config(tmp_path / "default.ini", data_dir, tmp_path / "out2")
+    assert run_commands(config, ["fit"]) == "[0] ['scipy.linalg._flapack']"
     config = tmp_path / "run.ini"
     write_config(config, data_dir, tmp_path / "out")
     config.write_text(config.read_text()
                       .replace("[cv]\niterations = 600", "[cv]\niterations = 300"))
-    code = ("import sys; from strandgp.cli import main; "
-            "codes = [main(['cv', '--config', sys.argv[1], '--folds', '0'])]; "
-            "print(codes, end=' '); " + report)
-    assert last_line(code, str(config)) == "[0] []"
+    assert run_commands(config, ["cv", "--folds", "0"]) == "[0] ['scipy.linalg._flapack']"
     assert (tmp_path / "out" / "cv_summary.json").exists()
     # The decisions, the baseline and report load no scipy module:
     # test factors nothing and evaluates the Bessel function in numpy.
-    config = write_config(tmp_path / "default.ini", data_dir, tmp_path / "out2")
-    assert main(["fit", "--config", config]) == 0
-    code = ("import sys; from strandgp.cli import main; "
-            "codes = [main([command, '--config', sys.argv[1]]) for command in ('test', 'lrbh', 'report')]; "
-            "print(codes, end=' '); " + report_any)
-    assert last_line(code, config) == "[0, 0, 0] []"
+    config = tmp_path / "default.ini"
+    assert run_commands(config, ["test"], ["lrbh"], ["report"]) == "[0, 0, 0] []"
     assert (tmp_path / "out2" / "decisions.csv").exists()
     assert (tmp_path / "out2" / "comparison.csv").exists()
 
@@ -543,6 +552,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"priors.{key}" in err
         assert not (tmp_path / "out" / "samples.bin").exists()
+
+    @pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5"])
+    def test_bad_thread_count_exits_2_naming_the_variable(self, pipeline, monkeypatch, capsys,
+                                                           threads):
+        # The prior Monte Carlo of test reads STRANDGP_THREADS.
+        monkeypatch.setenv("STRANDGP_THREADS", threads)
+        with pytest.raises(ConfigError, match=f"STRANDGP_THREADS must be a positive integer, "
+                                              f"got '{re.escape(threads)}'"):
+            worker_count()
+        capsys.readouterr()
+        assert main(["test", "--config", pipeline["config"]]) == 2
+        assert "STRANDGP_THREADS" in capsys.readouterr().err
 
     def test_missing_data_file(self, tmp_path):
         config = tmp_path / "run.ini"

@@ -11,7 +11,7 @@ from strandgp import (
     overall_coverage,
     run_loo,
 )
-from strandgp.crossval import predictive_draws
+from strandgp.crossval import _t_cdf, _t_quantile, predictive_draws
 from strandgp.simulate import simulate_dataset
 
 
@@ -40,6 +40,43 @@ def t_scales(psis, delta2s, z_train, nu):
     scatter about the state's effects, summed directly."""
     scatter = ((z_train[None, :, :] - psis[:, None, :]) ** 2).sum(axis=1)
     return np.sqrt((delta2s[:, None] + scatter) / nu)
+
+
+class TestStudentT:
+    """The t CDF and quantile in numpy, against scipy.special as the oracle,
+    for every integer nu from 1 to 500."""
+
+    U = np.concatenate([np.linspace(-40.0, 40.0, 801), np.geomspace(1e-9, 1e3, 100),
+                        -np.geomspace(1e-9, 1e3, 100), [0.0]])
+
+    def test_cdf_matches_stdtr(self):
+        from scipy.special import stdtr
+
+        for nu in range(2, 501):
+            # The finite sum's rounding grows with its nu / 2 terms.
+            np.testing.assert_allclose(_t_cdf(nu, self.U), stdtr(nu, self.U),
+                                       rtol=0, atol=4e-16 + 8e-18 * nu, err_msg=f"nu={nu}")
+
+    def test_cdf_at_one_degree_is_the_cauchy_law(self):
+        # scipy's stdtr(1, u) is up to 1.6e-9 off near u = 0, so nu = 1 is
+        # checked against the closed form.
+        np.testing.assert_allclose(_t_cdf(1, self.U), 0.5 + np.arctan(self.U) / np.pi,
+                                   rtol=0, atol=2e-16)
+
+    @pytest.mark.parametrize("levels, rtol", [
+        ((0.025, 0.1, 0.125, 0.3, 0.5, 0.7, 0.875, 0.9, 0.975), 5e-14),
+        ((1e-3, 0.999), 5e-13),
+        ((1e-6, 1.0 - 1e-6), 1e-10),
+    ])
+    def test_quantile_matches_stdtrit(self, levels, rtol):
+        # The CDF is accurate in absolute terms, so the relative error of a
+        # quantile grows as its tail probability falls.
+        from scipy.special import stdtrit
+
+        for nu in range(1, 501):
+            got = [_t_quantile(nu, p) for p in levels]
+            np.testing.assert_allclose(got, stdtrit(nu, np.array(levels)), rtol=rtol, atol=0,
+                                       err_msg=f"nu={nu}")
 
 
 class TestPredictiveInterval:

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from types import SimpleNamespace
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -639,8 +645,8 @@ class TestCovarianceIndex:
                 return fn(*args, **kwargs)
             return call
 
-        dpotrf = kernels._dpotrf()
-        monkeypatch.setattr(kernels, "_dpotrf", lambda: counted("dpotrf", dpotrf))
+        routines = SimpleNamespace(dpotrf=counted("dpotrf", kernels.lapack().dpotrf))
+        monkeypatch.setattr(kernels, "lapack", lambda: routines)
         monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
         pc = prior_cov_psi(design, hypers)
         monkeypatch.undo()
@@ -862,7 +868,7 @@ class TestCholeskyWithJitter:
     # Through _factor_with_jitter, the routine factor_blocks runs per block.
     @staticmethod
     def factor(matrix, scale):
-        return kernels._factor_with_jitter(matrix, scale, kernels._dpotrf())
+        return kernels._factor_with_jitter(matrix, scale, kernels.lapack().dpotrf)
 
     def test_pd_matrix_untouched(self):
         mat = np.array([[2.0, 0.5], [0.5, 1.0]])
@@ -880,3 +886,79 @@ class TestCholeskyWithJitter:
         mat = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
         with pytest.raises(NumericalError):
             self.factor(mat, 1.0)
+
+
+def run_fresh(code):
+    """The last stdout line of ``code`` run in a fresh interpreter, with the
+    package on its path and no module loaded in advance."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, check=True, timeout=120)
+    return result.stdout.strip().splitlines()[-1]
+
+
+LAPACK_FIRST = """
+import json, sys
+import numpy as np
+from strandgp import kernels
+
+routines = kernels.lapack()
+rng = np.random.default_rng(7)
+cases = []
+for size in range(1, 101):
+    a = rng.standard_normal((size, size + 2))
+    spd, rhs = a @ a.T, rng.standard_normal(size)
+    chol, info = routines.dpotrf(spd, lower=1, clean=1)
+    cases.append((spd, rhs, chol, info, routines.dtrtrs(chol, rhs, lower=1)))
+indefinite = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+bad_info = routines.dpotrf(indefinite, lower=1, clean=1)[1]
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import scipy.linalg
+from scipy.linalg import lapack
+
+same = all(np.array_equal(chol, lapack.dpotrf(spd, lower=1, clean=1)[0])
+           and info == 0
+           and np.array_equal(solved[0], lapack.dtrtrs(chol, rhs, lower=1)[0])
+           for spd, rhs, chol, info, solved in cases)
+print(json.dumps({
+    "loaded": loaded,
+    "same_bits": bool(same),
+    "bad_info": [int(bad_info), int(lapack.dpotrf(indefinite, lower=1, clean=1)[1])],
+    "same_routines": lapack.dpotrf is routines.dpotrf and lapack.dtrtrs is routines.dtrtrs,
+    "cholesky": bool(np.array_equal(scipy.linalg.cholesky(cases[-1][0], lower=True), cases[-1][2])),
+}))
+"""
+
+
+class TestLapack:
+    """``kernels.lapack`` loads scipy's compiled LAPACK module without
+    importing scipy, and serves the routines ``scipy.linalg.lapack`` does."""
+
+    @pytest.fixture(scope="class")
+    def loaded_first(self):
+        return json.loads(run_fresh(LAPACK_FIRST))
+
+    def test_loads_no_other_scipy_module(self, loaded_first):
+        assert loaded_first["loaded"] == ["scipy.linalg._flapack"]
+
+    def test_same_bits_as_scipy_lapack(self, loaded_first):
+        # Random SPD blocks of size 1-100: factors and triangular solves.
+        assert loaded_first["same_bits"]
+
+    def test_same_info_on_a_block_that_is_not_positive_definite(self, loaded_first):
+        info, expected = loaded_first["bad_info"]
+        assert info == expected == 2
+
+    def test_coexists_with_a_later_scipy_import(self, loaded_first):
+        assert loaded_first["same_routines"]
+        assert loaded_first["cholesky"]
+
+    def test_falls_back_to_the_normal_import(self):
+        code = ("import importlib.util; importlib.util.find_spec = lambda *args, **kwargs: None\n"
+                "import numpy as np; from strandgp import kernels\n"
+                "routines = kernels.lapack()\n"
+                "chol, info = routines.dpotrf(np.array([[4.0, 2.0], [2.0, 3.0]]), lower=1, clean=1)\n"
+                "print(routines.__name__, info, chol.tolist())")
+        assert run_fresh(code) == f"scipy.linalg.lapack 0 {[[2.0, 0.0], [1.0, 2.0 ** 0.5]]}"

@@ -34,6 +34,7 @@ from strandgp import (
 )
 from strandgp.data import GenomeAnnotation, StrandRecord
 from strandgp.kernels import sample_psi_prior, unit_variances
+from strandgp.priors import _trigamma
 from strandgp.util import spawn_rngs
 
 
@@ -202,6 +203,17 @@ class TestHyperPriorSpec:
         expected = stats.invgamma.logpdf(math.sqrt(x), a, scale=b) - math.log(2 * math.sqrt(x))
         assert log_density_varrho2(on_scale, x) == pytest.approx(expected, rel=1e-12)
         assert log_density_varrho2(on_scale, x) != pytest.approx(log_density_varrho2(on_sq, x))
+
+    def test_trigamma_has_the_bits_of_scipy_polygamma(self):
+        # The proposal scales' trigamma is a port of Cephes' Hurwitz zeta:
+        # bit for bit equal to scipy on a grid over both of its branches
+        # (direct sum plus Euler-Maclaurin, and the q > 1e8 asymptote).
+        from scipy.special import polygamma
+
+        q = np.concatenate([np.geomspace(0.05, 3000.0, 4001), np.arange(1, 41) * 0.5,
+                            np.random.default_rng(0).uniform(0.05, 3000.0, 2000), [9.0, 1e8, 3e9]])
+        got = np.array([_trigamma(float(v)) for v in q])
+        np.testing.assert_array_equal(got, polygamma(1, q))
 
     def test_draws_match_densities(self):
         design = two_locus_design()

@@ -9,8 +9,9 @@ Each tree is a checkout of this repository.  For every workload of
 PARENT_TREE's code and copied for each tree.  Each tree then runs the
 workload's strandgp commands on its own copy, in subprocesses with one BLAS
 thread.  Every file of the two copies is compared by SHA-256, except the
-wall-time line of ``fit.log``.  Prints one line per file and exits 1 when a
-command fails or any file differs.
+wall-time line of ``fit.log``.  Prints one line per file, with how many
+numeric cells moved and by how much where a CSV or JSON file differs, and
+exits 1 when a command fails or any file differs.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ THREAD_ENV = {name: "1" for name in (
 os.environ.update(THREAD_ENV)
 
 import argparse  # noqa: E402
+import csv  # noqa: E402
 import hashlib  # noqa: E402
+import json  # noqa: E402
 import shutil  # noqa: E402
 import subprocess  # noqa: E402
 import tempfile  # noqa: E402
@@ -52,6 +55,57 @@ def digests(root):
     return out
 
 
+def cells(path):
+    """(row, column name) -> text of a CSV file, or (dotted key path,) -> leaf
+    of a JSON file: the last item of a key names its column or JSON key."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        if path.endswith(".csv"):
+            header, *rows = csv.reader(fh)
+            return {(r, name): text for r, row in enumerate(rows) for name, text in zip(header, row)}
+        out, stack = {}, [((), json.load(fh))]
+        while stack:
+            key, value = stack.pop()
+            if isinstance(value, (dict, list)):
+                items = value.items() if isinstance(value, dict) else enumerate(value)
+                stack.extend((key + (k,), v) for k, v in items)
+            else:
+                out[(".".join(map(str, key)),)] = value
+        return out
+
+
+def as_number(value):
+    """The float a cell holds, or None for text, booleans and nulls."""
+    if isinstance(value, bool) or value is None:
+        return None
+    try:
+        return float(value)
+    except ValueError:
+        return None
+
+
+def describe_change(parent, change):
+    """How two versions of a CSV or JSON file differ, cell by cell: the
+    count of numeric cells that moved, in which columns or keys, and the
+    largest absolute move, and the count of other cells that differ; None for
+    other files."""
+    if not parent.endswith((".csv", ".json")) or not os.path.exists(change):
+        return None
+    before, after = cells(parent), cells(change)
+    moved, largest, other, fields = 0, 0.0, 0, set()
+    for key in before.keys() | after.keys():
+        a, b = before.get(key), after.get(key)
+        if a == b:
+            continue
+        fields.add(str(key[-1]))
+        x, y = as_number(a), as_number(b)
+        if x is None or y is None:
+            other += 1
+        else:
+            moved, largest = moved + 1, max(largest, abs(x - y))
+    return (f"{moved} numeric cells moved, largest by {largest:.3g}; {other} other cells differ; "
+            f"in {', '.join(sorted(fields))}")
+
+
 def run_commands(tree, workload, workdir):
     """Run the workload's commands with ``tree``'s sources; returns the
     failed commands with the end of their error output."""
@@ -72,18 +126,20 @@ def compare_workload(workload, trees, scratch):
     inputs = os.path.join(scratch, name, "inputs")
     os.makedirs(inputs)
     workload.setup(inputs)
-    problems, found = [], {}
+    problems, found, workdirs = [], {}, {}
     for label, tree in trees.items():
-        workdir = os.path.join(scratch, name, label)
+        workdir = workdirs[label] = os.path.join(scratch, name, label)
         shutil.copytree(inputs, workdir)
         problems += [f"{name}: {label}: {p}" for p in run_commands(tree, workload, workdir)]
         found[label] = digests(workdir)
     parent, change = found.values()
     for path in sorted(set(parent) | set(change)):
-        same = parent.get(path) == change.get(path)
-        print(f"{name}: {path}: {'same' if same else 'DIFFERENT'}")
-        if not same:
-            problems.append(f"{name}: {path} differs")
+        if parent.get(path) == change.get(path):
+            print(f"{name}: {path}: same")
+            continue
+        detail = path in parent and describe_change(*(os.path.join(d, path) for d in workdirs.values()))
+        print(f"{name}: {path}: DIFFERENT" + (f" ({detail})" if detail else ""))
+        problems.append(f"{name}: {path} differs")
     return problems
 
 
