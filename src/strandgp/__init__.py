@@ -60,7 +60,6 @@ from .tmcmc import (
     PosteriorSamples,
     SamplerConfig,
     TargetModel,
-    diagnostics,
     effective_sample_size,
     export_trace,
     run_chain,

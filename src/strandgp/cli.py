@@ -74,9 +74,6 @@ _KEYS = {
         "iterations": _Key("200000", int, *_AT_LEAST_0),
         "burn_in": _Key("50000", int, *_AT_LEAST_0),
         "thin": _Key("10", int, *_AT_LEAST_1),
-        "adaptation_window": _Key("200", int, *_AT_LEAST_1),
-        "target_low": _Key("0.20", float, *_IN_UNIT),
-        "target_high": _Key("0.35", float, *_IN_UNIT),
     },
     "priors": {
         "varrho2_mode": _Key("1.0", float, *_POSITIVE),
@@ -222,9 +219,6 @@ class RunConfig:
             burn_in=self.get(section, "burn_in"),
             thin=self.get(section, "thin"),
             seed=self.seed(),
-            adaptation_window=self.get("sampler", "adaptation_window"),
-            target_acceptance=(self.get("sampler", "target_low"),
-                               self.get("sampler", "target_high")),
         )
 
     def prior_kwargs(self) -> dict:
@@ -314,10 +308,14 @@ def _write_manifest(config: RunConfig, outdir: str, extra: dict) -> None:
     write_json(os.path.join(outdir, "manifest.json"), manifest)
 
 
-def _samples_path(config: RunConfig, override=None) -> str:
-    if override:
-        return override
-    return os.path.join(config.output_dir(), "samples.bin")
+def _samples_path(config: RunConfig, override: str | None, flag: str) -> str:
+    """The samples file a flag names, or ``samples.bin`` in the output
+    directory when the flag is absent; an empty value names no file."""
+    if override is None:
+        return os.path.join(config.output_dir(), "samples.bin")
+    if not override:
+        raise ConfigError(f"{flag} must name a file, got ''")
+    return override
 
 
 # ---------------------------------------------------------------------------
@@ -325,22 +323,23 @@ def _samples_path(config: RunConfig, override=None) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_fit(config: RunConfig, args) -> int:
+    samples_path = _samples_path(config, args.samples_out, "--samples-out")
     outdir = config.output_dir()
     os.makedirs(outdir, exist_ok=True)
     dataset, design = _load_inputs(config)
     priors = HyperPriorSpec.from_data(design, dataset.z, **config.prior_kwargs())
     model = make_posterior_model(dataset.z, design, priors)
-    if args.trace:
+    if args.trace is not None:
         wanted = model.names if args.trace == "all" else args.trace.split(",")
         unknown = [name for name in wanted if name not in model.names]
         if unknown:
-            raise ConfigError(f"unknown trace parameters {unknown}; valid names are "
+            raise ConfigError(f"--trace names unknown parameters {unknown}; valid names are "
                               f"the samples file's column names, or 'all'")
     start = time.perf_counter()
     samples = run_chain(model, config.sampler_config())
     elapsed = time.perf_counter() - start
-    write_samples(_samples_path(config, args.samples_out), samples)
-    if args.trace:
+    write_samples(samples_path, samples)
+    if args.trace is not None:
         export_trace(samples, os.path.join(outdir, "trace.csv"), parameters=wanted)
     _write_manifest(config, outdir, {
         "command": "fit",
@@ -359,10 +358,11 @@ def cmd_fit(config: RunConfig, args) -> int:
 
 
 def cmd_test(config: RunConfig, args) -> int:
+    samples_path = _samples_path(config, args.samples, "--samples")
     outdir = config.output_dir()
     os.makedirs(outdir, exist_ok=True)
     dataset, design = _load_inputs(config)
-    draws, meta = read_samples(_samples_path(config, args.samples))
+    draws, meta = read_samples(samples_path)
     m = dataset.n_mirnas
     if meta.get("m") not in (None, m):
         raise DataError(f"samples were drawn for m={meta.get('m')}, dataset has m={m}")

@@ -449,12 +449,15 @@ def load_annotation(path, lengths_path=None) -> GenomeAnnotation:
     sorted by coordinate.  Strand length comes from the optional lengths
     CSV (``chromosome,length``, applied to both strands of a chromosome)
     and otherwise defaults to the largest coordinate observed on the
-    strand.
+    strand.  A lengths file must give every annotated chromosome a length
+    no smaller than its largest coordinate.
 
     Raises:
         DataError: unknown strand symbol, non-positive or non-finite
             coordinate or length, a chromosome listed twice in the lengths
-            file, duplicate (strand, coordinate) pair, malformed header.
+            file, an annotated chromosome the lengths file omits or gives a
+            length below one of its coordinates, duplicate (strand,
+            coordinate) pair, malformed header.
     """
     rows = _read_rows(path)
     header = [c.strip().lower() for c in rows[0]]
@@ -507,9 +510,16 @@ def load_annotation(path, lengths_path=None) -> GenomeAnnotation:
         for a, b in zip(coords, coords[1:]):
             if a == b:
                 raise DataError(f"duplicate locus at coordinate {a} on strand {strand_id}")
-        length = lengths.get(strand_chrom[strand_id], max(coords))
-        if length <= 0:
-            raise DataError(f"non-positive length for strand {strand_id}")
+        chrom = strand_chrom[strand_id]
+        length = coords[-1]  # the largest coordinate: loci are sorted
+        if lengths_path is not None:
+            if chrom not in lengths:
+                raise DataError(f"{lengths_path}: no length for chromosome {chrom!r}, "
+                                f"which the annotation places loci on")
+            if lengths[chrom] < length:
+                raise DataError(f"{lengths_path}: length {lengths[chrom]:g} of chromosome "
+                                f"{chrom!r} is below its locus at coordinate {length:g}")
+            length = lengths[chrom]
         records.append(StrandRecord(strand_id=strand_id, length=length, loci=tuple(loci)))
     return GenomeAnnotation(strands=tuple(records))
 

@@ -70,20 +70,18 @@ class TargetModel:
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Chain length, thinning, and adaptation settings.
+    """Chain length and thinning.
 
-    Proposal scales are the model's per-coordinate base scales times one
-    factor per block.  Acceptance is steered into ``target_acceptance``
-    during burn-in by multiplicative Robbins-Monro updates of the factors,
-    one window of ``adaptation_window`` iterations at a time.
+    The chain runs ``n_iterations`` iterations, adapts its proposal scales
+    during the first ``burn_in`` of them, and stores every ``thin``-th draw
+    after that.  The tuning policy itself (window length and acceptance
+    band) is fixed: see ``_Adaptation``.
     """
 
     n_iterations: int
     burn_in: int = 0
     thin: int = 1
     seed: int = 0
-    target_acceptance: tuple = (0.20, 0.35)
-    adaptation_window: int = 200
 
     def __post_init__(self):
         if self.n_iterations < 0 or self.burn_in < 0:
@@ -92,11 +90,6 @@ class SamplerConfig:
             raise ValueError("burn_in may not exceed n_iterations")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
-        lo, hi = self.target_acceptance
-        if not (0.0 < lo < hi < 1.0):
-            raise ValueError("target_acceptance must be an interval inside (0, 1)")
-        if self.adaptation_window < 1:
-            raise ValueError("adaptation_window must be >= 1")
 
 
 @dataclass
@@ -132,8 +125,7 @@ class PosteriorSamples:
         return effective_sample_size(self.trace(name))
 
 
-def tmcmc_step(x: np.ndarray, scales: np.ndarray, log_target, rng,
-               lp_x: float | None = None):
+def tmcmc_step(x: np.ndarray, scales: np.ndarray, log_target, rng, lp_x: float):
     """One additive move: all coordinates shift by +-scale_i * epsilon.
 
     Args:
@@ -142,13 +134,11 @@ def tmcmc_step(x: np.ndarray, scales: np.ndarray, log_target, rng,
         log_target: log density callable.
         rng: numpy Generator; consumes (epsilon, signs, uniform) per call,
             the uniform only when the proposal has finite density.
-        lp_x: cached log density at x (computed when omitted).
+        lp_x: the log density at x.
 
     Returns:
         (next point, its log density, accepted flag).
     """
-    if lp_x is None:
-        lp_x = log_target(x)
     if not math.isfinite(lp_x):
         raise NumericalError("tmcmc_step requires a finite log density at the current point")
     eps = abs(rng.standard_normal())
@@ -165,20 +155,25 @@ def tmcmc_step(x: np.ndarray, scales: np.ndarray, log_target, rng,
 class _Adaptation:
     """Two-phase Robbins-Monro tuning of per-block scale factors.
 
-    A shared epsilon makes the acceptance rate a joint function of every
-    block's scale, so tuning starts with a global phase (all factors move
-    together, fixing the overall magnitude quickly) before round-robin
-    per-block refinement with decaying steps.  Every factor starts at
-    2.4 / sqrt(d), the random-walk Metropolis rule of thumb in d dimensions.
+    Acceptance is counted over windows of ``WINDOW`` iterations, and each
+    closed window moves log factors by a decaying step times the window's
+    acceptance minus the midpoint of ``BAND``.  A shared epsilon makes the
+    acceptance rate a joint function of every block's scale, so the first
+    ``GLOBAL_WINDOWS`` windows move all factors together, fixing the overall
+    magnitude quickly; later windows refine one block at a time in
+    round-robin order.  Every factor starts at 2.4 / sqrt(d), the random-walk
+    Metropolis rule of thumb in d dimensions.  ``run_chain`` feeds only
+    burn-in iterations, so the factors freeze when burn-in ends.
     """
 
+    WINDOW = 200  # iterations per tuning window
+    BAND = (0.20, 0.35)  # target acceptance band
     GLOBAL_WINDOWS = 12
     RATE = 1.0  # Robbins-Monro gain on the log factors
 
-    def __init__(self, blocks, d, window, target):
+    def __init__(self, blocks, d):
         self.blocks = blocks
-        self.window = window
-        self.mid = 0.5 * (target[0] + target[1])
+        self.mid = 0.5 * (self.BAND[0] + self.BAND[1])
         self.log_factors = [math.log(2.4 / math.sqrt(d))] * len(blocks)
         self.windows_done = 0
         self.visits = [0] * len(blocks)
@@ -197,7 +192,7 @@ class _Adaptation:
         """Returns True when the window closed and factors changed."""
         self.accepted += int(accepted)
         self.seen += 1
-        if self.seen < self.window:
+        if self.seen < self.WINDOW:
             return False
         acc = self.accepted / self.seen
         self.windows_done += 1
@@ -244,7 +239,7 @@ def run_chain(model: TargetModel, config: SamplerConfig, rng=None) -> PosteriorS
 
     d = x.size
     base = model.base_scales
-    adapt = _Adaptation(model.blocks, d, config.adaptation_window, config.target_acceptance)
+    adapt = _Adaptation(model.blocks, d)
     scales = base * adapt.factors(d)
 
     n_stored = max(0, (config.n_iterations - config.burn_in) // config.thin)
@@ -275,7 +270,7 @@ def run_chain(model: TargetModel, config: SamplerConfig, rng=None) -> PosteriorS
         acc = 0.0
     if adapt.history and post_steps > 0:
         recent = [h["acceptance"] for h in adapt.history[-4:]]
-        lo, hi = config.target_acceptance
+        lo, hi = _Adaptation.BAND
         if not (lo <= float(np.mean(recent)) <= hi):
             warnings.warn(
                 f"acceptance {np.mean(recent):.3f} did not enter the target band "
@@ -341,33 +336,9 @@ def effective_sample_size(x: np.ndarray) -> float:
     return float(min(max(n * g0 / asym_var, 1.0), n))
 
 
-@dataclass(frozen=True)
-class DiagnosticsReport:
-    acceptance_rate: float
-    n_draws: int
-    ess: dict
-
-    def to_text(self) -> str:
-        lines = [f"draws: {self.n_draws}", f"acceptance: {self.acceptance_rate:.3f}"]
-        for name, value in self.ess.items():
-            lines.append(f"ess[{name}]: {value:.1f}")
-        return "\n".join(lines)
-
-
-def diagnostics(samples: PosteriorSamples, parameters=None) -> DiagnosticsReport:
-    """Acceptance rate and per-parameter ESS for stored draws."""
-    if samples.n_draws == 0:
-        raise ValueError("diagnostics requires a nonempty draw set")
-    names = list(parameters) if parameters is not None else list(samples.names)
-    ess = {name: samples.ess(name) for name in names}
-    return DiagnosticsReport(acceptance_rate=samples.acceptance_rate,
-                             n_draws=samples.n_draws, ess=ess)
-
-
-def export_trace(samples: PosteriorSamples, path, parameters=None) -> None:
-    """Write ``iteration,parameter,value`` rows for the requested parameters."""
-    names = list(parameters) if parameters is not None else list(samples.names)
-    cols = [samples.index(name) for name in names]
+def export_trace(samples: PosteriorSamples, path, parameters) -> None:
+    """Write ``iteration,parameter,value`` rows for the named parameters."""
+    cols = [samples.index(name) for name in parameters]
     write_csv(path, ["iteration", "parameter", "value"],
               ([i, name, row[c]] for i, row in enumerate(samples.draws)
-               for name, c in zip(names, cols)))
+               for name, c in zip(parameters, cols)))

@@ -136,9 +136,6 @@ class TestRunConfig:
         ("sampler", "iterations", "abc"),
         ("sampler", "burn_in", "-5"),
         ("sampler", "thin", "1.5"),
-        ("sampler", "adaptation_window", "ten"),
-        ("sampler", "target_low", "0"),
-        ("sampler", "target_high", "1.2"),
         ("cv", "iterations", "-1"),
         ("cv", "burn_in", "many"),
         ("cv", "thin", "2.5"),
@@ -146,6 +143,9 @@ class TestRunConfig:
         # Removed keys exit 2 as unknown keys.
         ("testing", "group_cap_includes_self", "sometimes"),
         ("lrbh", "method", "median-sign"),
+        ("sampler", "adaptation_window", "ten"),
+        ("sampler", "target_low", "0"),
+        ("sampler", "target_high", "1.2"),
         # Malformed files: the whole text is given and the name the error
         # must carry stands in for the key.
         pytest.param(None, "priors", "[priors]\nnu_mode = 1\n[priors]\nnu_mode = 2\n",
@@ -170,7 +170,6 @@ class TestRunConfig:
     @pytest.mark.parametrize("section, text", [
         ("sampler", "iterations = 10\nburn_in = 20"),
         ("cv", "iterations = 10\nburn_in = 20"),
-        ("sampler", "target_low = 0.4\ntarget_high = 0.3"),
     ])
     def test_two_key_rule_names_the_section(self, tmp_path, section, text):
         path = tmp_path / "bad.ini"
@@ -233,10 +232,6 @@ class TestRunConfig:
             signature = inspect.signature(function).parameters
             for param, (section, key) in params.items():
                 assert signature[param].default == config.get(section, key), (function, param)
-        sampler = {f.name: f.default for f in dataclasses.fields(SamplerConfig)}
-        assert sampler["target_acceptance"] == (config.get("sampler", "target_low"),
-                                                config.get("sampler", "target_high"))
-        assert sampler["adaptation_window"] == config.get("sampler", "adaptation_window")
 
     def test_hash_ignores_output_dir_only(self, tmp_path):
         a = RunConfig.from_defaults({"data": {"output_dir": "x"}})
@@ -365,6 +360,22 @@ class TestPipeline:
         capsys.readouterr()
         assert main(["cv", "--config", pipeline["config"], "--folds", ""]) == 2
         assert "--folds must be comma-separated integers, got ''" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["fit", "--trace", ""], "--trace"),
+        (["fit", "--samples-out", ""], "--samples-out"),
+        (["test", "--samples", ""], "--samples"),
+    ])
+    def test_empty_flag_value_exits_2(self, pipeline, tmp_path, capsys, argv, flag):
+        # An empty value must not fall back to the flag's absence: no trace,
+        # or samples.bin in the output directory.
+        out = tmp_path / "out"
+        config = (pipeline["config"] if argv[0] == "test"
+                  else write_config(tmp_path / "run.ini", pipeline["data"], out))
+        capsys.readouterr()
+        assert main(argv + ["--config", config]) == 2
+        assert flag in capsys.readouterr().err
+        assert not (out / "samples.bin").exists()
 
     def test_report_command(self, decided):
         assert main(["report", "--config", decided["config"]]) == 0
@@ -604,7 +615,8 @@ seed = 0
 class TestAnnotationChecks:
     """``fit`` refuses, with exit 2 naming the file and line, a coordinate or
     a chromosome length that is not finite, and a chromosome given two
-    lengths."""
+    lengths; naming the file and chromosome, a lengths file that omits an
+    annotated chromosome or gives one a length below its loci."""
 
     @pytest.fixture
     def run(self, tmp_path, capsys):
@@ -642,6 +654,17 @@ class TestAnnotationChecks:
         code, err = fit()
         assert code == 2
         assert f"lengths.csv:3: non-finite length '{value}'" in err
+
+    @pytest.mark.parametrize("lengths, message", [
+        ("Chr1,1e6\n", "lengths.csv: no length for chromosome 'Chr2'"),
+        ("Chr1,1e6\nChr2,50\n", "lengths.csv: length 50 of chromosome 'Chr2' is below its locus"),
+    ])
+    def test_lengths_must_cover_each_chromosome(self, run, lengths, message):
+        data_dir, fit = run
+        (data_dir / "lengths.csv").write_text("chromosome,length\n" + lengths)
+        code, err = fit()
+        assert code == 2
+        assert message in err
 
     def test_repeated_chromosome_length(self, run):
         data_dir, fit = run
@@ -729,7 +752,6 @@ output_dir = {tmp_path}/out
 iterations = 26000
 burn_in = 20000
 thin = 4
-adaptation_window = 150
 
 [run]
 seed = 0

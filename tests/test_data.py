@@ -247,6 +247,24 @@ class TestLoadAnnotation:
         ann = load_annotation(ann_path, lengths_path=len_path)
         assert ann.strands[0].length == 500.0
 
+    @pytest.mark.parametrize("lengths, message", [
+        # Unchecked, Chr2 would take its largest coordinate as its length,
+        # which sets the rho prior's mode.
+        ([["Chr1", "500"]], r"len\.csv: no length for chromosome 'Chr2'"),
+        # Equal to the largest coordinate passes; below it does not.
+        ([["Chr1", "10"], ["Chr2", "50"]],
+         r"len\.csv: length 50 of chromosome 'Chr2' is below its locus at coordinate 9500"),
+    ])
+    def test_lengths_must_cover_each_annotated_chromosome(self, tmp_path, lengths, message):
+        ann_path = write_csv(tmp_path / "ann.csv", [
+            ["mirna", "chromosome", "strand", "coordinate"],
+            ["mir-a", "Chr1", "+", "10"],
+            ["mir-b", "Chr2", "-", "9500"],
+        ])
+        len_path = write_csv(tmp_path / "len.csv", [["chromosome", "length"], *lengths])
+        with pytest.raises(DataError, match=message):
+            load_annotation(ann_path, lengths_path=len_path)
+
     def test_simulated_files_carry_the_generator_lengths(self, tmp_path):
         # Without the lengths file each strand would read back its largest
         # coordinate (7032-9963 here), not the 1e4 the generator used.

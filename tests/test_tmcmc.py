@@ -7,14 +7,13 @@ from strandgp import (
     NumericalError,
     SamplerConfig,
     TargetModel,
-    diagnostics,
     effective_sample_size,
     export_trace,
     run_chain,
     run_chains,
     tmcmc_step,
 )
-from strandgp.tmcmc import PosteriorSamples
+from strandgp.tmcmc import PosteriorSamples, _Adaptation
 
 
 class ScriptedRNG:
@@ -51,7 +50,8 @@ class TestTmcmcStep:
         # Proposal improves the density; acceptance must not consume chance.
         target = gaussian_target([0.0], [[1.0]])
         rng = ScriptedRNG(normals=[1.0], signs=[[0]], uniforms=[1.0 - 1e-12])
-        x, lp, accepted = tmcmc_step(np.array([2.0]), np.array([1.0]), target, rng)
+        x, lp, accepted = tmcmc_step(np.array([2.0]), np.array([1.0]), target, rng,
+                                     lp_x=target(np.array([2.0])))
         assert accepted
         assert x.tolist() == [1.0]
 
@@ -60,17 +60,18 @@ class TestTmcmcStep:
         target = gaussian_target([0.0], [[1.0]])
         threshold = math.exp(-2.0)
         rng = ScriptedRNG(normals=[1.0], signs=[[1]], uniforms=[threshold * 0.999])
-        _, _, accepted = tmcmc_step(np.array([0.0]), np.array([2.0]), target, rng)
+        _, _, accepted = tmcmc_step(np.array([0.0]), np.array([2.0]), target, rng, lp_x=0.0)
         assert accepted
         rng = ScriptedRNG(normals=[1.0], signs=[[1]], uniforms=[threshold * 1.001])
-        x, _, accepted = tmcmc_step(np.array([0.0]), np.array([2.0]), target, rng)
+        x, _, accepted = tmcmc_step(np.array([0.0]), np.array([2.0]), target, rng, lp_x=0.0)
         assert not accepted
         assert x.tolist() == [0.0]
 
     def test_zero_epsilon_is_stationary_accept(self):
         target = gaussian_target([0.0], [[1.0]])
         rng = ScriptedRNG(normals=[0.0], signs=[[1]], uniforms=[0.999999])
-        x, _, accepted = tmcmc_step(np.array([0.7]), np.array([1.0]), target, rng)
+        x, _, accepted = tmcmc_step(np.array([0.7]), np.array([1.0]), target, rng,
+                                    lp_x=target(np.array([0.7])))
         assert accepted
         assert x.tolist() == [0.7]
 
@@ -79,13 +80,13 @@ class TestTmcmcStep:
             return 0.0 if abs(x[0]) < 1.0 else -math.inf
 
         rng = ScriptedRNG(normals=[5.0], signs=[[1]], uniforms=[])
-        x, lp, accepted = tmcmc_step(np.array([0.0]), np.array([1.0]), target, rng)
+        x, lp, accepted = tmcmc_step(np.array([0.0]), np.array([1.0]), target, rng, lp_x=0.0)
         assert not accepted and x.tolist() == [0.0]
 
     def test_requires_finite_current_density(self):
         with pytest.raises(NumericalError):
             tmcmc_step(np.array([5.0]), np.array([1.0]),
-                       lambda x: -math.inf, ScriptedRNG())
+                       lambda x: -math.inf, ScriptedRNG(), lp_x=-math.inf)
 
     def test_shared_epsilon_signature(self):
         # Every accepted move displaces all coordinates by the same |eps|
@@ -118,7 +119,7 @@ class TestAdaptation:
         def target(x):
             return 0.0 if np.all(np.abs(x) < 1e-9) else -math.inf
 
-        cfg = SamplerConfig(n_iterations=400, burn_in=400, adaptation_window=50, seed=1)
+        cfg = SamplerConfig(n_iterations=1600, burn_in=1600, seed=1)
         scales, history = burn_in_scales(target, cfg)
         assert len(history) == 8
         factors = [h["factor"] for h in history]
@@ -126,7 +127,7 @@ class TestAdaptation:
         assert np.all(scales < 2.4 / math.sqrt(2))
 
     def test_all_acceptances_grow_scales(self):
-        cfg = SamplerConfig(n_iterations=400, burn_in=400, adaptation_window=50, seed=1)
+        cfg = SamplerConfig(n_iterations=1600, burn_in=1600, seed=1)
         scales, history = burn_in_scales(lambda x: 0.0, cfg)
         factors = [h["factor"] for h in history]
         assert factors[-1] > factors[0]
@@ -140,7 +141,7 @@ class TestAdaptation:
         model = TargetModel(log_target=target, x0=np.zeros(10),
                             names=[f"x{i}" for i in range(10)],
                             base_scales=np.sqrt(np.diag(cov)))
-        cfg = SamplerConfig(n_iterations=26000, burn_in=25000, adaptation_window=250, seed=5)
+        cfg = SamplerConfig(n_iterations=26000, burn_in=25000, seed=5)
         samples = run_chain(model, cfg)
         # latest completed adaptation windows sit inside the band
         recent = [h["acceptance"] for h in samples.block_info[-8:]]
@@ -151,9 +152,35 @@ class TestAdaptation:
     def test_scales_frozen_after_burn_in(self):
         target = gaussian_target([0.0], [[1.0]])
         model = TargetModel(log_target=target, x0=np.zeros(1), names=["x"])
-        cfg = SamplerConfig(n_iterations=3000, burn_in=1000, adaptation_window=100, seed=0)
+        cfg = SamplerConfig(n_iterations=4000, burn_in=2000, seed=0)
         samples = run_chain(model, cfg)
         assert len(samples.block_info) == 10  # windows fit inside burn-in only
+
+    def test_per_block_phase_visits_blocks_in_turn(self):
+        # After GLOBAL_WINDOWS shared windows, each window moves one block's
+        # log factor, blocks taken in turn, by RATE / sqrt(min(visits, 16))
+        # times the window's acceptance minus the band's midpoint.
+        adapt = _Adaptation([np.array([0]), np.array([1]), np.array([2])], 3)
+        window, n_global = _Adaptation.WINDOW, _Adaptation.GLOBAL_WINDOWS
+        mid = 0.5 * (_Adaptation.BAND[0] + _Adaptation.BAND[1])
+        visits = [0, 0, 0]
+        for w in range(n_global + 3 * 18):
+            accepted = (37 * w) % (window + 1)
+            before = list(adapt.log_factors)
+            closed = [adapt.record(i < accepted) for i in range(window)]
+            assert closed == [False] * (window - 1) + [True]
+            if w < n_global:
+                assert adapt.history[-1]["block"] == -1
+                continue
+            b = (w - n_global) % 3
+            visits[b] += 1
+            step = _Adaptation.RATE / math.sqrt(min(visits[b], 16))
+            assert adapt.history[-1]["block"] == b
+            assert adapt.log_factors[b] == pytest.approx(
+                before[b] + step * (accepted / window - mid), rel=0, abs=1e-12)
+            assert [lf for i, lf in enumerate(adapt.log_factors) if i != b] == \
+                [lf for i, lf in enumerate(before) if i != b]
+        assert visits == [18, 18, 18]
 
 
 class TestRunChain:
@@ -164,8 +191,6 @@ class TestRunChain:
         samples = run_chain(model, cfg)
         assert samples.draws.shape == (0, 1)
         assert 0.0 <= samples.acceptance_rate <= 1.0
-        with pytest.raises(ValueError):
-            diagnostics(samples)
 
     def test_draw_count_contract(self):
         target = gaussian_target([0.0], [[1.0]])
@@ -297,16 +322,10 @@ class TestDiagnostics:
         ess = effective_sample_size(x)
         assert np.isfinite(ess) and ess > 0
 
-    def test_report_contents(self):
-        samples = self.manual_samples(np.random.default_rng(1).normal(size=800))
-        report = diagnostics(samples)
-        assert report.n_draws == 800
-        assert "ess[x]" in report.to_text()
-
     def test_trace_export(self, tmp_path):
         samples = self.manual_samples([0.5, 1.5, -0.5])
         path = tmp_path / "trace.csv"
-        export_trace(samples, path)
+        export_trace(samples, path, parameters=["x"])
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "iteration,parameter,value"
         assert lines[1] == "0,x,0.5"
