@@ -17,36 +17,48 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import hashlib
 import json
 import math
 import os
 import sys
 import time
 from dataclasses import dataclass, field
+from importlib import import_module
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import __version__
-from .crossval import overall_coverage, run_loo
-from .data import build_design_matrix, load_annotation, load_expression
-from .decisions import (
-    build_decision_report,
-    calibrate_beta,
-    form_groups,
-    format_bayes_factor,
-    hypothesis_indicators,
-)
 from .errors import ConfigError, DataError, NumericalError, StrandGPError
-from .kernels import estimate_prior_correlation
-from .lrbh import run_baseline
-from .priors import HyperPriorSpec, make_posterior_model, psi_draws
+from .util import THREADS_ENV, SamplerConfig, write_csv, write_json
+
+# The names the commands take from the model's layers, by layer.  Each is
+# imported on first lookup (PEP 562), so a command loads only the layers it
+# runs and ``report`` loads no numpy.  Commands look these names up on the
+# module (``_cli.run_chain``), where perfbench/tracing.py replaces them.
+_LAYERS = {
+    "crossval": ("overall_coverage", "run_loo"),
+    "data": ("build_design_matrix", "load_annotation", "load_expression"),
+    "decisions": ("build_decision_report", "calibrate_beta", "form_groups",
+                  "format_bayes_factor", "hypothesis_indicators"),
+    "kernels": ("estimate_prior_correlation",),
+    "lrbh": ("run_baseline",),
+    "priors": ("HyperPriorSpec", "make_posterior_model", "psi_draws"),
+    "simulate": ("simulate_dataset", "write_simulated"),
+    "tmcmc": ("export_trace", "run_chain"),
+}
+_SOURCE = {name: (module, name) for module, names in _LAYERS.items() for name in names}
 # perfbench/tracing.py times the prior step under this name (ROADMAP item 1).
-from .priors import prior_exceedance as draw_prior_psi
-from .simulate import simulate_dataset, write_simulated
-from .tmcmc import PosteriorSamples, SamplerConfig, export_trace, run_chain
-from .util import THREADS_ENV, write_csv, write_json
+_SOURCE["draw_prior_psi"] = ("priors", "prior_exceedance")
+
+
+def __getattr__(name):
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module, attr = _SOURCE[name]
+    value = globals()[name] = getattr(import_module(f"{__package__}.{module}"), attr)
+    return value
+
+
+_cli = sys.modules[__name__]
 
 SAMPLES_MAGIC = "#strandgp-samples v1"
 
@@ -204,6 +216,8 @@ class RunConfig:
         resolved = raw if os.path.isabs(raw) else os.path.join(self.base_dir, raw)
         if not os.path.exists(resolved):
             raise ConfigError(f"data.{key} points to a missing file: {resolved}")
+        if os.path.isdir(resolved):
+            raise ConfigError(f"data.{key} points to a directory, not a file: {resolved}")
         return resolved
 
     def output_dir(self) -> str:
@@ -229,6 +243,8 @@ class RunConfig:
         trimmed = {s: dict(v) for s, v in self.values.items()}
         trimmed["data"].pop("output_dir")
         blob = json.dumps(trimmed, sort_keys=True).encode()
+        import hashlib  # only fit writes a manifest
+
         return hashlib.sha256(blob).hexdigest()
 
     def to_dict(self) -> dict:
@@ -239,21 +255,31 @@ class RunConfig:
 # Sample persistence: text header + raw float64 rows (append-safe)
 # ---------------------------------------------------------------------------
 
-def write_samples(path, samples: PosteriorSamples) -> None:
+def write_samples(path, samples) -> None:
+    """Write a ``tmcmc.PosteriorSamples``; an OSError becomes a DataError."""
+    import numpy as np
+
     meta = {
         "names": list(samples.names),
         "acceptance_rate": samples.acceptance_rate,
         "seed": samples.config.seed,
         **{k: v for k, v in samples.meta.items() if isinstance(v, (int, float, str, bool, list))},
     }
-    with open(path, "wb") as fh:
-        fh.write((SAMPLES_MAGIC + "\n").encode())
-        fh.write((json.dumps(meta, sort_keys=True) + "\n").encode())
-        fh.write(b"#data float64\n")
-        fh.write(np.ascontiguousarray(samples.draws, dtype="<f8").tobytes())
+    try:
+        with open(path, "wb") as fh:
+            fh.write((SAMPLES_MAGIC + "\n").encode())
+            fh.write((json.dumps(meta, sort_keys=True) + "\n").encode())
+            fh.write(b"#data float64\n")
+            fh.write(np.ascontiguousarray(samples.draws, dtype="<f8").tobytes())
+    except OSError as exc:
+        raise DataError(f"cannot write samples file {path}: {exc.strerror}") from None
 
 
-def read_samples(path) -> tuple[np.ndarray, dict]:
+def read_samples(path) -> tuple:
+    """The (draws, header) of a samples file: a read-only float64 array with
+    one row per draw, and the JSON header as a dict."""
+    import numpy as np
+
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -285,14 +311,24 @@ def read_samples(path) -> tuple[np.ndarray, dict]:
 # ---------------------------------------------------------------------------
 
 def _load_inputs(config: RunConfig):
-    dataset = load_expression(
+    dataset = _cli.load_expression(
         config.path("case"), config.path("control"),
         drop_incomplete_patients=config.get("data", "drop_incomplete_patients"),
     )
-    annotation = load_annotation(config.path("annotation"),
-                                 lengths_path=config.path("lengths", required=False))
-    design = build_design_matrix(annotation, dataset.mirna_names)
+    annotation = _cli.load_annotation(config.path("annotation"),
+                                      lengths_path=config.path("lengths", required=False))
+    design = _cli.build_design_matrix(annotation, dataset.mirna_names)
     return dataset, design
+
+
+def _make_dir(path: str, setting: str) -> str:
+    """Create the directory ``path`` unless it exists; a ConfigError names
+    the ``setting`` that gave a path which cannot be a directory."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{setting} cannot be used as a directory: {path}: {exc.strerror}") from None
+    return path
 
 
 def _write_manifest(config: RunConfig, outdir: str, extra: dict) -> None:
@@ -324,11 +360,12 @@ def _samples_path(config: RunConfig, override: str | None, flag: str) -> str:
 
 def cmd_fit(config: RunConfig, args) -> int:
     samples_path = _samples_path(config, args.samples_out, "--samples-out")
-    outdir = config.output_dir()
-    os.makedirs(outdir, exist_ok=True)
+    outdir = _make_dir(config.output_dir(), "data.output_dir")
+    if not os.path.isdir(os.path.dirname(samples_path) or "."):
+        raise ConfigError(f"--samples-out names a file in a missing directory: {samples_path}")
     dataset, design = _load_inputs(config)
-    priors = HyperPriorSpec.from_data(design, dataset.z, **config.prior_kwargs())
-    model = make_posterior_model(dataset.z, design, priors)
+    priors = _cli.HyperPriorSpec.from_data(design, dataset.z, **config.prior_kwargs())
+    model = _cli.make_posterior_model(dataset.z, design, priors)
     if args.trace is not None:
         wanted = model.names if args.trace == "all" else args.trace.split(",")
         unknown = [name for name in wanted if name not in model.names]
@@ -336,11 +373,11 @@ def cmd_fit(config: RunConfig, args) -> int:
             raise ConfigError(f"--trace names unknown parameters {unknown}; valid names are "
                               f"the samples file's column names, or 'all'")
     start = time.perf_counter()
-    samples = run_chain(model, config.sampler_config())
+    samples = _cli.run_chain(model, config.sampler_config())
     elapsed = time.perf_counter() - start
     write_samples(samples_path, samples)
     if args.trace is not None:
-        export_trace(samples, os.path.join(outdir, "trace.csv"), parameters=wanted)
+        _cli.export_trace(samples, os.path.join(outdir, "trace.csv"), parameters=wanted)
     _write_manifest(config, outdir, {
         "command": "fit",
         "n_draws": samples.n_draws,
@@ -358,9 +395,10 @@ def cmd_fit(config: RunConfig, args) -> int:
 
 
 def cmd_test(config: RunConfig, args) -> int:
+    import numpy as np
+
     samples_path = _samples_path(config, args.samples, "--samples")
-    outdir = config.output_dir()
-    os.makedirs(outdir, exist_ok=True)
+    outdir = _make_dir(config.output_dir(), "data.output_dir")
     dataset, design = _load_inputs(config)
     draws, meta = read_samples(samples_path)
     m = dataset.n_mirnas
@@ -370,24 +408,24 @@ def cmd_test(config: RunConfig, args) -> int:
         raise DataError("the samples' effect columns do not name the dataset's units in its order")
     if draws.shape[0] == 0:
         raise DataError("stored chain is empty; run fit with more iterations")
-    priors = HyperPriorSpec.from_data(design, dataset.z, **config.prior_kwargs())
+    priors = _cli.HyperPriorSpec.from_data(design, dataset.z, **config.prior_kwargs())
     corr_seed, prior_seed = (s for s in np.random.SeedSequence(config.seed()).spawn(2))
-    correlation = estimate_prior_correlation(
+    correlation = _cli.estimate_prior_correlation(
         design, priors.draw_hyper_arrays, n_mc=config.get("testing", "prior_correlation_draws"),
         seed=corr_seed)
     np.savetxt(os.path.join(outdir, "prior_correlation.csv"), correlation,
                delimiter=",", header=",".join(dataset.mirna_names), comments="")
-    groups = form_groups(correlation, cap=config.get("testing", "cap"),
-                         percentile=config.get("testing", "percentile"))
-    indicators = hypothesis_indicators(psi_draws(draws, m))
-    calibration = calibrate_beta(indicators, groups,
-                                 target_fdr=config.get("testing", "target_fdr"),
-                                 tol=config.get("testing", "tolerance"),
-                                 enum_limit=config.get("testing", "component_enum_limit"))
-    prior_probs, n_prior = draw_prior_psi(design, priors, config.get("testing", "prior_psi_draws"),
-                                          prior_seed)
-    report = build_decision_report(dataset.mirna_names, psi_draws(draws, m),
-                                   calibration, groups, prior_probs, n_prior)
+    groups = _cli.form_groups(correlation, cap=config.get("testing", "cap"),
+                              percentile=config.get("testing", "percentile"))
+    indicators = _cli.hypothesis_indicators(_cli.psi_draws(draws, m))
+    calibration = _cli.calibrate_beta(indicators, groups,
+                                      target_fdr=config.get("testing", "target_fdr"),
+                                      tol=config.get("testing", "tolerance"),
+                                      enum_limit=config.get("testing", "component_enum_limit"))
+    prior_probs, n_prior = _cli.draw_prior_psi(design, priors,
+                                               config.get("testing", "prior_psi_draws"), prior_seed)
+    report = _cli.build_decision_report(dataset.mirna_names, _cli.psi_draws(draws, m),
+                                        calibration, groups, prior_probs, n_prior)
     report.write_csv(os.path.join(outdir, "decisions.csv"))
     report.write_summary_json(os.path.join(outdir, "decisions_summary.json"))
 
@@ -398,25 +436,23 @@ def cmd_test(config: RunConfig, args) -> int:
     print(header)
     for i, name in enumerate(report.mirna_names):
         if report.d[i]:
-            print(f"{name:<24}{report.direction[i]:<14}{format_bayes_factor(report.bayes_factor[i]):>8}"
+            print(f"{name:<24}{report.direction[i]:<14}{_cli.format_bayes_factor(report.bayes_factor[i]):>8}"
                   f"  {report.psi_mean[i]:>8.2f}  ({report.ci_low[i]:.2f}, {report.ci_high[i]:.2f})")
     return 0
 
 
 def cmd_lrbh(config: RunConfig, args) -> int:
-    outdir = config.output_dir()
-    os.makedirs(outdir, exist_ok=True)
+    outdir = _make_dir(config.output_dir(), "data.output_dir")
     dataset, _ = _load_inputs(config)
-    report = run_baseline(dataset.z, dataset.mirna_names, q=config.get("lrbh", "q"),
-                          n_boot=config.get("lrbh", "bootstrap"), seed=config.seed())
+    report = _cli.run_baseline(dataset.z, dataset.mirna_names, q=config.get("lrbh", "q"),
+                               n_boot=config.get("lrbh", "bootstrap"), seed=config.seed())
     report.write_csv(os.path.join(outdir, "lrbh.csv"))
     print(f"lrbh: {report.n_discoveries} discoveries at q={report.q}")
     return 0
 
 
 def cmd_cv(config: RunConfig, args) -> int:
-    outdir = config.output_dir()
-    os.makedirs(outdir, exist_ok=True)
+    outdir = _make_dir(config.output_dir(), "data.output_dir")
     dataset, design = _load_inputs(config)
     if args.folds is not None:
         try:
@@ -433,11 +469,11 @@ def cmd_cv(config: RunConfig, args) -> int:
     else:
         folds = None
     level = config.get("cv", "level")
-    summaries = run_loo(dataset, design, config.sampler_config("cv"),
-                        prior_kwargs=config.prior_kwargs(), level=level, folds=folds)
+    summaries = _cli.run_loo(dataset, design, config.sampler_config("cv"),
+                             prior_kwargs=config.prior_kwargs(), level=level, folds=folds)
     for summary in summaries:
         summary.write_csv(os.path.join(outdir, f"cv_{summary.patient_id}.csv"))
-    coverage = overall_coverage(summaries)
+    coverage = _cli.overall_coverage(summaries)
     write_json(os.path.join(outdir, "cv_summary.json"),
                {"level": level, "overall_coverage": coverage,
                 "folds": [s.patient_id for s in summaries]})
@@ -489,10 +525,11 @@ def cmd_simulate(args) -> int:
     if not 0 <= args.planted <= args.m:
         raise ConfigError(f"simulate needs 0 <= --planted <= --m "
                           f"(got --planted {args.planted}, --m {args.m})")
-    sim = simulate_dataset(m=args.m, n=args.n, k=args.strands, seed=args.seed,
-                           psi_mode="planted" if args.planted else "gp",
-                           planted=args.planted, signal=args.signal)
-    paths = write_simulated(sim, args.out)
+    _make_dir(args.out, "--out")
+    sim = _cli.simulate_dataset(m=args.m, n=args.n, k=args.strands, seed=args.seed,
+                                psi_mode="planted" if args.planted else "gp",
+                                planted=args.planted, signal=args.signal)
+    paths = _cli.write_simulated(sim, args.out)
     print(f"simulate: wrote {', '.join(sorted(paths.values()))}")
     return 0
 

@@ -76,7 +76,11 @@ def _mixture_t_quantile(loc: np.ndarray, scale: np.ndarray, nu: int, p: float) -
     is under float resolution.
     """
     comp = loc + scale * _t_quantile(nu, p)
-    lo, hi, x = comp.min(axis=0), comp.max(axis=0), np.median(comp, axis=0)
+    # The column medians, as np.median computes them; its NaN check would
+    # import numpy.ma, and comp is finite.
+    n = comp.shape[0]
+    x = np.partition(comp, [(n - 1) // 2, n // 2], axis=0)[(n - 1) // 2:n // 2 + 1].mean(axis=0)
+    lo, hi = comp.min(axis=0), comp.max(axis=0)
     last_step, span = hi - lo, scale.max(axis=0)
     log_norm = _t_log_norm(nu)
     active = np.arange(x.size)

@@ -297,7 +297,8 @@ class CovarianceIndex:
         pair_units = np.concatenate(pair_units).reshape(-1, 2)
         strand_span = np.ones(k)
         if pair_dist.size:
-            has_pairs = np.unique(pair_strand)
+            # The strands with pairs, ascending (np.unique would import numpy.ma).
+            has_pairs = np.flatnonzero(np.bincount(pair_strand, minlength=k))
             strand_span[has_pairs] = np.maximum.reduceat(pair_dist,
                                                          np.searchsorted(pair_strand, has_pairs))
 

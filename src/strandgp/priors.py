@@ -239,6 +239,11 @@ class HyperPriorSpec:
     def n_strands(self) -> int:
         return len(self.rho_priors)
 
+    @functools.cached_property
+    def _rho_lognormals(self) -> tuple[np.ndarray, np.ndarray]:
+        """The per-strand rho prior (mu, sigma) as two arrays, built once."""
+        return tuple(np.array(self.rho_priors, dtype=float).reshape(self.n_strands, 2).T)
+
     # -- draws -------------------------------------------------------------
 
     def draw_hyper_arrays(self, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -249,7 +254,7 @@ class HyperPriorSpec:
         varrho2 = base**2 if self.varrho_prior_on == "varrho" else base
         mu, sigma = self.nu_prior
         nus = np.exp(mu + sigma * rng.standard_normal(k))
-        rho_mus, rho_sigmas = np.array(self.rho_priors, dtype=float).reshape(k, 2).T
+        rho_mus, rho_sigmas = self._rho_lognormals
         rhos = np.fromiter(map(math.exp, (rho_mus + rho_sigmas * rng.standard_normal(k)).tolist()),
                            float, k)
         return varrho2, nus, rhos

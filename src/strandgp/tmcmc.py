@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .util import spawn_rngs, write_csv
+from .util import SamplerConfig, spawn_rngs, write_csv
 
 
 @dataclass
@@ -66,30 +66,6 @@ class TargetModel:
         if self.blocks is None:
             self.blocks = [np.arange(d)]
         self.blocks = [np.asarray(b, dtype=int) for b in self.blocks]
-
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    """Chain length and thinning.
-
-    The chain runs ``n_iterations`` iterations, adapts its proposal scales
-    during the first ``burn_in`` of them, and stores every ``thin``-th draw
-    after that.  The tuning policy itself (window length and acceptance
-    band) is fixed: see ``_Adaptation``.
-    """
-
-    n_iterations: int
-    burn_in: int = 0
-    thin: int = 1
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_iterations < 0 or self.burn_in < 0:
-            raise ValueError("iteration counts must be nonnegative")
-        if self.burn_in > self.n_iterations:
-            raise ValueError("burn_in may not exceed n_iterations")
-        if self.thin < 1:
-            raise ValueError("thin must be >= 1")
 
 
 @dataclass

@@ -1,5 +1,8 @@
 """Small shared helpers: RNG streams, the worker count, connected components,
-the CSV and JSON writers.
+the chain-length settings, the CSV and JSON writers.
+
+This module imports no numpy, so that a command that only reads and writes
+files (``report``) starts without it.
 
 Reproducibility rule used throughout the package: a run owns one integer
 seed; independent tasks (Monte Carlo draws, chains, cross-validation folds)
@@ -12,8 +15,8 @@ from __future__ import annotations
 import csv
 import json
 import os
-
-import numpy as np
+import sys
+from dataclasses import dataclass
 
 from .errors import ConfigError
 
@@ -37,16 +40,45 @@ def worker_count() -> int:
     return n
 
 
-def spawn_rngs(seed, n: int) -> list[np.random.Generator]:
-    """Derive ``n`` independent generators from one seed via SeedSequence.spawn."""
+@dataclass(frozen=True)
+class SamplerConfig:
+    """Chain length and thinning.
+
+    The chain runs ``n_iterations`` iterations, adapts its proposal scales
+    during the first ``burn_in`` of them, and stores every ``thin``-th draw
+    after that.  The tuning policy itself (window length and acceptance
+    band) is fixed: see ``tmcmc._Adaptation``.
+    """
+
+    n_iterations: int
+    burn_in: int = 0
+    thin: int = 1
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.n_iterations < 0 or self.burn_in < 0:
+            raise ValueError("iteration counts must be nonnegative")
+        if self.burn_in > self.n_iterations:
+            raise ValueError("burn_in may not exceed n_iterations")
+        if self.thin < 1:
+            raise ValueError("thin must be >= 1")
+
+
+def spawn_rngs(seed, n: int) -> list:
+    """Derive ``n`` independent numpy generators from one seed via
+    SeedSequence.spawn."""
+    import numpy as np
+
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     return [np.random.default_rng(child) for child in seq.spawn(n)]
 
 
-def connected_components(n: int, edges) -> list[np.ndarray]:
+def connected_components(n: int, edges) -> list:
     """Connected components of the graph on nodes 0..n-1 with the given
-    (a, b) edges.  Each component's nodes ascend, and components are ordered
-    by their smallest node."""
+    (a, b) edges, as numpy index arrays.  Each component's nodes ascend, and
+    components are ordered by their smallest node."""
+    import numpy as np
+
     parent = list(range(n))
 
     def root(a):
@@ -60,16 +92,21 @@ def connected_components(n: int, edges) -> list[np.ndarray]:
         # the smaller root wins, so each root is its component's smallest node
         parent[max(ra, rb)] = min(ra, rb)
     roots = np.array([root(a) for a in range(n)], dtype=np.intp)
-    return [np.flatnonzero(roots == r) for r in np.unique(roots)]
+    # Each root is its own parent; listed in ascending order without
+    # np.unique, whose first call imports numpy.ma.
+    return [np.flatnonzero(roots == r) for r in range(n) if parent[r] == r]
 
 
 def write_csv(path, header, rows) -> None:
     """Write a UTF-8 CSV of ``header`` and ``rows``.  Floats (Python or numpy)
     are written as ``repr(float(v))``, which reads back to the same double."""
+    # No numpy float can exist before numpy is imported.
+    numpy = sys.modules.get("numpy")
+    floats = (float, numpy.floating) if numpy is not None else float
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows([repr(float(v)) if isinstance(v, (float, np.floating)) else v
+        writer.writerows([repr(float(v)) if isinstance(v, floats) else v
                           for v in row] for row in rows)
 
 

@@ -407,15 +407,18 @@ class TestPipeline:
         assert not (out / "samples.bin").exists()
 
 
-def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
-    report = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def last_line(code, *args):
+    """The last line a fresh interpreter prints running ``code`` with ``args``
+    (the package's sources first on its path)."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                            text=True, env=env, check=True, timeout=300)
+    return result.stdout.strip().splitlines()[-1]
 
-    def last_line(code, *args):
-        result = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
-                                text=True, env=env, check=True, timeout=300)
-        return result.stdout.strip().splitlines()[-1]
+
+def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
+    report = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
 
     def run_commands(config, *argvs):
         code = ("import sys, json; from strandgp.cli import main; "
@@ -444,6 +447,37 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
     assert run_commands(config, ["test"], ["lrbh"], ["report"]) == "[0, 0, 0] []"
     assert (tmp_path / "out2" / "decisions.csv").exists()
     assert (tmp_path / "out2" / "comparison.csv").exists()
+
+
+def test_each_command_loads_only_its_layers(tmp_path):
+    # strandgp.cli binds the layers' names on first use, so a command
+    # imports only the modules it runs; report merges two CSV files without
+    # numpy.  fit and cv also keep clear of numpy.ma, which np.unique and
+    # np.median import on first use.
+    def loaded(code, *args):
+        return set(json.loads(last_line(code + "; print(json.dumps(sorted(sys.modules)))", *args)))
+
+    def run(argv):
+        code = "import sys, json; from strandgp.cli import main; assert main(json.loads(sys.argv[1])) == 0"
+        modules = loaded(code, json.dumps(argv))
+        return modules, {name.split(".")[1] for name in modules if name.startswith("strandgp.")}
+
+    assert "numpy" not in loaded("import sys, json, strandgp.cli")
+    data_dir = tmp_path / "data"
+    assert main(["simulate", "--out", str(data_dir), "--m", "6", "--n", "5",
+                 "--strands", "2", "--seed", "0", "--planted", "2"]) == 0
+    config = write_config(tmp_path / "run.ini", data_dir, tmp_path / "out")
+    for argv, absent in [(["fit"], {"decisions", "lrbh", "simulate"}),
+                         (["test"], {"lrbh", "crossval", "simulate"}),
+                         (["lrbh"], {"kernels", "priors", "tmcmc", "decisions", "crossval", "simulate"}),
+                         (["cv", "--folds", "0"], {"decisions", "lrbh", "simulate"})]:
+        modules, layers = run(argv + ["--config", config])
+        assert not layers & absent, (argv, layers & absent)
+        if argv[0] in ("fit", "cv"):
+            assert "numpy.ma" not in modules, argv
+    modules, layers = run(["report", "--config", config])
+    assert "numpy" not in modules
+    assert layers == {"cli", "errors", "util"}
 
 
 def test_every_config_key_is_read(tmp_path, monkeypatch):
@@ -495,6 +529,48 @@ def test_benchmark_hooks_resolve():
     assert ("strandgp", "make_posterior_model") in imported
     for module, name in imported:
         assert hasattr(importlib.import_module(module), name), (module, name)
+
+
+def test_tracer_replacements_reach_the_commands(pipeline, tmp_path):
+    # perfbench/tracing.py looks each name up on strandgp.cli, sets a wrapper
+    # in its place and restores the original afterwards.  The command must
+    # call whatever the module holds at that moment: a name a command
+    # imported for itself would escape the tracer.
+    from strandgp import cli
+
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", os.path.join(root, "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    uses = {
+        "fit": ["load_expression", "load_annotation", "build_design_matrix",
+                "make_posterior_model", "run_chain", "write_samples"],
+        "test": ["read_samples", "estimate_prior_correlation", "form_groups", "calibrate_beta",
+                 "draw_prior_psi", "build_decision_report"],
+        "lrbh": ["run_baseline"],
+    }
+    assert {attr for module, attr, _ in tracing.WRAPPED if module == "strandgp.cli"} \
+        == {name for names in uses.values() for name in names}
+    config = write_config(tmp_path / "run.ini", pipeline["data"], tmp_path / "out")
+
+    class Called(Exception):
+        pass
+
+    def stand_in(*args, **kwargs):
+        raise Called
+
+    for command, names in uses.items():
+        for name in names:
+            if name in cli._SOURCE:  # start unbound, as in a fresh process
+                vars(cli).pop(name, None)
+            original = getattr(cli, name)
+            setattr(cli, name, stand_in)
+            try:
+                with pytest.raises(Called):
+                    main([command, "--config", config])
+            finally:
+                setattr(cli, name, original)
+        assert main([command, "--config", config]) == 0, command
 
 
 def test_files_have_one_writer():
@@ -575,6 +651,53 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(["test", "--config", pipeline["config"]]) == 2
         assert "STRANDGP_THREADS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", ["data.case", "data.output_dir", "--out"])
+    def test_path_of_the_wrong_kind_exits_2_naming_the_setting(self, pipeline, tmp_path, capsys,
+                                                                setting):
+        # A directory where a file belongs, or a file where a directory
+        # belongs.
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+        if setting == "--out":
+            argv = ["simulate", "--out", str(a_file), "--m", "4", "--strands", "2"]
+        else:
+            config = tmp_path / "run.ini"
+            write_config(config, pipeline["data"],
+                         a_file if setting == "data.output_dir" else tmp_path / "out")
+            if setting == "data.case":
+                config.write_text(config.read_text().replace("/case.csv", ""))
+            argv = ["lrbh", "--config", str(config)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert setting in capsys.readouterr().err
+
+    def test_samples_out_in_a_missing_directory_exits_2_before_sampling(
+            self, pipeline, tmp_path, capsys, monkeypatch):
+        from strandgp import cli
+
+        def run_chain(*args, **kwargs):
+            raise AssertionError("the chain ran")
+
+        monkeypatch.setattr(cli, "run_chain", run_chain)
+        out = tmp_path / "out"
+        config = write_config(tmp_path / "run.ini", pipeline["data"], out)
+        capsys.readouterr()
+        assert main(["fit", "--config", config, "--samples-out", str(tmp_path / "no" / "x.bin")]) == 2
+        assert "--samples-out" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_unwritable_samples_file_exits_2(self, pipeline, tmp_path, capsys):
+        # The path names a directory, so only the write itself can fail.
+        out = tmp_path / "out"
+        config = tmp_path / "run.ini"
+        write_config(config, pipeline["data"], out)
+        config.write_text(config.read_text().replace("iterations = 3000\nburn_in = 1000",
+                                                     "iterations = 20\nburn_in = 10"))
+        capsys.readouterr()
+        assert main(["fit", "--config", str(config), "--samples-out", str(tmp_path)]) == 2
+        assert f"cannot write samples file {tmp_path}" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     def test_missing_data_file(self, tmp_path):
         config = tmp_path / "run.ini"

@@ -2,16 +2,18 @@
 
 Usage (from any directory):
 
-    python3 tools/compare_outputs.py PARENT_TREE CHANGE_TREE [--seed N]
+    python3 tools/compare_outputs.py PARENT_TREE CHANGE_TREE [--seed N] [--repeats N]
 
 Each tree is a checkout of this repository.  For every workload of
 ``perfbench/workloads.py``, the inputs are made once from the seed with
 PARENT_TREE's code and copied for each tree.  Each tree then runs the
-workload's strandgp commands on its own copy, in subprocesses with one BLAS
-thread.  Every file of the two copies is compared by SHA-256, except the
+workload's strandgp commands on its own fresh copy, in subprocesses with one
+BLAS thread, ``--repeats`` times, the two trees taking turns to go first.
+Every file of the two last copies is compared by SHA-256, except the
 wall-time line of ``fit.log``.  Prints one line per file, with how many
-numeric cells moved and by how much where a CSV or JSON file differs, and
-exits 1 when a command fails or any file differs.
+numeric cells moved and by how much where a CSV or JSON file differs, then
+each command's median wall time in each tree (interpreter start included),
+and exits 1 when a command fails or any file differs.
 """
 
 from __future__ import annotations
@@ -29,8 +31,10 @@ import csv  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import shutil  # noqa: E402
+import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import tempfile  # noqa: E402
+import time  # noqa: E402
 
 WALL_TIME_PREFIX = b"wall_time_seconds="
 
@@ -108,31 +112,38 @@ def describe_change(parent, change):
 
 def run_commands(tree, workload, workdir):
     """Run the workload's commands with ``tree``'s sources; returns the
-    failed commands with the end of their error output."""
+    failed commands with the end of their error output, and each command's
+    wall time in seconds."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-    failed = []
+    failed, walls = [], []
     for argv in workload.commands(workdir):
+        start = time.perf_counter()
         result = subprocess.run([sys.executable, "-m", "strandgp.cli", *argv],
                                 capture_output=True, env=env, cwd=tree)
+        walls.append(time.perf_counter() - start)
         if result.returncode != 0:
             tail = result.stderr.decode(errors="replace").strip()[-2000:]
             failed.append(f"strandgp {argv[0]} exited {result.returncode}:\n{tail}")
-    return failed
+    return failed, walls
 
 
-def compare_workload(workload, trees, scratch):
+def compare_workload(workload, trees, scratch, repeats):
     """Problems found for one workload: failed commands and differing files."""
     name = workload.name
     inputs = os.path.join(scratch, name, "inputs")
     os.makedirs(inputs)
     workload.setup(inputs)
-    problems, found, workdirs = [], {}, {}
-    for label, tree in trees.items():
-        workdir = workdirs[label] = os.path.join(scratch, name, label)
-        shutil.copytree(inputs, workdir)
-        problems += [f"{name}: {label}: {p}" for p in run_commands(tree, workload, workdir)]
-        found[label] = digests(workdir)
-    parent, change = found.values()
+    problems, workdirs = [], {}
+    walls = {label: [] for label in trees}
+    for repeat in range(repeats):
+        for label in (list(trees) if repeat % 2 == 0 else list(trees)[::-1]):
+            workdir = workdirs[label] = os.path.join(scratch, name, label)
+            shutil.rmtree(workdir, ignore_errors=True)
+            shutil.copytree(inputs, workdir)
+            failed, times = run_commands(trees[label], workload, workdir)
+            problems += [f"{name}: {label}: {p}" for p in failed]
+            walls[label].append(times)
+    parent, change = (digests(workdirs[label]) for label in trees)
     for path in sorted(set(parent) | set(change)):
         if parent.get(path) == change.get(path):
             print(f"{name}: {path}: same")
@@ -140,6 +151,11 @@ def compare_workload(workload, trees, scratch):
         detail = path in parent and describe_change(*(os.path.join(d, path) for d in workdirs.values()))
         print(f"{name}: {path}: DIFFERENT" + (f" ({detail})" if detail else ""))
         problems.append(f"{name}: {path} differs")
+    commands = [argv[0] for argv in workload.commands(workdirs["parent"])]
+    for i, command in enumerate(commands):
+        medians = ", ".join(f"{label} {statistics.median(runs[i] for runs in walls[label]):.3f} s"
+                            for label in trees)
+        print(f"{name}: strandgp {command}: median wall time over {repeats}: {medians}")
     return problems
 
 
@@ -148,7 +164,11 @@ def main(argv=None):
     parser.add_argument("parent_tree")
     parser.add_argument("change_tree")
     parser.add_argument("--seed", type=int, default=4242)
+    parser.add_argument("--repeats", type=int, default=1,
+                        help="runs of each workload per tree, for the wall-time medians")
     args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
     trees = {"parent": os.path.abspath(args.parent_tree),
              "change": os.path.abspath(args.change_tree)}
     for tree in trees.values():
@@ -161,7 +181,7 @@ def main(argv=None):
     problems = []
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as scratch:
         for workload in WORKLOADS.values():
-            problems += compare_workload(workload(args.seed), trees, scratch)
+            problems += compare_workload(workload(args.seed), trees, scratch, args.repeats)
     for problem in problems:
         print(problem, file=sys.stderr)
     print(f"seed {args.seed}: {'outputs differ' if problems else 'all outputs byte-identical'}")
