@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 # first use (PEP 562), so importing the package, or one command of
 # ``strandgp.cli``, loads only the modules that are used.
 _EXPORTS = {
-    "crossval": ("PredictiveSummary", "loo_predictive", "overall_coverage", "run_loo"),
+    "crossval": ("PredictiveSummary", "overall_coverage", "run_loo"),
     "data": ("DesignMatrix", "ExpressionDataset", "GenomeAnnotation", "StrandRecord",
              "build_design_matrix", "load_annotation", "load_expression", "write_expression"),
     "decisions": ("CalibrationResult", "DecisionReport", "GroupStructure", "bayes_factors",

@@ -452,6 +452,10 @@ def cmd_lrbh(config: RunConfig, args) -> int:
 
 
 def cmd_cv(config: RunConfig, args) -> int:
+    sampler = config.sampler_config("cv")
+    if sampler.n_stored == 0:
+        raise ConfigError(f"[cv] iterations ({sampler.n_iterations}), burn_in ({sampler.burn_in}) "
+                          f"and thin ({sampler.thin}) store no draw: (iterations - burn_in) // thin is 0")
     outdir = _make_dir(config.output_dir(), "data.output_dir")
     dataset, design = _load_inputs(config)
     if args.folds is not None:
@@ -469,7 +473,7 @@ def cmd_cv(config: RunConfig, args) -> int:
     else:
         folds = None
     level = config.get("cv", "level")
-    summaries = _cli.run_loo(dataset, design, config.sampler_config("cv"),
+    summaries = _cli.run_loo(dataset, design, sampler,
                              prior_kwargs=config.prior_kwargs(), level=level, folds=folds)
     for summary in summaries:
         summary.write_csv(os.path.join(outdir, f"cv_{summary.patient_id}.csv"))

@@ -20,7 +20,8 @@ import numpy as np
 from .data import DesignMatrix, ExpressionDataset
 from .errors import DataError, NumericalError
 from .priors import HyperPriorSpec, delta2_draws, make_posterior_model, psi_draws
-from .tmcmc import SamplerConfig, run_chain
+# ``run_chain`` is not called here; perfbench/tracing.py still looks it up.
+from .tmcmc import SamplerConfig, run_chain, run_chains  # noqa: F401
 from .util import spawn_rngs, write_csv
 
 
@@ -141,60 +142,72 @@ class PredictiveSummary:
                    for i, name in enumerate(self.mirna_names)))
 
 
-def loo_predictive(dataset: ExpressionDataset, design: DesignMatrix, patient_index: int,
-                   sampler_config: SamplerConfig, prior_kwargs: dict | None = None,
-                   level: float = 0.75, rng=None) -> PredictiveSummary:
-    """Refit without one patient and summarize the predictive for that row.
-
-    The fold rebuilds its hyperpriors (the noise-scale prior is empirical)
-    from the training rows only, runs a fresh chain, and reports central
-    predictive intervals at ``level`` per unit plus coverage flags.
-
-    Raises:
-        DataError: fewer than three patients.
-        NumericalError: the fold's chain could not be started (non-finite
-            posterior at the initial state).
-    """
-    if dataset.n_patients < 3:
-        raise DataError("leave-one-out needs at least three patients")
-    train = dataset.drop_patient(patient_index)
-    held_out = dataset.z[patient_index]
-    priors = HyperPriorSpec.from_data(design, train.z, **(prior_kwargs or {}))
-    model = make_posterior_model(train.z, design, priors)
-    samples = run_chain(model, sampler_config, rng=rng)
-    if samples.n_draws == 0:
-        raise NumericalError("fold produced no stored draws; lengthen the chain")
-    low, high = predictive_draws(samples.draws, train.z, priors.dof,
-                                 m=dataset.n_mirnas, level=level)
-    covered = (held_out >= low) & (held_out <= high)
-    return PredictiveSummary(
-        patient_id=dataset.patient_ids[patient_index],
-        mirna_names=dataset.mirna_names,
-        low=low, high=high, observed=held_out, covered=covered, level=level,
-    )
+# Folds run together in groups whose stored draws take at most this many
+# bytes (or one fold, if it alone takes more): a fixed bound on memory that
+# does not change any result.
+_GROUP_BYTES = 64 << 20
 
 
 def run_loo(dataset: ExpressionDataset, design: DesignMatrix,
             sampler_config: SamplerConfig, prior_kwargs: dict | None = None,
             level: float = 0.75, folds=None) -> list:
-    """All (or selected) folds, each with its own child RNG stream.
+    """Refit without each patient (all, or the indices ``folds``) and
+    summarize the predictive for the held-out row.
 
-    Folds are independent; their streams are spawned from the sampler
-    config's seed and indexed by patient position, so running a subset
-    reproduces the same per-fold results as running all of them.
+    A fold rebuilds its hyperpriors (the noise-scale prior is empirical) from
+    the training rows only, runs a chain on its own child stream of the
+    sampler config's seed, indexed by patient position, and reports central
+    predictive intervals at ``level`` per unit plus coverage flags.  The
+    folds' chains advance together (``tmcmc.run_chains``), in groups bounded
+    by ``_GROUP_BYTES``; a fold's result does not depend on which folds run
+    with it, so a subset reproduces the same per-fold results as all of them.
+
+    Raises:
+        DataError: fewer than three patients.
+        ValueError: the chain stores no draws.
+        NumericalError: a fold's chain could not be started (non-finite
+            posterior at the initial state); the message names the fold.
     """
+    if dataset.n_patients < 3:
+        raise DataError("leave-one-out needs at least three patients")
+    if sampler_config.n_stored == 0:
+        raise ValueError("the fold chains store no draws: (n_iterations - burn_in) // thin is 0")
     indices = list(folds) if folds is not None else list(range(dataset.n_patients))
     rngs = spawn_rngs(sampler_config.seed, dataset.n_patients)
-    summaries = []
+    built = []
     for j in indices:
         try:
-            summaries.append(loo_predictive(dataset, design, j, sampler_config,
-                                            prior_kwargs=prior_kwargs, level=level,
-                                            rng=rngs[j]))
+            train = dataset.drop_patient(j)
+            priors = HyperPriorSpec.from_data(design, train.z, **(prior_kwargs or {}))
+            built.append((j, train, priors, make_posterior_model(train.z, design, priors)))
         except NumericalError as exc:
-            raise NumericalError(
-                f"fold {j} (patient {dataset.patient_ids[j]}): {exc}") from exc
+            raise _in_fold(dataset, j, exc) from exc
+    if not built:
+        return []
+    per_group = max(1, _GROUP_BYTES // (8 * sampler_config.n_stored * built[0][3].x0.size))
+    summaries = []
+    for first in range(0, len(built), per_group):
+        group = built[first:first + per_group]
+        try:
+            chains = run_chains([model for *_, model in group], sampler_config,
+                                [rngs[j] for j, *_ in group])
+        except NumericalError as exc:
+            raise _in_fold(dataset, group[exc.chain][0], exc) from exc
+        for (j, train, priors, _), samples in zip(group, chains):
+            low, high = predictive_draws(samples.draws, train.z, priors.dof,
+                                         m=dataset.n_mirnas, level=level)
+            held_out = dataset.z[j]
+            summaries.append(PredictiveSummary(
+                patient_id=dataset.patient_ids[j],
+                mirna_names=dataset.mirna_names,
+                low=low, high=high, observed=held_out,
+                covered=(held_out >= low) & (held_out <= high), level=level,
+            ))
     return summaries
+
+
+def _in_fold(dataset: ExpressionDataset, j: int, exc: NumericalError) -> NumericalError:
+    return NumericalError(f"fold {j} (patient {dataset.patient_ids[j]}): {exc}")
 
 
 def overall_coverage(summaries) -> float:

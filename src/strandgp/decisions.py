@@ -27,6 +27,39 @@ from .errors import NumericalError
 from .util import connected_components, write_csv, write_json
 
 
+def _linear_quantiles(values: np.ndarray, qs) -> np.ndarray:
+    """The quantiles ``qs`` (each in [0, 1]) of ``values`` along axis 0, one
+    row per quantile, bit for bit as ``np.quantile(values, qs, axis=0)``
+    computes them by its default 'linear' method, which imports numpy.ma.
+
+    Quantile q sits at virtual index v = (n - 1) q between the order
+    statistics a (at floor(v)) and b (the next; both the largest when v >=
+    n - 1), and is a + (b - a) g with g = v - floor(v), or b - (b - a)(1 -
+    g) when g >= 1/2, numpy's rule for a monotone interpolation.  A column
+    with a NaN gives NaN, as in numpy.
+    """
+    values = np.asarray(values, dtype=float)
+    n = values.shape[0]
+    points = []
+    for q in qs:
+        virtual = (n - 1) * q
+        low = math.floor(virtual)
+        low, high = (-1, -1) if virtual >= n - 1 else (low, low + 1)
+        points.append((low % n, high % n, virtual - low))
+    kth = sorted({0, n - 1} | {i for low, high, _ in points for i in (low, high)})
+    part = np.partition(values, kth, axis=0)
+    out = np.empty((len(points),) + values.shape[1:])
+    for i, (low, high, gamma) in enumerate(points):
+        a, b = part[low], part[high]
+        diff = b - a
+        out[i] = b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
+    last = np.asarray(part[-1])
+    nan = np.isnan(last)
+    if nan.any():
+        out[..., nan] = last[nan]
+    return out
+
+
 def hypothesis_indicators(psi_draws: np.ndarray) -> np.ndarray:
     """Per-draw deregulation indicators: |effect| > 1.  Rows are draws."""
     psi_draws = np.asarray(psi_draws, dtype=float)
@@ -87,7 +120,7 @@ def form_groups(correlation: np.ndarray, cap: int = 5,
     if cap < 0:
         raise ValueError(f"cap must be at least 0, got {cap}")
     iu = np.triu_indices(m, k=1)
-    cutoff = float(np.percentile(r[iu], percentile))
+    cutoff = float(_linear_quantiles(r[iu], [percentile / 100])[0])
     groups = []
     for i in range(m):
         row = r[i].copy()
@@ -521,7 +554,7 @@ def build_decision_report(mirna_names, psi_draws: np.ndarray, calibration: Calib
     bf = bayes_factors(marginal_probs(post_ind), prior_probs, post_ind.shape[0], n_prior_draws)
     mean = psi_draws.mean(axis=0)
     alpha = 0.5 * (1.0 - 0.95)
-    lowq, highq = np.quantile(psi_draws, [alpha, 1.0 - alpha], axis=0)
+    lowq, highq = _linear_quantiles(psi_draws, [alpha, 1.0 - alpha])
     direction = tuple(
         ("up" if mean[i] < 0 else "down") if calibration.d[i] else ""
         for i in range(len(names))

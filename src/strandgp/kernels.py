@@ -529,19 +529,44 @@ def _tiny_distances(x, nu) -> np.ndarray:
     return out
 
 
-def _factor_with_jitter(matrix, scale, dpotrf):
-    chol, info = dpotrf(matrix, lower=1, clean=1)
+def _factor_in_place(block, variances, units, dpotrf):
+    """Lower Cholesky factor of the exactly symmetric square ``block``, the
+    covariance of ``units``, and the jitter it needed; ``variances`` holds
+    every unit's variance, and the largest is the jitter's reference scale
+    (see ``JITTER_*``).
+
+    The first attempt factors the block's transpose, a Fortran-ordered view
+    of the same matrix, in place: the factor is that view, with the factor
+    in its lower triangle and the matrix still in its strict upper triangle,
+    so only its lower triangle may be read.  Only when the block is not
+    positive definite is the matrix rebuilt from that triangle and the
+    variances, and jitter escalates, each attempt on a new array; the
+    factor that succeeds is copied into the view.  Either way the block's
+    diagonal ends up holding the factor's.
+
+    Raises:
+        NumericalError: not positive definite within the jitter budget.
+    """
+    # Flags by position (lower, clean, overwrite_a): f2py takes about 2 us
+    # a call to parse them by keyword.
+    view = block.T
+    chol, info = dpotrf(view, 1, 0, 1)
     if not info:
         return chol, 0.0
+    scale = float(variances.max())
     if not (np.isfinite(scale) and scale > 0.0):
         raise NumericalError(f"invalid jitter reference scale {scale!r}")
+    matrix = np.triu(chol, 1)
+    matrix += matrix.T
+    matrix[np.diag_indices_from(matrix)] = variances[units]
     jitter = JITTER_INITIAL * scale
     limit = JITTER_MAXIMUM * scale
     eye = np.eye(matrix.shape[0])
     while jitter <= limit:
         chol, info = dpotrf(matrix + jitter * eye, lower=1, clean=1)
         if not info:
-            return chol, jitter
+            view[...] = chol
+            return view, jitter
         jitter *= JITTER_GROWTH
     raise NumericalError(
         f"matrix not positive definite within jitter budget ({JITTER_MAXIMUM:g} x scale)"
@@ -569,21 +594,29 @@ def _scatter(targets, weights, size: int) -> np.ndarray:
     return np.bincount(targets.ravel(), weights.ravel(), minlength=draws * size).reshape(draws, size)
 
 
-def assemble_blocks(index: CovarianceIndex, varrho2s, nus, rhos) -> np.ndarray:
-    """The component blocks of ``P W P^T``, packed as ``index`` lays them out.
+def assemble_block_draws(index: CovarianceIndex, varrho2s, nus, rhos) -> tuple[np.ndarray, np.ndarray]:
+    """The component blocks of ``P W P^T``, packed as ``index`` lays them out,
+    for each draw (row) of per-strand arrays, and which draws stayed in the
+    Matern evaluation's numerical domain.
 
     The Matern covariance is evaluated once over every locus pair of every
     strand (per-pair smoothness) and scattered by index; the result is
     bit-identical to the dense congruence when no unit has two loci on one
-    strand.  Arguments are per-strand arrays in the design's strand order.
+    strand, and a draw's row does not depend on the other draws.
+    """
+    pairs, ok = _pair_covariances(index, _layout(index, False), varrho2s, nus, rhos)
+    weights = np.concatenate((varrho2s.take(index.locus_strand, axis=1), pairs, pairs), axis=1)
+    return _scatter(index.targets, weights, index.packed_size), ok
+
+
+def assemble_blocks(index: CovarianceIndex, varrho2s, nus, rhos) -> np.ndarray:
+    """``assemble_block_draws`` for one draw of per-strand arrays, in the
+    design's strand order.
 
     Raises:
         NumericalError: the Matern evaluation left its numerical domain.
     """
-    pairs = _one_draw(*_pair_covariances(index, _layout(index, False), varrho2s[None], nus[None],
-                                         rhos[None]), nus)
-    weights = np.concatenate((varrho2s[index.locus_strand], pairs, pairs))
-    return np.bincount(index.targets, weights, minlength=index.packed_size)
+    return _one_draw(*assemble_block_draws(index, varrho2s[None], nus[None], rhos[None]), nus)
 
 
 def _pair_covariances(index: CovarianceIndex, layout: PairLayout, varrho2s, nus, rhos):
@@ -595,26 +628,23 @@ def _pair_covariances(index: CovarianceIndex, layout: PairLayout, varrho2s, nus,
 
 
 def factor_blocks(index: CovarianceIndex, packed: np.ndarray) -> list:
-    """Lower Cholesky factor and jitter of every component block.
+    """Lower Cholesky factor and jitter of every component block of
+    ``packed``, each factored in place by ``_factor_in_place``: a factor is
+    read from its lower triangle only, ``packed`` no longer holds the
+    blocks, and ``packed[index.unit_diag]`` holds each unit's diagonal
+    entry of its block's factor.
 
     Jitter escalates per component against the largest unit variance over
-    all components (see the ``JITTER_*`` constants) and is added to the
-    block's diagonal in ``packed``, so each factor is that of its packed
-    block.
+    all components (see the ``JITTER_*`` constants).
 
     Raises:
         NumericalError: some block is not positive definite within budget.
     """
     dpotrf = lapack().dpotrf
-    scale = float(packed[index.unit_diag].max())
-    out = []
-    for _, size, offset in index.spans:
-        block = packed[offset:offset + size * size].reshape(size, size)
-        chol, jitter = _factor_with_jitter(block, scale, dpotrf)
-        if jitter:
-            block[np.diag_indices(size)] += jitter
-        out.append((chol, jitter))
-    return out
+    variances = packed[index.unit_diag]
+    return [_factor_in_place(packed[offset:offset + size * size].reshape(size, size),
+                             variances, units, dpotrf)
+            for units, (_, size, offset) in zip(index.components, index.spans)]
 
 
 def _unit_sums(index: CovarianceIndex, varrho2s, same_pairs) -> np.ndarray:
@@ -697,7 +727,10 @@ def prior_cov_psi(design: DesignMatrix, hypers) -> PriorCovariance:
     if len(hypers) != index.n_strands:
         raise ValueError(f"expected {index.n_strands} strand hyperparameters, got {len(hypers)}")
     packed = assemble_blocks(index, *hyper_arrays(hypers))
-    factors, jitters = zip(*factor_blocks(index, packed))
+    factors, jitters = zip(*factor_blocks(index, packed.copy()))
+    for (_, size, offset), chol, jitter in zip(index.spans, factors, jitters):
+        chol[np.triu_indices(size, 1)] = 0.0
+        packed[offset:offset + size * size:size + 1] += jitter
     return PriorCovariance(index, packed, factors, max(jitters))
 
 

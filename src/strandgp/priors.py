@@ -26,7 +26,7 @@ from .data import DesignMatrix
 from .errors import ConfigError, DataError, NumericalError
 from .kernels import (
     StrandHyperParams,
-    assemble_blocks,
+    assemble_block_draws,
     factor_blocks,
     hyper_arrays,
     lapack,
@@ -423,6 +423,9 @@ class _PosteriorTarget:
         if priors.n_strands != k:
             raise DataError(f"priors cover {priors.n_strands} strands, design has {k}")
         self.index = design.covariance_index
+        # Where the factored blocks hold the diagonal of their factors, in
+        # the components' unit order.
+        self.factor_diagonal = self.index.unit_diag[self.index.unit_order]
         self.include_likelihood = include_likelihood
         self.zzt = self.z @ self.z.T
         self.eye = np.eye(self.n)
@@ -449,42 +452,37 @@ class _PosteriorTarget:
                       - float(np.sum(np.log(sigmas))) - k * LOG2PI)
 
     def __call__(self, x: np.ndarray) -> float:
-        m = self.m
-        if x.shape != (m + 3 * self.k + 1,):
-            raise ValueError(f"expected vector of length {m + 3 * self.k + 1}, got {x.shape}")
-        tail = x[m:]
-        with np.errstate(over="ignore", divide="ignore"):
-            nat = np.exp(tail)
-            lognat = np.log(nat)
-        try:
-            lp = self.evaluate(x[:m], nat, lognat)
-        except NumericalError:
-            return -math.inf
-        out = lp + float(tail.sum())
-        return out if math.isfinite(out) else -math.inf
+        return _log_posteriors((self,), x[None])[0]
 
-    def evaluate(self, psi, nat, lognat) -> float:
+    @staticmethod
+    def joint(targets):
+        """One call that evaluates a point per target, as ``tmcmc.run_chains``
+        asks of its targets: ``_log_posteriors`` when every target is a
+        posterior on one covariance index, else None."""
+        index = targets[0].index
+        if all(type(t) is _PosteriorTarget and t.index is index for t in targets):
+            return functools.partial(_log_posteriors, targets)
+        return None
+
+    def evaluate(self, psi, nat, lognat, packed) -> float:
         """Log posterior (no Jacobian) at effects ``psi`` and the natural
         values ``nat`` = [varrho2 (k), nu (k), rho (k), delta2], with
-        ``lognat = np.log(nat)``.
+        ``lognat = np.log(nat)`` finite, given the packed blocks of their
+        prior covariance (``kernels.assemble_block_draws``), which are
+        factored in place.
 
         Raises:
-            NumericalError: a hyperparameter is zero, negative or not
-                finite, or a covariance fails PD certification.
+            NumericalError: a covariance fails PD certification.
         """
-        if not math.isfinite(lognat.sum()):
-            raise NumericalError("hyperparameters left their numerical domain")
         k, index = self.k, self.index
-        varrho2s, nus, rhos, delta2 = nat[:k], nat[k:2 * k], nat[2 * k:3 * k], nat[-1]
-
-        packed = assemble_blocks(index, varrho2s, nus, rhos)
+        varrho2s, delta2 = nat[:k], nat[-1]
         dtrtrs = self.dtrtrs
         y = psi[index.unit_order]
-        diag = np.empty(self.m)
         for (start, size, _), (chol, _) in zip(index.spans, factor_blocks(index, packed)):
-            seg = slice(start, start + size)
-            y[seg] = dtrtrs(chol, y[seg], lower=1)[0]
-            diag[seg] = chol.diagonal()
+            # In place, flags by position (lower, trans, unitdiag, lda,
+            # overwrite_b): f2py takes about 2 us a call to parse keywords.
+            dtrtrs(chol, y[start:start + size], 1, 0, 0, size, 1)
+        diag = packed[self.factor_diagonal]
         dev = lognat[k:3 * k] - self.log_mus
         lp = (self.const - 0.5 * float(y @ y) - np.log(diag).sum() + lognat @ self.log_coefs
               - self.varrho2_scale * (1.0 / (np.sqrt(varrho2s) if self.root_varrho else varrho2s)).sum()
@@ -493,11 +491,48 @@ class _PosteriorTarget:
         if self.include_likelihood:
             u = self.z @ psi
             gram = self.zzt - u[:, None] - u[None, :] + psi @ psi
-            bchol, info = self.dpotrf(self.eye + gram / delta2, lower=1, clean=0)
+            bchol, info = self.dpotrf(self.eye + gram / delta2, 1, 0)  # lower=1, clean=0
             if info:
                 raise NumericalError("likelihood Gram matrix lost positive definiteness")
             lp -= (self.dof + self.n) * np.log(bchol.diagonal()).sum()
         return float(lp)
+
+
+def _log_posteriors(targets, xs: np.ndarray) -> list:
+    """The log target of each of ``targets``, posteriors on one covariance
+    index, at the matching row of ``xs``.
+
+    One Matern pass and one scatter serve every row
+    (``kernels.assemble_block_draws``), and each row gets the bits it would
+    get alone.  A row whose hyperparameters leave their numerical domain, or
+    whose covariance fails PD certification, gets -inf, whatever the others
+    get.
+    """
+    first = targets[0]
+    m, k = first.m, first.k
+    if xs.shape[1:] != (m + 3 * k + 1,):
+        raise ValueError(f"expected vector of length {m + 3 * k + 1}, got {xs.shape[1:]}")
+    with np.errstate(over="ignore", divide="ignore"):
+        nat = np.exp(xs[:, m:])
+        lognat = np.log(nat)
+    out = [-math.inf] * len(targets)
+    live = [r for r, total in enumerate(lognat.sum(axis=1).tolist()) if math.isfinite(total)]
+    if not live:
+        return out
+    # Per-strand (draws x strands) arrays, each contiguous.
+    hypers = nat[live, :3 * k].reshape(-1, 3, k).transpose(1, 0, 2).copy()
+    packed, ok = assemble_block_draws(first.index, *hypers)
+    tails = xs[:, m:].sum(axis=1).tolist()
+    for r, blocks, valid in zip(live, packed, ok.tolist()):
+        if not valid:
+            continue
+        try:
+            lp = targets[r].evaluate(xs[r, :m], nat[r], lognat[r], blocks) + tails[r]
+        except NumericalError:
+            continue
+        if math.isfinite(lp):
+            out[r] = lp
+    return out
 
 
 def make_posterior_model(z: np.ndarray, design: DesignMatrix, priors: HyperPriorSpec,
@@ -586,7 +621,9 @@ def prior_exceedance(design: DesignMatrix, priors: HyperPriorSpec, n_draws: int,
     classes = {}
     members = np.array([classes.setdefault(unit if unit in owners else tuple(strands[unit]), unit)
                         for unit in range(index.n_units)])
-    firsts, inverse = np.unique(members, return_inverse=True)
+    # np.unique(members, return_inverse=True), which would import numpy.ma.
+    firsts = np.flatnonzero(np.bincount(members, minlength=index.n_units))
+    inverse = np.searchsorted(firsts, members)
 
     def evaluate(varrho2s, nus, rhos):
         variances, ok = unit_variance_draws(index, varrho2s, nus, rhos)

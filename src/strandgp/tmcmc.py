@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .util import SamplerConfig, spawn_rngs, write_csv
+from .util import SamplerConfig, write_csv
 
 
 @dataclass
@@ -31,8 +31,10 @@ class TargetModel:
 
     Attributes:
         log_target: callable mapping a d-vector to a log density (up to a
-            constant); -inf marks invalid points.  Must be safe for
-            concurrent invocation when chains run in parallel.
+            constant); -inf marks invalid points.  It may also offer
+            ``joint(targets)``, for ``run_chains``: a function from one
+            vector per target of ``targets`` to their log densities, or None
+            where it cannot serve those targets.
         x0: starting point with finite log density.
         names: one label per coordinate.
         blocks: disjoint index arrays partitioning the coordinates for
@@ -101,6 +103,20 @@ class PosteriorSamples:
         return effective_sample_size(self.trace(name))
 
 
+def _propose(x: np.ndarray, scales: np.ndarray, rngs) -> np.ndarray:
+    """The additive move's proposal from each row of ``x``, with the scales
+    of the same row of ``scales``: row c's generator ``rngs[c]`` gives its
+    epsilon, then its signs."""
+    eps = np.array([[abs(rng.standard_normal())] for rng in rngs])
+    signs = np.array([rng.integers(0, 2, size=x.shape[1]) for rng in rngs])
+    return x + (signs * 2 - 1) * scales * eps
+
+
+def _accept(lp_prop: float, lp_x: float, rng) -> bool:
+    """The Metropolis test; consumes a uniform only for a finite proposal."""
+    return math.isfinite(lp_prop) and math.log(rng.random()) < lp_prop - lp_x
+
+
 def tmcmc_step(x: np.ndarray, scales: np.ndarray, log_target, rng, lp_x: float):
     """One additive move: all coordinates shift by +-scale_i * epsilon.
 
@@ -117,13 +133,9 @@ def tmcmc_step(x: np.ndarray, scales: np.ndarray, log_target, rng, lp_x: float):
     """
     if not math.isfinite(lp_x):
         raise NumericalError("tmcmc_step requires a finite log density at the current point")
-    eps = abs(rng.standard_normal())
-    signs = rng.integers(0, 2, size=x.size) * 2 - 1
-    proposal = x + signs * scales * eps
+    proposal = _propose(x[None], scales[None], [rng])[0]
     lp_prop = log_target(proposal)
-    if not math.isfinite(lp_prop):
-        return x, lp_x, False
-    if math.log(rng.random()) < lp_prop - lp_x:
+    if _accept(lp_prop, lp_x, rng):
         return proposal, lp_prop, True
     return x, lp_x, False
 
@@ -138,7 +150,7 @@ class _Adaptation:
     ``GLOBAL_WINDOWS`` windows move all factors together, fixing the overall
     magnitude quickly; later windows refine one block at a time in
     round-robin order.  Every factor starts at 2.4 / sqrt(d), the random-walk
-    Metropolis rule of thumb in d dimensions.  ``run_chain`` feeds only
+    Metropolis rule of thumb in d dimensions.  ``run_chains`` feeds only
     burn-in iterations, so the factors freeze when burn-in ends.
     """
 
@@ -197,76 +209,101 @@ class _Adaptation:
         return True
 
 
-def run_chain(model: TargetModel, config: SamplerConfig, rng=None) -> PosteriorSamples:
-    """Run one chain: adapt during burn-in, then store every ``thin``-th draw.
+def _evaluator(targets):
+    """A function from the rows of an array, one per target, to their log
+    densities: the targets' own joint evaluation where the first offers one
+    that serves them all, otherwise one call of each target."""
+    joint = getattr(targets[0], "joint", None)
+    evaluate = joint(targets) if joint is not None else None
+    if evaluate is None:
+        return lambda xs: [f(x) for f, x in zip(targets, xs)]
+    return evaluate
 
-    Deterministic given ``config.seed`` (or an explicitly passed generator).
-    The number of stored draws is ``(n_iterations - burn_in) // thin``.
+
+def run_chains(models: list, config: SamplerConfig, rngs: list) -> list:
+    """Run one chain per model in lockstep: adapt during burn-in, then store
+    every ``thin``-th draw.  The models share one dimension.
+
+    Chain c draws from ``rngs[c]`` alone, in the order ``tmcmc_step`` does,
+    and keeps its own point, adaptation, acceptance counts and draws.  Each
+    iteration forms every chain's proposal at once and evaluates them in one
+    call (see ``TargetModel.log_target``), so chain c is the chain that
+    ``run_chain(models[c], config, rngs[c])`` gives.  Each chain stores
+    ``config.n_stored`` draws.
+
+    Raises:
+        ValueError: the models differ in dimension.
+        NumericalError: a starting point has non-finite log density; the
+            error's ``chain`` attribute is its model's index.
+    """
+    if len({model.x0.size for model in models}) > 1:
+        raise ValueError("chains run in lockstep must share one dimension")
+    evaluate = _evaluator([model.log_target for model in models])
+    x = np.array([model.x0 for model in models])
+    lp = evaluate(x)
+    for c, value in enumerate(lp):
+        if not math.isfinite(value):
+            error = NumericalError("initial state has non-finite log target")
+            error.chain = c
+            raise error
+
+    n_chains, d = x.shape
+    base = np.array([model.base_scales for model in models])
+    adapts = [_Adaptation(model.blocks, d) for model in models]
+    scales = np.array([b * adapt.factors(d) for b, adapt in zip(base, adapts)])
+    draws = np.empty((n_chains, config.n_stored, d))
+    burn_in, thin = config.burn_in, config.thin
+    # Acceptance counts after burn-in, or over the whole chain if it is all
+    # burn-in.
+    counted_from = burn_in if config.n_iterations > burn_in else 0
+    accepted = [0] * n_chains
+    for t in range(config.n_iterations):
+        proposals = _propose(x, scales, rngs)
+        burning = t < burn_in
+        for c, lp_prop in enumerate(evaluate(proposals)):
+            ok = _accept(lp_prop, lp[c], rngs[c])
+            if ok:
+                x[c], lp[c] = proposals[c], lp_prop
+            if t >= counted_from:
+                accepted[c] += ok
+            if burning and adapts[c].record(ok):
+                scales[c] = base[c] * adapts[c].factors(d)
+        if not burning and (t - burn_in + 1) % thin == 0:
+            draws[:, (t - burn_in) // thin] = x
+
+    counted = config.n_iterations - counted_from
+    out = []
+    for c, (model, adapt) in enumerate(zip(models, adapts)):
+        if adapt.history and config.n_iterations > burn_in:
+            recent = [h["acceptance"] for h in adapt.history[-4:]]
+            lo, hi = _Adaptation.BAND
+            if not (lo <= float(np.mean(recent)) <= hi):
+                warnings.warn(
+                    f"acceptance {np.mean(recent):.3f} did not enter the target band "
+                    f"[{lo}, {hi}] within burn-in; consider a longer burn-in",
+                    RuntimeWarning, stacklevel=2)
+        out.append(PosteriorSamples(
+            draws=draws[c],
+            names=list(model.names),
+            acceptance_rate=accepted[c] / counted if counted else 0.0,
+            scales=scales[c],
+            config=config,
+            block_info=adapt.history,
+            meta=dict(model.meta),
+        ))
+    return out
+
+
+def run_chain(model: TargetModel, config: SamplerConfig, rng=None) -> PosteriorSamples:
+    """``run_chains`` for one chain, on ``rng`` or else a generator seeded
+    with ``config.seed``.
 
     Raises:
         NumericalError: the starting point has non-finite log density.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    x = model.x0.copy()
-    lp = model.log_target(x)
-    if not np.isfinite(lp):
-        raise NumericalError("initial state has non-finite log target")
-
-    d = x.size
-    base = model.base_scales
-    adapt = _Adaptation(model.blocks, d)
-    scales = base * adapt.factors(d)
-
-    n_stored = max(0, (config.n_iterations - config.burn_in) // config.thin)
-    draws = np.empty((n_stored, d))
-    stored = 0
-    accepted_post = 0
-    post_steps = 0
-    accepted_total = 0
-
-    for t in range(config.n_iterations):
-        x, lp, ok = tmcmc_step(x, scales, model.log_target, rng, lp_x=lp)
-        accepted_total += int(ok)
-        if t < config.burn_in:
-            if adapt.record(ok):
-                scales = base * adapt.factors(d)
-        else:
-            post_steps += 1
-            accepted_post += int(ok)
-            if (t - config.burn_in + 1) % config.thin == 0 and stored < n_stored:
-                draws[stored] = x
-                stored += 1
-
-    if post_steps > 0:
-        acc = accepted_post / post_steps
-    elif config.n_iterations > 0:
-        acc = accepted_total / config.n_iterations
-    else:
-        acc = 0.0
-    if adapt.history and post_steps > 0:
-        recent = [h["acceptance"] for h in adapt.history[-4:]]
-        lo, hi = _Adaptation.BAND
-        if not (lo <= float(np.mean(recent)) <= hi):
-            warnings.warn(
-                f"acceptance {np.mean(recent):.3f} did not enter the target band "
-                f"[{lo}, {hi}] within burn-in; consider a longer burn-in",
-                RuntimeWarning, stacklevel=2)
-    return PosteriorSamples(
-        draws=draws[:stored],
-        names=list(model.names),
-        acceptance_rate=acc,
-        scales=scales,
-        config=config,
-        block_info=adapt.history,
-        meta=dict(model.meta),
-    )
-
-
-def run_chains(model: TargetModel, config: SamplerConfig, n_chains: int) -> list:
-    """Independent chains with RNG streams spawned from the config seed."""
-    rngs = spawn_rngs(config.seed, n_chains)
-    return [run_chain(model, config, rng=r) for r in rngs]
+    return run_chains([model], config, [rng])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,11 @@ class SamplerConfig:
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
 
+    @property
+    def n_stored(self) -> int:
+        """The number of draws a chain stores."""
+        return (self.n_iterations - self.burn_in) // self.thin
+
 
 def spawn_rngs(seed, n: int) -> list:
     """Derive ``n`` independent numpy generators from one seed via

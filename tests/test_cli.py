@@ -14,7 +14,7 @@ import pytest
 
 import strandgp
 from strandgp.cli import _KEYS, RunConfig, main, read_samples, write_samples
-from strandgp.crossval import loo_predictive, run_loo
+from strandgp.crossval import run_loo
 from strandgp.decisions import ComponentReport, calibrate_beta, form_groups, optimize_decisions
 from strandgp.errors import ConfigError
 from strandgp.lrbh import run_baseline
@@ -226,7 +226,6 @@ class TestRunConfig:
             run_baseline: {"q": ("lrbh", "q"), "n_boot": ("lrbh", "bootstrap"),
                            "seed": ("run", "seed")},
             run_loo: {"level": ("cv", "level")},
-            loo_predictive: {"level": ("cv", "level")},
         }
         for function, params in keys.items():
             signature = inspect.signature(function).parameters
@@ -452,8 +451,8 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
 def test_each_command_loads_only_its_layers(tmp_path):
     # strandgp.cli binds the layers' names on first use, so a command
     # imports only the modules it runs; report merges two CSV files without
-    # numpy.  fit and cv also keep clear of numpy.ma, which np.unique and
-    # np.median import on first use.
+    # numpy.  fit, test and cv also keep clear of numpy.ma, which np.unique,
+    # np.median, np.percentile and np.quantile import on first use.
     def loaded(code, *args):
         return set(json.loads(last_line(code + "; print(json.dumps(sorted(sys.modules)))", *args)))
 
@@ -473,7 +472,7 @@ def test_each_command_loads_only_its_layers(tmp_path):
                          (["cv", "--folds", "0"], {"decisions", "lrbh", "simulate"})]:
         modules, layers = run(argv + ["--config", config])
         assert not layers & absent, (argv, layers & absent)
-        if argv[0] in ("fit", "cv"):
+        if argv[0] in ("fit", "test", "cv"):
             assert "numpy.ma" not in modules, argv
     modules, layers = run(["report", "--config", config])
     assert "numpy" not in modules
@@ -686,6 +685,24 @@ class TestExitCodes:
         assert main(["fit", "--config", config, "--samples-out", str(tmp_path / "no" / "x.bin")]) == 2
         assert "--samples-out" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
+
+    def test_cv_chain_that_stores_no_draw_exits_2_before_sampling(
+            self, pipeline, tmp_path, capsys, monkeypatch):
+        from strandgp import crossval
+
+        def run_chains(*args, **kwargs):
+            raise AssertionError("a fold ran")
+
+        monkeypatch.setattr(crossval, "run_chains", run_chains)
+        config = tmp_path / "run.ini"
+        write_config(config, pipeline["data"], tmp_path / "out")
+        config.write_text(config.read_text().replace("[cv]\niterations = 600\nburn_in = 200",
+                                                     "[cv]\niterations = 3000\nburn_in = 3000"))
+        capsys.readouterr()
+        assert main(["cv", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert all(key in err for key in ("[cv] iterations", "burn_in", "thin")), err
+        assert not (tmp_path / "out").exists()
 
     def test_unwritable_samples_file_exits_2(self, pipeline, tmp_path, capsys):
         # The path names a directory, so only the write itself can fail.

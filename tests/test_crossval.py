@@ -5,14 +5,22 @@ from scipy import stats
 from strandgp import (
     DataError,
     ExpressionDataset,
+    GenomeAnnotation,
+    HyperPriorSpec,
+    NumericalError,
     SamplerConfig,
+    StrandRecord,
     build_design_matrix,
-    loo_predictive,
+    make_posterior_model,
     overall_coverage,
+    run_chain,
+    run_chains,
     run_loo,
 )
+from strandgp import crossval, kernels, priors
 from strandgp.crossval import _t_cdf, _t_quantile, predictive_draws
 from strandgp.simulate import simulate_dataset
+from strandgp.util import spawn_rngs
 
 
 def tiny_dataset(seed=0, m=4, n=6, k=2):
@@ -26,6 +34,13 @@ def tiny_dataset(seed=0, m=4, n=6, k=2):
     )
     design = build_design_matrix(sim.annotation, sim.mirna_names)
     return dataset, design
+
+
+def assert_same_chain(a, b):
+    np.testing.assert_array_equal(a.draws, b.draws)
+    assert a.acceptance_rate == b.acceptance_rate
+    np.testing.assert_array_equal(a.scales, b.scales)
+    assert a.block_info == b.block_info
 
 
 def chain_draws(psis, delta2s):
@@ -143,11 +158,122 @@ class TestPredictiveInterval:
         np.testing.assert_array_equal(a, b)
 
 
+def close_loci_dataset(n=7, seed=0):
+    """Seven units on three strands, four loci of one strand a few bases
+    apart, so that their block needs jitter at the prior's correlation
+    lengths; the case and control rows are standard normal draws."""
+    spec = [("Chr1+", 2e3, [("a0", 1000.0), ("a1", 1001.0), ("a2", 1002.0), ("a3", 1010.0)]),
+            ("Chr2+", 2e3, [("b0", 100.0), ("b1", 900.0)]),
+            ("Chr3+", 2e3, [("c0", 40.0), ("b1", 300.0)])]
+    annotation = GenomeAnnotation(strands=tuple(StrandRecord(strand_id=sid, length=length, loci=tuple(loci))
+                                                for sid, length, loci in spec))
+    design = build_design_matrix(annotation, ["b0", "a0", "c0", "a1", "a2", "b1", "a3"])
+    rng = np.random.default_rng(seed)
+    m = design.n_mirnas
+    dataset = ExpressionDataset(patient_ids=tuple(f"p{i}" for i in range(n)),
+                                mirna_names=design.mirna_names,
+                                case=rng.normal(size=(n, m)) + 1.0, control=rng.normal(size=(n, m)), z=None)
+    return dataset, design
+
+
+def fold_models(dataset, design, folds):
+    models = []
+    for j in folds:
+        train = dataset.drop_patient(j)
+        models.append(make_posterior_model(train.z, design, HyperPriorSpec.from_data(design, train.z)))
+    return models
+
+
+@pytest.mark.filterwarnings("ignore:acceptance .* did not enter the target band:RuntimeWarning")
+class TestFoldChainsInLockstep:
+    """Fold posteriors on one design advance together through one Matern pass
+    per iteration, and chain c is still the chain of model c alone, bit for
+    bit: beside plain-function targets (as the benchmark's tracer wraps
+    them), with rows that leave the Matern domain, and with blocks that
+    need jitter."""
+
+    CONFIG = SamplerConfig(n_iterations=1200, burn_in=400, thin=4, seed=0)
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """Rows per shared pass, rows outside the Matern domain, and jittered
+        blocks, counted while a test runs."""
+        seen = {"rows": [], "outside": 0, "jittered": 0}
+        assemble, factor = priors.assemble_block_draws, kernels._factor_in_place
+
+        def assembling(index, *hypers):
+            packed, ok = assemble(index, *hypers)
+            seen["rows"].append(ok.size)
+            seen["outside"] += int((~ok).sum())
+            return packed, ok
+
+        def factoring(*args):
+            chol, jitter = factor(*args)
+            seen["jittered"] += jitter > 0
+            return chol, jitter
+
+        monkeypatch.setattr(priors, "assemble_block_draws", assembling)
+        monkeypatch.setattr(kernels, "_factor_in_place", factoring)
+        return seen
+
+    def chains_alone(self, models, seed):
+        return [run_chain(model, self.CONFIG, rng)
+                for model, rng in zip(models, spawn_rngs(seed, len(models)))]
+
+    def test_fold_posteriors(self, seen):
+        dataset, design = tiny_dataset(seed=7, m=8, n=7, k=3)
+        models = fold_models(dataset, design, [0, 3, 5])
+        together = run_chains(models, self.CONFIG, spawn_rngs(5, 3))
+        assert set(seen["rows"]) == {3}
+        for chain, alone in zip(together, self.chains_alone(models, 5)):
+            assert_same_chain(chain, alone)
+
+    def test_plain_function_targets_beside_posteriors(self, seen):
+        dataset, design = tiny_dataset(seed=8, m=8, n=7, k=3)
+        models = fold_models(dataset, design, [1, 2, 6])
+        alone = self.chains_alone(models, 6)
+        wrapped = models[1].log_target
+        models[1].log_target = lambda x: wrapped(x)
+        seen["rows"].clear()
+        together = run_chains(models, self.CONFIG, spawn_rngs(6, 3))
+        assert set(seen["rows"]) == {1}  # every row on its own
+        for chain, reference in zip(together, alone):
+            assert_same_chain(chain, reference)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_rows_outside_the_domain_and_blocks_that_need_jitter(self, seen):
+        dataset, design = close_loci_dataset()
+        models = fold_models(dataset, design, [0, 3, 5])
+        m, k = design.n_mirnas, design.n_strands
+        # Correlation lengths near 1e-306 make the Matern scale overflow.
+        models[2].base_scales[m + 2 * k:m + 3 * k] *= 1e5
+        together = run_chains(models, self.CONFIG, spawn_rngs(5, 3))
+        assert seen["outside"] > 0 and seen["jittered"] > 0
+        for chain, alone in zip(together, self.chains_alone(models, 5)):
+            assert_same_chain(chain, alone)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_one_evaluation_against_rows_alone(self):
+        dataset, design = close_loci_dataset(seed=1)
+        targets = [model.log_target for model in fold_models(dataset, design, [1, 2, 4, 6])]
+        m, k = design.n_mirnas, design.n_strands
+        rng = np.random.default_rng(2)
+        xs = np.array([np.concatenate((rng.normal(size=m), np.log([1.0, 2.0, 0.5, 1.5, 0.8, 1.2]),
+                                       np.log([1e4, 300.0, 200.0]), [0.0])) for _ in targets])
+        xs[1, m + 2 * k] = -710.0   # the Matern scale overflows
+        xs[2, m + k] = 800.0        # the smoothness overflows
+        values = priors._log_posteriors(targets, xs)
+        assert values[1] == values[2] == -np.inf
+        assert np.isfinite([values[0], values[3]]).all()
+        assert values == [t(x) for t, x in zip(targets, xs)]
+
+
 class TestLooPredictive:
     def test_fold_summary_structure(self):
         dataset, design = tiny_dataset()
         cfg = SamplerConfig(n_iterations=1500, burn_in=500, thin=5, seed=0)
-        summary = loo_predictive(dataset, design, 0, cfg)
+        [summary] = run_loo(dataset, design, cfg, folds=[0])
         assert summary.patient_id == dataset.patient_ids[0]
         assert summary.low.shape == (dataset.n_mirnas,)
         assert np.all(summary.low <= summary.high)
@@ -159,15 +285,58 @@ class TestLooPredictive:
         small = dataset.drop_patient(0).drop_patient(0)
         cfg = SamplerConfig(n_iterations=100, burn_in=50, seed=0)
         with pytest.raises(DataError):
-            loo_predictive(small, design, 0, cfg)
+            run_loo(small, design, cfg, folds=[0])
 
     def test_subset_reproduces_full_run_fold(self):
         dataset, design = tiny_dataset(seed=1)
         cfg = SamplerConfig(n_iterations=800, burn_in=300, thin=5, seed=3)
         full = run_loo(dataset, design, cfg)
-        only_two = run_loo(dataset, design, cfg, folds=[2])
-        np.testing.assert_array_equal(full[2].low, only_two[0].low)
-        np.testing.assert_array_equal(full[2].high, only_two[0].high)
+        for j in range(dataset.n_patients):
+            [alone] = run_loo(dataset, design, cfg, folds=[j])
+            assert alone.patient_id == full[j].patient_id
+            np.testing.assert_array_equal(full[j].low, alone.low)
+            np.testing.assert_array_equal(full[j].high, alone.high)
+
+    def test_fold_groups_do_not_change_results(self, monkeypatch):
+        # With a budget that holds one fold's stored draws, every fold runs
+        # in a group of its own; the results are the same bits as one group.
+        dataset, design = tiny_dataset(seed=5)
+        cfg = SamplerConfig(n_iterations=600, burn_in=200, thin=4, seed=2)
+        together = run_loo(dataset, design, cfg)
+        fold_bytes = 8 * cfg.n_stored * (dataset.n_mirnas + 3 * design.n_strands + 1)
+        groups = []
+        run_chains = crossval.run_chains
+        monkeypatch.setattr(crossval, "_GROUP_BYTES", fold_bytes)
+        monkeypatch.setattr(crossval, "run_chains",
+                            lambda models, *args: groups.append(len(models)) or run_chains(models, *args))
+        apart = run_loo(dataset, design, cfg)
+        assert groups == [1] * dataset.n_patients
+        for a, b in zip(together, apart):
+            assert a.patient_id == b.patient_id
+            np.testing.assert_array_equal(a.low, b.low)
+            np.testing.assert_array_equal(a.high, b.high)
+
+    def test_chain_that_stores_no_draws_is_refused_before_sampling(self, monkeypatch):
+        dataset, design = tiny_dataset()
+        monkeypatch.setattr(crossval, "run_chains", lambda *args: pytest.fail("a chain ran"))
+        with pytest.raises(ValueError, match="store no draws"):
+            run_loo(dataset, design, SamplerConfig(n_iterations=300, burn_in=300, seed=0))
+
+    def test_a_fold_that_cannot_start_is_named(self, monkeypatch):
+        dataset, design = tiny_dataset(seed=6)
+        make = crossval.make_posterior_model
+
+        def make_model(z, *args, **kwargs):
+            model = make(z, *args, **kwargs)
+            if np.array_equal(z, dataset.drop_patient(2).z):
+                model.x0 = model.x0.copy()
+                model.x0[-1] = np.inf
+            return model
+
+        monkeypatch.setattr(crossval, "make_posterior_model", make_model)
+        cfg = SamplerConfig(n_iterations=100, burn_in=50, seed=0)
+        with pytest.raises(NumericalError, match=f"fold 2 \\(patient {dataset.patient_ids[2]}\\): initial"):
+            run_loo(dataset, design, cfg, folds=[0, 2, 3])
 
     def test_overall_coverage_pools_folds(self):
         dataset, design = tiny_dataset(seed=2)
@@ -180,7 +349,7 @@ class TestLooPredictive:
     def test_csv_output(self, tmp_path):
         dataset, design = tiny_dataset(seed=3)
         cfg = SamplerConfig(n_iterations=600, burn_in=200, thin=4, seed=5)
-        summary = loo_predictive(dataset, design, 1, cfg)
+        [summary] = run_loo(dataset, design, cfg, folds=[1])
         path = tmp_path / "fold.csv"
         summary.write_csv(path)
         lines = path.read_text().strip().splitlines()
@@ -192,7 +361,7 @@ class TestLooPredictive:
         # any central interval of reasonable width.
         dataset, design = tiny_dataset(seed=4)
         cfg = SamplerConfig(n_iterations=1200, burn_in=400, thin=4, seed=6)
-        summary = loo_predictive(dataset, design, 0, cfg)
+        [summary] = run_loo(dataset, design, cfg, folds=[0])
         center = 0.5 * (summary.low + summary.high)
         inside = (center >= summary.low) & (center <= summary.high)
         assert inside.all()

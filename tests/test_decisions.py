@@ -19,7 +19,7 @@ from strandgp import (
     posterior_fdr,
     posterior_fnr,
 )
-from strandgp.decisions import _solve_components, format_bayes_factor
+from strandgp.decisions import _linear_quantiles, _solve_components, format_bayes_factor
 from strandgp.errors import NumericalError
 
 
@@ -167,6 +167,43 @@ def random_instance(rng, m, cap=3, t=60):
         chosen = list(rng.choice(others, size=size, replace=False)) if size else []
         member_lists.append([i, *chosen])
     return indicators, groups_from_lists(member_lists)
+
+
+class TestLinearQuantiles:
+    """``_linear_quantiles`` gives the bits of np.quantile and np.percentile
+    (method 'linear'), which it replaces because they import numpy.ma."""
+
+    LEVELS = [0.0, 0.025, 0.05, 0.3, 0.5, 0.95, 0.975, 1.0]
+
+    def cases(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 3, 7, 40, 399, 1000):
+            for columns in ((), (1,), (5,)):
+                x = rng.normal(size=(n, *columns))
+                yield x
+                yield np.round(x, 1)              # ties
+                yield np.full((n, *columns), 0.25)  # all tied
+
+    def test_quantiles_along_axis_0(self):
+        rng = np.random.default_rng(13)
+        for x in self.cases():
+            qs = self.LEVELS + rng.uniform(0.0, 1.0, 5).tolist()
+            assert np.array_equal(_linear_quantiles(x, qs), np.quantile(x, qs, axis=0)), x.shape
+
+    def test_percentiles_of_a_vector(self):
+        rng = np.random.default_rng(14)
+        for x in self.cases():
+            if x.ndim == 1:
+                for p in [0.0, 5.0, 50.0, 95.0, 100.0] + rng.uniform(0.0, 100.0, 5).tolist():
+                    assert float(_linear_quantiles(x, [p / 100])[0]) == float(np.percentile(x, p))
+
+    def test_a_column_with_nan_gives_nan(self):
+        x = np.random.default_rng(15).normal(size=(30, 3))
+        x[4, 1] = np.nan
+        got = _linear_quantiles(x, self.LEVELS)
+        assert np.array_equal(got, np.quantile(x, self.LEVELS, axis=0), equal_nan=True)
+        assert np.isnan(got[:, 1]).all() and np.isfinite(got[:, [0, 2]]).all()
+        assert np.isnan(_linear_quantiles(x[:, 1], [0.95])).all()
 
 
 class TestHypothesisIndicators:

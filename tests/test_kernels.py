@@ -865,10 +865,42 @@ class TestEstimatePriorCorrelation:
 
 
 class TestCholeskyWithJitter:
-    # Through _factor_with_jitter, the routine factor_blocks runs per block.
+    # Through _factor_in_place, the routine factor_blocks runs per block,
+    # on a copy; a factor is read from its lower triangle.
     @staticmethod
     def factor(matrix, scale):
-        return kernels._factor_with_jitter(matrix, scale, kernels.lapack().dpotrf)
+        assert scale == matrix.diagonal().max()
+        chol, jitter = kernels._factor_in_place(matrix.copy(), matrix.diagonal().copy(),
+                                                np.arange(matrix.shape[0]), kernels.lapack().dpotrf)
+        return np.tril(chol), jitter
+
+    def test_in_place_factor_has_the_bits_of_a_factored_copy(self):
+        # The packed blocks are exactly symmetric, so factoring the block's
+        # transpose in place reads the same numbers as factoring a copy.
+        dpotrf = kernels.lapack().dpotrf
+        rng = np.random.default_rng(21)
+        for size in range(1, 41):
+            a = rng.standard_normal((size, size + 3))
+            spd = a @ a.T
+            spd = np.triu(spd) + np.triu(spd, 1).T
+            block = spd.copy()
+            chol, jitter = kernels._factor_in_place(block, spd.diagonal().copy(), np.arange(size), dpotrf)
+            assert jitter == 0.0 and np.shares_memory(chol, block)
+            assert np.array_equal(np.tril(chol), dpotrf(spd, lower=1, clean=1)[0])
+            assert np.array_equal(np.triu(chol, 1), np.triu(spd, 1))
+
+    def test_packed_diagonal_holds_each_factor_diagonal(self):
+        # The posterior reads the factors' diagonals from the packed buffer,
+        # also for a block that needed jitter.
+        index = jitter_design().covariance_index
+        jittered = 0
+        for rng in spawn_rngs(4, 40):
+            packed = assemble_blocks(index, *hyper_arrays(draw_jittery(rng)))
+            factors = kernels.factor_blocks(index, packed)
+            jittered += any(jitter > 0 for _, jitter in factors)
+            for units, (chol, _) in zip(index.components, factors):
+                assert np.array_equal(packed[index.unit_diag[units]], np.tril(chol).diagonal())
+        assert jittered
 
     def test_pd_matrix_untouched(self):
         mat = np.array([[2.0, 0.5], [0.5, 1.0]])
@@ -881,6 +913,8 @@ class TestCholeskyWithJitter:
         chol, jitter = self.factor(mat, 1.0)
         assert jitter > 0.0
         np.testing.assert_allclose(chol @ chol.T, mat + jitter * np.eye(3), rtol=1e-12)
+        # The failed attempt in place is undone exactly before jitter is added.
+        assert np.array_equal(chol, kernels.lapack().dpotrf(mat + jitter * np.eye(3), lower=1, clean=1)[0])
 
     def test_budget_exhaustion(self):
         mat = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite

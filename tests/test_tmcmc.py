@@ -14,6 +14,7 @@ from strandgp import (
     tmcmc_step,
 )
 from strandgp.tmcmc import PosteriorSamples, _Adaptation
+from strandgp.util import spawn_rngs
 
 
 class ScriptedRNG:
@@ -227,7 +228,7 @@ class TestRunChain:
         target = gaussian_target([0.0], [[1.0]])
         model = TargetModel(log_target=target, x0=np.zeros(1), names=["x"])
         cfg = SamplerConfig(n_iterations=800, burn_in=200, thin=1, seed=13)
-        chains = run_chains(model, cfg, 3)
+        chains = run_chains([model] * 3, cfg, spawn_rngs(cfg.seed, 3))
         assert len(chains) == 3
         assert not np.array_equal(chains[0].draws, chains[1].draws)
 
@@ -267,6 +268,113 @@ class TestRunChain:
                     z = abs(counts[i, j] - counts[j, i]) / math.sqrt(total)
                     assert z < 4.5, (i, j, counts[i, j], counts[j, i])
 
+
+
+def sequential_chain(model, config, rng):
+    """Reference: one chain by ``tmcmc_step``, iteration after iteration, as
+    a chain ran before chains advanced in lockstep."""
+    x, lp = model.x0.copy(), model.log_target(model.x0.copy())
+    d = x.size
+    adapt = _Adaptation(model.blocks, d)
+    scales = model.base_scales * adapt.factors(d)
+    draws, accepted = [], 0
+    for t in range(config.n_iterations):
+        x, lp, ok = tmcmc_step(x, scales, model.log_target, rng, lp_x=lp)
+        if t < config.burn_in:
+            if adapt.record(ok):
+                scales = model.base_scales * adapt.factors(d)
+        else:
+            accepted += ok
+            if (t - config.burn_in + 1) % config.thin == 0:
+                draws.append(x)
+    return np.array(draws).reshape(-1, d), accepted, scales, adapt.history
+
+
+def assert_same_chain(a, b):
+    np.testing.assert_array_equal(a.draws, b.draws)
+    assert a.acceptance_rate == b.acceptance_rate
+    np.testing.assert_array_equal(a.scales, b.scales)
+    assert a.block_info == b.block_info
+
+
+@pytest.mark.filterwarnings("ignore:acceptance .* did not enter the target band:RuntimeWarning")
+class TestLockstep:
+    """Chain c of ``run_chains`` is the chain ``run_chain`` gives for model c
+    and generator c alone, bit for bit, whatever runs beside it."""
+
+    CONFIG = SamplerConfig(n_iterations=3000, burn_in=1000, thin=7, seed=0)
+
+    def gaussian_models(self):
+        rng = np.random.default_rng(4)
+        models = []
+        for c in range(4):
+            a = rng.normal(size=(3, 3))
+            mean = rng.normal(size=3)
+            models.append(TargetModel(log_target=gaussian_target(mean, a @ a.T + np.eye(3)),
+                                      x0=mean + 1.0, names=["x0", "x1", "x2"],
+                                      blocks=[np.array([0, 1]), np.array([2])],
+                                      base_scales=np.full(3, 0.5 + c)))
+        return models
+
+    def test_gaussian_chains_match_each_chain_alone(self):
+        models = self.gaussian_models()
+        together = run_chains(models, self.CONFIG, spawn_rngs(8, len(models)))
+        for model, rng, chain in zip(models, spawn_rngs(8, len(models)), together):
+            assert_same_chain(chain, run_chain(model, self.CONFIG, rng))
+
+    def test_matches_the_sequential_reference(self):
+        models = self.gaussian_models()
+        post = self.CONFIG.n_iterations - self.CONFIG.burn_in
+        together = run_chains(models, self.CONFIG, spawn_rngs(9, len(models)))
+        for model, rng, chain in zip(models, spawn_rngs(9, len(models)), together):
+            draws, accepted, scales, history = sequential_chain(model, self.CONFIG, rng)
+            np.testing.assert_array_equal(chain.draws, draws)
+            assert chain.acceptance_rate == accepted / post
+            np.testing.assert_array_equal(chain.scales, scales)
+            assert chain.block_info == history
+
+    def test_plain_functions_beside_a_joint_target(self):
+        # Targets that offer a joint evaluation serve only a list of their
+        # own kind; with a plain function among them every row calls its
+        # own target.
+        calls = []
+
+        class Joint:
+            def __init__(self, f):
+                self.f = f
+
+            def __call__(self, x):
+                return self.f(x)
+
+            @staticmethod
+            def joint(targets):
+                if not all(isinstance(t, Joint) for t in targets):
+                    return None
+                return lambda xs: calls.append(len(xs)) or [t.f(x) for t, x in zip(targets, xs)]
+
+        models = self.gaussian_models()
+        joint = [TargetModel(log_target=Joint(m.log_target), x0=m.x0, names=m.names,
+                             blocks=m.blocks, base_scales=m.base_scales) for m in models]
+        alone = [run_chain(m, self.CONFIG, rng) for m, rng in zip(models, spawn_rngs(3, 4))]
+        for chains in (joint, [joint[0], models[1], joint[2], models[3]]):
+            calls.clear()
+            together = run_chains(chains, self.CONFIG, spawn_rngs(3, 4))
+            assert calls == ([4] * (self.CONFIG.n_iterations + 1) if chains is joint else [])
+            for chain, reference in zip(together, alone):
+                assert_same_chain(chain, reference)
+
+    def test_models_of_different_dimensions_are_refused(self):
+        models = [TargetModel(log_target=lambda x: 0.0, x0=np.zeros(d), names=["x"] * d)
+                  for d in (1, 2)]
+        with pytest.raises(ValueError, match="one dimension"):
+            run_chains(models, self.CONFIG, spawn_rngs(0, 2))
+
+    def test_nonfinite_start_names_the_chain(self):
+        models = [TargetModel(log_target=lambda x, c=c: -math.inf if c == 1 else 0.0,
+                              x0=np.zeros(1), names=["x"]) for c in range(3)]
+        with pytest.raises(NumericalError) as raised:
+            run_chains(models, self.CONFIG, spawn_rngs(0, 3))
+        assert raised.value.chain == 1
 
 class TestPriorReproduction:
     def test_chain_reproduces_effect_prior_covariance(self):
